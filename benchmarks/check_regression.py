@@ -7,9 +7,11 @@ Two benchmark payloads are guarded:
   ``BENCH_inference.json``; the gate keeps PR 1's compile-once (10.5x)
   and batched (22x) speedups from silently eroding.
 - ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` persists
-  ``BENCH_obs.json`` (enabled-vs-disabled instrumentation overhead and
+  ``benchmarks/results/BENCH_obs.json`` (enabled-vs-disabled instrumentation overhead and
   ``/metrics`` scrape latency); the gate keeps the observability layer's
-  "near-zero overhead" contract from silently eroding.  Once the
+  "near-zero overhead" contract from silently eroding.  The repo-root
+  ``BENCH_obs.json`` is the committed baseline; a test run never
+  rewrites it.  Once the
   baseline carries the SLO-budget ``budgets`` section, the ratio of
   per-evaluation burn tracking to once-per-publish budget derivation is
   ceilinged too (plus raw latencies under ``--absolute``).

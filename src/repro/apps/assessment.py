@@ -16,10 +16,22 @@ over Gaussian moments —
   of correlated Gaussians, applied pairwise down the operand list;
 - ``Scale`` / ``WeightedSum`` → linear maps.
 
-The result is an O(workflow-size) estimate of ``E[D]``, ``Var[D]`` and
-``P(D > h)``, available on any node that holds the (tiny) joint-Gaussian
-summary of the service layer — cheap enough to run inside an autonomic
-control loop, and decentralizable since the summary is a few floats.
+The result is an estimate of ``E[D]``, ``Var[D]`` and ``P(D > h)``,
+available on any node that holds the (tiny) joint-Gaussian summary of
+the service layer — cheap enough to run inside an autonomic control
+loop, and decentralizable since the summary is a few floats.
+
+Cost.  :class:`RapidAssessor` compiles the expression once into a flat
+plan of steps with fixed slot indices (:class:`_MomentPlan`).  The plan
+runs over ``(B, K)`` mean and ``(B, K, K)`` covariance arrays, K =
+services + inner nodes and B a batch of service-layer states; each step
+writes one covariance row as a vectorized combination of earlier rows,
+so a sweep is O(K²) array work per batch row, in one short run of NumPy
+calls per inner node.  A plain assessment is a sweep with B = 1, about
+1 ms at 80 services on a 2-core x86 host.  ``assess_each`` conditions on
+each service separately by rank-1 Schur updates and sweeps all of them
+at once; that is what problem localization runs, about 7 ms for all 80
+services.
 
 Accuracy: exact for pure-sequence workflows; for parallel joins the
 Clark approximation is typically within a few percent of Monte Carlo
@@ -33,7 +45,7 @@ import math
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.bn.inference.gaussian import condition_gaussian, joint_gaussian
 from repro.core.kertbn import KERTBN
@@ -49,130 +61,125 @@ from repro.workflow.expressions import (
 )
 
 
-class _MomentState:
-    """Mean vector + covariance over base variables *and* derived terms.
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-    Each expression node is assigned an index; Clark's formulas need the
-    covariance of intermediate terms with every base variable, so the
-    state grows by one entry per inner node — still tiny for real
-    workflows.
+#: Float budget of one batched sweep's ``(B, K, K)`` covariance (32 MB):
+#: :meth:`RapidAssessor.assess_each` splits larger batches into chunks.
+_SWEEP_FLOATS = 2**22
+
+
+class _MomentPlan:
+    """The workflow expression compiled to a flat list of moment steps.
+
+    Slots ``0..n-1`` hold the services (in ``names`` order); every inner
+    node of the expression gets the next slot, in post-order, so a step
+    only reads slots below its own.  ``Sum``, ``Scale`` and
+    ``WeightedSum`` compile to one linear step ``(slots, weights)``;
+    ``Const`` to a zero-variance slot; an n-ary ``Max`` to a chain of
+    pairwise Clark steps.  ``Var`` creates no step, it names a slot.
     """
 
-    def __init__(self, names: list[str], mean: np.ndarray, cov: np.ndarray):
-        self.index: dict[object, int] = {n: i for i, n in enumerate(names)}
-        self.mean = list(mean.astype(float))
-        k = len(names)
-        self.cov = [[float(cov[i, j]) for j in range(k)] for i in range(k)]
+    def __init__(self, expr: Expression, names: "list[str]"):
+        self.n = len(names)
+        self.steps: list[tuple] = []
+        self.root = self._compile(expr, {name: i for i, name in enumerate(names)})
+        self.size = self.n + len(self.steps)
 
-    def add(self, key: object, mean: float, cov_with: "list[float]", var: float) -> int:
-        idx = len(self.mean)
-        self.index[key] = idx
-        self.mean.append(mean)
-        for row, c in zip(self.cov, cov_with):
-            row.append(c)
-        self.cov.append(cov_with + [var])
-        return idx
+    def _emit(self, step: tuple) -> int:
+        self.steps.append(step)
+        return self.n + len(self.steps) - 1
 
-    def get(self, idx: int) -> tuple[float, float]:
-        return self.mean[idx], self.cov[idx][idx]
+    def _compile(self, expr: Expression, index: "dict[str, int]") -> int:
+        if isinstance(expr, Var):
+            if expr.name not in index:
+                raise InferenceError(f"no moments for variable {expr.name!r}")
+            return index[expr.name]
+        if isinstance(expr, Const):
+            return self._emit(("const", expr.value))
+        if isinstance(expr, (Sum, Scale, WeightedSum)):
+            if isinstance(expr, Sum):
+                pairs = [(1.0, t) for t in expr.terms]
+            elif isinstance(expr, Scale):
+                pairs = [(expr.factor, expr.term)]
+            else:
+                pairs = list(expr.weighted_terms)
+            slots = [self._compile(t, index) for _, t in pairs]
+            weights = np.array([w for w, _ in pairs])
+            return self._emit(("lin", np.array(slots), weights))
+        if isinstance(expr, Max):
+            slots = [self._compile(t, index) for t in expr.terms]
+            current = slots[0]
+            for nxt in slots[1:]:
+                current = self._emit(("max", current, nxt))
+            return current
+        raise InferenceError(f"cannot propagate through {type(expr)!r}")
 
-    def cov_between(self, i: int, j: int) -> float:
-        return self.cov[i][j]
+    def run(
+        self, mean: np.ndarray, cov: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Propagate a batch of service-layer Gaussians through the plan.
 
-
-def _clark_max(state: _MomentState, i: int, j: int) -> tuple[float, list[float], float]:
-    """Clark's moments for ``max(Z_i, Z_j)`` of jointly Gaussian terms.
-
-    Returns (mean, covariances with all existing entries, variance).
-    """
-    m1, v1 = state.get(i)
-    m2, v2 = state.get(j)
-    c12 = state.cov_between(i, j)
-    a2 = max(v1 + v2 - 2 * c12, 0.0)
-    a = math.sqrt(a2)
-    if a < 1e-12:
-        # Degenerate: the two terms are (almost) the same variable.
-        mean = max(m1, m2)
-        take = i if m1 >= m2 else j
-        covs = [state.cov_between(take, k) for k in range(len(state.mean))]
-        _, var = state.get(take)
-        return mean, covs, var
-    alpha = (m1 - m2) / a
-    phi = norm.pdf(alpha)
-    big_phi = norm.cdf(alpha)
-    q = 1.0 - big_phi
-    mean = m1 * big_phi + m2 * q + a * phi
-    second = (
-        (v1 + m1 * m1) * big_phi
-        + (v2 + m2 * m2) * q
-        + (m1 + m2) * a * phi
-    )
-    var = max(second - mean * mean, 0.0)
-    covs = [
-        state.cov_between(i, k) * big_phi + state.cov_between(j, k) * q
-        for k in range(len(state.mean))
-    ]
-    return mean, covs, var
-
-
-def _propagate(expr: Expression, state: _MomentState) -> int:
-    """Return the state index holding ``expr``'s moments."""
-    if isinstance(expr, Var):
-        if expr.name not in state.index:
-            raise InferenceError(f"no moments for variable {expr.name!r}")
-        return state.index[expr.name]
-    if isinstance(expr, Const):
-        return state.add(
-            ("const", expr.value, len(state.mean)),
-            expr.value,
-            [0.0] * len(state.mean),
-            0.0,
-        )
-    if isinstance(expr, Sum):
-        idxs = [_propagate(t, state) for t in expr.terms]
-        mean = sum(state.mean[i] for i in idxs)
-        covs = [
-            sum(state.cov_between(i, k) for i in idxs)
-            for k in range(len(state.mean))
-        ]
-        var = sum(state.cov_between(i, j) for i in idxs for j in idxs)
-        return state.add(("sum", id(expr)), mean, covs, max(var, 0.0))
-    if isinstance(expr, Scale):
-        i = _propagate(expr.term, state)
-        f = expr.factor
-        mean = f * state.mean[i]
-        covs = [f * state.cov_between(i, k) for k in range(len(state.mean))]
-        _, v = state.get(i)
-        return state.add(("scale", id(expr)), mean, covs, f * f * v)
-    if isinstance(expr, WeightedSum):
-        idxs = [(w, _propagate(t, state)) for w, t in expr.weighted_terms]
-        mean = sum(w * state.mean[i] for w, i in idxs)
-        covs = [
-            sum(w * state.cov_between(i, k) for w, i in idxs)
-            for k in range(len(state.mean))
-        ]
-        var = sum(
-            wi * wj * state.cov_between(i, j)
-            for wi, i in idxs
-            for wj, j in idxs
-        )
-        return state.add(("wsum", id(expr)), mean, covs, max(var, 0.0))
-    if isinstance(expr, Max):
-        idxs = [_propagate(t, state) for t in expr.terms]
-        current = idxs[0]
-        for nxt in idxs[1:]:
-            mean, covs, var = _clark_max(state, current, nxt)
-            current = state.add(("max", id(expr), nxt), mean, covs, var)
-        return current
-    raise InferenceError(f"cannot propagate through {type(expr)!r}")
+        ``mean`` is ``(B, n)`` and ``cov`` ``(B, n, n)``; returns the
+        ``(B, K)`` means and ``(B, K, K)`` covariances over every slot.
+        """
+        b, n, size = mean.shape[0], self.n, self.size
+        means = np.zeros((b, size))
+        covs = np.zeros((b, size, size))
+        means[:, :n] = mean
+        covs[:, :n, :n] = cov
+        for k, step in enumerate(self.steps, start=n):
+            kind = step[0]
+            if kind == "const":
+                means[:, k] = step[1]
+                continue
+            if kind == "lin":
+                _, slots, w = step
+                row = w @ covs[:, slots, :k]
+                means[:, k] = means[:, slots] @ w
+                var = np.maximum(row[:, slots] @ w, 0.0)
+            else:
+                _, i, j = step
+                m1, m2 = means[:, i], means[:, j]
+                v1, v2 = covs[:, i, i], covs[:, j, j]
+                a = np.sqrt(np.maximum(v1 + v2 - 2.0 * covs[:, i, j], 0.0))
+                # Clark (1961).  Rows with a < 1e-12 hold (almost) the same
+                # variable twice: the max is whichever has the larger mean.
+                degenerate = a < 1e-12
+                first = m1 >= m2
+                alpha = (m1 - m2) / np.where(degenerate, 1.0, a)
+                phi = np.exp(-(alpha**2) / 2.0) / _SQRT_2PI
+                big_phi = np.where(degenerate, first, ndtr(alpha))
+                q = 1.0 - big_phi
+                mean_k = m1 * big_phi + m2 * q + a * phi
+                second = (
+                    (v1 + m1 * m1) * big_phi
+                    + (v2 + m2 * m2) * q
+                    + (m1 + m2) * a * phi
+                )
+                var = np.where(
+                    degenerate,
+                    np.where(first, v1, v2),
+                    np.maximum(second - mean_k * mean_k, 0.0),
+                )
+                means[:, k] = np.where(degenerate, np.maximum(m1, m2), mean_k)
+                row = (
+                    covs[:, i, :k] * big_phi[:, None]
+                    + covs[:, j, :k] * q[:, None]
+                )
+            covs[:, k, :k] = row
+            covs[:, :k, k] = row
+            covs[:, k, k] = var
+        return means, covs
 
 
 class RapidAssessor:
     """Analytic (sampling-free) response-time assessment on a KERT-BN.
 
-    Built once per model construction; each :meth:`assess` call costs a
-    Gaussian conditioning plus one moment-propagation sweep over the
-    workflow expression.
+    Built once per model construction: it derives the service-layer
+    joint Gaussian and compiles the workflow expression into a
+    :class:`_MomentPlan`.  Each :meth:`assess` call then costs a
+    Gaussian conditioning plus one run of that plan; :meth:`assess_each`
+    runs it once for a whole batch of single-service clamps.
     """
 
     def __init__(self, model: KERTBN):
@@ -185,7 +192,9 @@ class RapidAssessor:
         self.model = model
         sub = model.network.service_subnetwork()
         self._names, self._mean, self._cov = joint_gaussian(sub)
+        self._index = {name: i for i, name in enumerate(self._names)}
         self._response_var = model.network.cpd(model.response).variance
+        self._plan = _MomentPlan(model.f.expression, self._names)
 
     @property
     def joint(self) -> "tuple[list[str], np.ndarray, np.ndarray]":
@@ -197,29 +206,75 @@ class RapidAssessor:
         """
         return self._names, self._mean, self._cov
 
+    def _response(
+        self, mean: np.ndarray, cov: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(E[D], Var[D])`` per batch row of service-layer Gaussians."""
+        means, covs = self._plan.run(mean, cov)
+        r = self._plan.root
+        return means[:, r], covs[:, r, r] + self._response_var
+
     def assess(
         self, evidence: "Mapping[str, float] | None" = None
     ) -> tuple[float, float]:
         """Return ``(E[D], Var[D])`` given optional service evidence."""
+        mean, cov = self._mean, self._cov
         if evidence:
-            names, mean, cov = condition_gaussian(
+            rest, post_mean, post_cov = condition_gaussian(
                 self._names, self._mean, self._cov, evidence
             )
-            # Evidence variables re-enter as zero-variance entries.
-            names = list(names) + list(evidence)
-            mean = np.concatenate([mean, [float(v) for v in evidence.values()]])
-            k_old = cov.shape[0]
-            k = len(names)
-            grown = np.zeros((k, k))
-            grown[:k_old, :k_old] = cov
-            cov = grown
-        else:
-            names, mean, cov = self._names, self._mean, self._cov
-        state = _MomentState(list(names), np.asarray(mean), np.asarray(cov))
-        expr = self.model.f.expression
-        idx = _propagate(expr, state)
-        m, v = state.get(idx)
-        return float(m), float(v + self._response_var)
+            # Evidence variables keep their slots as zero-variance entries.
+            keep = [self._index[name] for name in rest]
+            mean = np.zeros(len(self._names))
+            cov = np.zeros_like(self._cov)
+            mean[keep] = post_mean
+            cov[np.ix_(keep, keep)] = post_cov
+            for name, value in evidence.items():
+                mean[self._index[str(name)]] = float(value)
+        m, v = self._response(mean[None], cov[None])
+        return float(m[0]), float(v[0])
+
+    def assess_each(
+        self, values: Mapping[str, float]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(E[D], Var[D])`` with each service in ``values`` clamped alone.
+
+        Row ``r`` equals ``assess({s_r: x_r})`` for the ``r``-th item of
+        ``values``.  Conditioning on one variable is a rank-1 Schur
+        update, ``μ + Σ[:,i](x−μ_i)/Σ_ii`` and ``Σ − Σ[:,i]Σ[i,:]/Σ_ii``
+        (with the same 1e-12 ridge on ``Σ_ii`` as
+        :func:`~repro.bn.inference.gaussian.condition_gaussian`), so every
+        conditioned state is built at once and the plan runs one sweep
+        (or one per chunk of rows, past :data:`_SWEEP_FLOATS`).
+        """
+        unknown = [s for s in values if s not in self._index]
+        if unknown:
+            raise InferenceError(f"evidence on unknown variables {unknown}")
+        idx = np.array([self._index[s] for s in values], dtype=int)
+        x = np.array([float(v) for v in values.values()])
+        chunk = max(1, _SWEEP_FLOATS // self._plan.size**2)
+        parts = [
+            self._response(*self._clamped(idx[s : s + chunk], x[s : s + chunk]))
+            for s in range(0, idx.size, chunk)
+        ]
+        means, variances = zip(*parts)
+        return np.concatenate(means), np.concatenate(variances)
+
+    def _clamped(
+        self, idx: np.ndarray, x: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Row ``r``: the joint conditioned on service ``idx[r] = x[r]``."""
+        rows = np.arange(idx.size)
+        col = self._cov[:, idx].T  # (B, n): Σ[:, i_r] per row
+        s_ii = self._cov[idx, idx] + 1e-12
+        mean = self._mean[None, :] + col * ((x - self._mean[idx]) / s_ii)[:, None]
+        # u uᵀ with u = Σ[:,i]/√Σ_ii is exactly symmetric, unlike c (c/s)ᵀ.
+        u = col / np.sqrt(s_ii)[:, None]
+        cov = self._cov[None, :, :] - u[:, :, None] * u[:, None, :]
+        mean[rows, idx] = x
+        cov[rows, idx, :] = 0.0
+        cov[rows, :, idx] = 0.0
+        return mean, cov
 
     def violation_probability(
         self, threshold: float, evidence: "Mapping[str, float] | None" = None
@@ -227,7 +282,7 @@ class RapidAssessor:
         """Analytic ``P(D > h)`` under a Gaussian summary of ``D``."""
         m, v = self.assess(evidence)
         std = math.sqrt(max(v, 1e-18))
-        return float(norm.sf(threshold, loc=m, scale=std))
+        return float(ndtr(-(threshold - m) / std))
 
     def response_moments(
         self,
@@ -242,21 +297,14 @@ class RapidAssessor:
         the response node's own noise (which is independent of the
         services, so the covariances are unaffected).
         """
-        state = _MomentState(
-            list(self._names), np.asarray(self._mean), np.asarray(self._cov)
-        )
-        idx = _propagate(self.model.f.expression, state)
-        d_mean, d_var = state.get(idx)
+        means, covs = self._plan.run(self._mean[None], self._cov[None])
+        mean, cov, r = means[0], covs[0], self._plan.root
         per_service = {
-            name: (
-                state.mean[i],
-                state.cov_between(i, i),
-                state.cov_between(i, idx),
-            )
-            for name, i in ((n, state.index[n]) for n in self._names)
+            name: (float(mean[i]), float(cov[i, i]), float(cov[i, r]))
+            for i, name in enumerate(self._names)
         }
         return (
-            float(d_mean),
-            float(d_var + self._response_var),
+            float(mean[r]),
+            float(cov[r, r] + self._response_var),
             per_service,
         )

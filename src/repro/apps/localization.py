@@ -11,10 +11,13 @@ Method (continuous KERT-BN):
 1. ``observed_shift_i`` — the change in service *i*'s measured mean
    elapsed time vs the model's (training-time) prior mean, in units of
    the prior standard deviation (a z-score: how anomalous is *i*?);
-2. ``impact_i`` — the end-to-end sensitivity of E[D] to service *i*,
-   computed with the :class:`~repro.apps.assessment.RapidAssessor` by
-   re-assessing with X_i clamped to its observed mean (everything else
-   marginalized): how much of the D-shift does *i*'s change reproduce?
+2. ``impact_i`` — the end-to-end sensitivity of E[D] to service *i*:
+   E[D] with X_i clamped to its observed mean (everything else
+   marginalized), i.e. how much of the D-shift does *i*'s change
+   reproduce?  One :meth:`~repro.apps.assessment.RapidAssessor.
+   assess_each` call builds all n single-service conditionings at once
+   and propagates them in one batched sweep of the compiled moment plan,
+   not n separate assessments.
 3. blame = the product signs/magnitudes combined into a score; services
    whose local anomaly explains the global symptom rank first.
 """
@@ -63,7 +66,8 @@ class ProblemLocalizer:
         self.assessor = assessor if assessor is not None else RapidAssessor(model)
         # Reuse the assessor's compiled joint Gaussian instead of paying
         # a second service-subnetwork extraction + moment derivation.
-        self._names, self._mean, self._cov = self.assessor.joint
+        names, self._mean, self._cov = self.assessor.joint
+        self._index = {name: i for i, name in enumerate(names)}
         self._baseline_d, _ = self.assessor.assess()
 
     @property
@@ -79,26 +83,27 @@ class ProblemLocalizer:
         mean elapsed time.  Services missing from the mapping are skipped
         (they are unobservable; run dComp on them first if needed).
         """
-        unknown = [s for s in observed_means if s not in self._names]
+        unknown = [s for s in observed_means if s not in self._index]
         if unknown:
             raise InferenceError(f"unknown services {sorted(unknown)}")
         if not observed_means:
             raise InferenceError("need at least one observed service mean")
+        observed = {s: float(x) for s, x in observed_means.items()}
+        projected, _ = self.assessor.assess_each(observed)
         suspects = []
-        for service, observed in observed_means.items():
-            i = self._names.index(service)
+        for (service, x), d in zip(observed.items(), projected):
+            i = self._index[service]
             prior_mean = float(self._mean[i])
             prior_std = float(np.sqrt(max(self._cov[i, i], 1e-18)))
-            z = (float(observed) - prior_mean) / prior_std
-            projected, _ = self.assessor.assess({service: float(observed)})
-            d_shift = projected - self._baseline_d
+            z = (x - prior_mean) / prior_std
+            d_shift = float(d) - self._baseline_d
             # Blame: end-to-end impact weighted by local anomalousness.
             blame = abs(d_shift) * abs(z)
             suspects.append(
                 Suspect(
                     service=service,
                     prior_mean=prior_mean,
-                    observed_mean=float(observed),
+                    observed_mean=x,
                     z_score=z,
                     projected_d_shift=d_shift,
                     blame=blame,

@@ -35,22 +35,21 @@ def joint_gaussian(network) -> tuple[list[str], np.ndarray, np.ndarray]:
     k = len(order)
     mean = np.zeros(k)
     cov = np.zeros((k, k))
-    for n in order:
+    for i, n in enumerate(order):
         cpd = network.cpd(n)
         if not isinstance(cpd, LinearGaussianCPD):
             raise InferenceError(
                 f"joint_gaussian requires linear-Gaussian CPDs; "
                 f"{n!r} has {type(cpd).__name__}"
             )
-        i = index[n]
         pa = [index[p] for p in cpd.parents]
         w = cpd.coefficients
         mean[i] = cpd.intercept + (w @ mean[pa] if pa else 0.0)
         if pa:
-            # Covariance with every already-processed node (includes parents).
-            done = [index[m] for m in order[: order.index(n)]]
-            cov[i, done] = w @ cov[np.ix_(pa, done)]
-            cov[done, i] = cov[i, done]
+            # Node i's topological position is i, so the already-processed
+            # nodes (parents included) are exactly the slice ``:i``.
+            cov[i, :i] = w @ cov[pa, :i]
+            cov[:i, i] = cov[i, :i]
             cov[i, i] = cpd.variance + w @ cov[np.ix_(pa, pa)] @ w
         else:
             cov[i, i] = cpd.variance

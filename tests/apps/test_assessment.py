@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps.assessment import RapidAssessor, _clark_max, _MomentState
+from repro.apps.assessment import RapidAssessor, _MomentPlan
 from repro.apps.paccel import PAccel
 from repro.exceptions import InferenceError
+from repro.workflow.expressions import Max, Var
 
 
 def test_requires_hybrid_model(ediamond_data):
@@ -17,27 +18,29 @@ def test_requires_hybrid_model(ediamond_data):
         RapidAssessor(nrt)
 
 
+def clark_max(names, mean, cov):
+    """Mean and variance of the plan's one Clark step ``max(Z_0, Z_1)``."""
+    plan = _MomentPlan(Max([Var(names[0]), Var(names[1])]), names)
+    means, covs = plan.run(mean[None], cov[None])
+    return means[0, plan.root], covs[0, plan.root, plan.root]
+
+
 def test_clark_max_independent_standard_normals():
     # E[max(Z1, Z2)] = 1/sqrt(pi) for iid N(0,1); Var = 1 - 1/pi.
-    state = _MomentState(["z1", "z2"], np.zeros(2), np.eye(2))
-    mean, _, var = _clark_max(state, 0, 1)
+    mean, var = clark_max(["z1", "z2"], np.zeros(2), np.eye(2))
     assert mean == pytest.approx(1 / np.sqrt(np.pi), abs=1e-9)
     assert var == pytest.approx(1 - 1 / np.pi, abs=1e-9)
 
 
 def test_clark_max_degenerate_identical_terms():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    state = _MomentState(["z1", "z2"], np.array([3.0, 3.0]), cov)
-    mean, _, var = _clark_max(state, 0, 1)
+    mean, var = clark_max(["z1", "z2"], np.array([3.0, 3.0]), cov)
     assert mean == pytest.approx(3.0)
     assert var == pytest.approx(1.0)
 
 
 def test_clark_max_dominant_branch():
-    state = _MomentState(
-        ["lo", "hi"], np.array([0.0, 100.0]), np.diag([1.0, 2.0])
-    )
-    mean, _, var = _clark_max(state, 0, 1)
+    mean, var = clark_max(["lo", "hi"], np.array([0.0, 100.0]), np.diag([1.0, 2.0]))
     assert mean == pytest.approx(100.0, abs=1e-6)
     assert var == pytest.approx(2.0, abs=1e-6)
 

@@ -1,9 +1,9 @@
-"""Unit tests for the moment-propagation internals of RapidAssessor."""
+"""Unit tests for the compiled moment plan behind RapidAssessor."""
 
 import numpy as np
 import pytest
 
-from repro.apps.assessment import _MomentState, _propagate
+from repro.apps.assessment import _MomentPlan
 from repro.exceptions import InferenceError
 from repro.workflow.expressions import (
     Const,
@@ -16,14 +16,15 @@ from repro.workflow.expressions import (
 
 
 def state_2d(m1=1.0, m2=2.0, v1=1.0, v2=4.0, c=0.5):
-    return _MomentState(
-        ["a", "b"], np.array([m1, m2]), np.array([[v1, c], [c, v2]])
-    )
+    return ["a", "b"], np.array([m1, m2]), np.array([[v1, c], [c, v2]])
 
 
 def moments(expr, state):
-    idx = _propagate(expr, state)
-    return state.get(idx)
+    """Run ``expr``'s plan on one state; return the root's (mean, var)."""
+    names, mean, cov = state
+    plan = _MomentPlan(expr, names)
+    means, covs = plan.run(mean[None], cov[None])
+    return means[0, plan.root], covs[0, plan.root, plan.root]
 
 
 def test_var_lookup():
@@ -31,7 +32,7 @@ def test_var_lookup():
     m, v = moments(Var("a"), s)
     assert (m, v) == (1.0, 1.0)
     with pytest.raises(InferenceError):
-        _propagate(Var("ghost"), s)
+        moments(Var("ghost"), s)
 
 
 def test_const_has_zero_variance():
@@ -80,7 +81,7 @@ def test_nested_max_in_sum_against_monte_carlo():
     mean = np.array([1.0, 2.0, 0.5])
     cov = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
     expr = Sum([Var("a"), Max([Var("b"), Scale(2.0, Var("c"))])])
-    s = _MomentState(["a", "b", "c"], mean, cov)
+    s = (["a", "b", "c"], mean, cov)
     m, v = moments(expr, s)
     draws = rng.multivariate_normal(mean, cov, size=400_000)
     mc = draws[:, 0] + np.maximum(draws[:, 1], 2.0 * draws[:, 2])
