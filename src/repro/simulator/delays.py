@@ -31,7 +31,12 @@ class DelayDistribution(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size: "int | None" = None):
-        """Draw one delay (or ``size`` delays)."""
+        """Draw one delay (or ``size`` delays).
+
+        With ``size=None`` the draw is a Python ``float`` from a
+        pure-scalar path (no temporary arrays).  It takes the same
+        generator draws, in the same order, as ``size=1``.
+        """
 
     @property
     @abc.abstractmethod
@@ -70,6 +75,9 @@ class LogNormal(DelayDistribution):
         self.sigma = float(sigma)
 
     def sample(self, rng, size=None):
+        # np.exp, not math.exp: the two can differ in the last ulp.
+        if size is None:
+            return float(self.median * np.exp(rng.normal(0.0, self.sigma)))
         return self.median * np.exp(rng.normal(0.0, self.sigma, size=size))
 
     @property
@@ -211,8 +219,9 @@ class MMk(DelayDistribution):
         service = rng.exponential(self.service_mean, size=size)
         wait = rng.exponential(self.conditional_wait_mean, size=size)
         queued = rng.random(size=size) < self.p_wait
-        out = service + np.where(queued, wait, 0.0)
-        return float(out) if size is None else out
+        if size is None:
+            return service + (wait if queued else 0.0)
+        return service + np.where(queued, wait, 0.0)
 
     @property
     def mean(self) -> float:
@@ -258,12 +267,12 @@ class GG1(DelayDistribution):
     def sample(self, rng, size=None):
         service = self._sample_service(rng, size)
         queued = rng.random(size=size) < self.utilization
+        wait = 0.0
         if self.wait_mean > 0.0:
             wait = rng.exponential(self.wait_mean / self.utilization, size=size)
-        else:
-            wait = np.zeros(() if size is None else size)
-        out = service + np.where(queued, wait, 0.0)
-        return float(out) if size is None else out
+        if size is None:
+            return service + (wait if queued else 0.0)
+        return service + np.where(queued, wait, 0.0)
 
     @property
     def mean(self) -> float:

@@ -9,21 +9,30 @@ measures) is accumulated per transaction, along with the end-to-end
 response time — the ``(X_1..X_n, D)`` rows everything downstream learns
 from.
 
-The engine is deliberately callback-based over a single binary heap:
-requests interleave correctly under queueing without threads, and a run
-is deterministic given the RNG seed.
+The engine is event-driven over a single binary heap: requests
+interleave correctly under queueing without threads, and a run is
+deterministic given the RNG seed.  Each :meth:`Engine.run` first
+compiles the workflow into one executor per node, with each service's
+spec, host, delay sampler and fault windows resolved once; the heap then
+holds plain ``(t, seq, kind, payload)`` events, ``kind`` being one of
+those compiled handlers.  Events, their ``seq`` tie-breaks and the order
+of generator draws are fixed by the workflow semantics, so the records
+and the generator's final state are a pure function of the seed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.simulator.faults import combined_factor
 from repro.simulator.service import Host, ServiceSpec, _HostState, _ServiceState
 from repro.utils.rng import ensure_rng
 from repro.workflow.constructs import (
@@ -52,12 +61,28 @@ class TransactionRecord:
         return self.completion - self.arrival
 
 
-@dataclass
-class _Job:
-    record: TransactionRecord
-    t_arrive: float
-    upstream_elapsed: float
-    done: Callable[[float, float], None]
+#: A node's entry point and its continuation share one signature,
+#: ``(t, frame, upstream_elapsed)``.  The frame is the transaction's
+#: ``[record, join state of each Parallel...]``.
+_Step = Callable[[float, list, float], None]
+#: An event handler, called as ``kind(t, payload)`` when the event fires.
+_Handler = Callable[[float, Any], None]
+
+
+def _choice_cdf(probabilities: Sequence[float]) -> list[float]:
+    """The CDF ``Generator.choice(n, p=p)`` searches, computed once.
+
+    ``bisect_right(cdf, rng.random())`` then draws the index that
+    ``choice`` would: numpy normalizes ``p.cumsum()`` by its last entry,
+    takes one ``random()`` and searches it on the right.
+    """
+    cdf = np.asarray(probabilities, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _record_completion(t: float, frame: list, _elapsed: float) -> None:
+    frame[0].completion = t
 
 
 class Engine:
@@ -101,20 +126,18 @@ class Engine:
                     st.spec.host, _HostState(host=Host(st.spec.host))
                 )
 
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, _Handler, Any]] = []
         self._seq = itertools.count()
-        self._queues: dict[str, list[_Job]] = {}
-        self._busy: dict[str, int] = {}
         self.now = 0.0
 
     # ------------------------------------------------------------------ #
     # Event plumbing
     # ------------------------------------------------------------------ #
 
-    def _schedule(self, t: float, fn: Callable[[], None]) -> None:
+    def _schedule(self, t: float, kind: _Handler, payload: Any = None) -> None:
         if t < self.now - 1e-12:
             raise SimulationError(f"cannot schedule into the past ({t} < {self.now})")
-        heapq.heappush(self._heap, (t, next(self._seq), fn))
+        heapq.heappush(self._heap, (t, next(self._seq), kind, payload))
 
     def _reset(self) -> None:
         for st in self._services.values():
@@ -122,112 +145,134 @@ class Engine:
         for hs in self._hosts.values():
             hs.reset()
         self._heap.clear()
-        self._queues = {name: [] for name in self._services}
-        self._busy = {name: 0 for name in self._services}
         self.now = 0.0
 
     # ------------------------------------------------------------------ #
-    # Service semantics
+    # Compilation: one executor per workflow node, once per run
     # ------------------------------------------------------------------ #
 
-    def _arrive(self, name: str, job: _Job) -> None:
-        st = self._services[name]
-        if st.spec.queueing and self._busy[name] > 0:
-            self._queues[name].append(job)
-        else:
-            self._begin(name, job)
+    def _compile(self, node: WorkflowNode, done: _Step, joins: Iterator[int]) -> _Step:
+        """The entry step of ``node``; ``done`` runs when it completes.
 
-    def _begin(self, name: str, job: _Job) -> None:
-        st = self._services[name]
-        hs = self._hosts[st.spec.host]
-        spec = st.spec
-        start = self.now
-        base = float(spec.delay.sample(self.rng))
-        duration = base / hs.host.speed
-        if spec.demand_sensitivity:
-            duration *= job.record.demand ** spec.demand_sensitivity
-        if hs.host.contention:
-            duration *= 1.0 + hs.host.contention * hs.n_running
-        if self.faults is not None:
-            duration *= self.faults.factor_at(name, start)
-        if spec.upstream_coupling:
-            duration += spec.upstream_coupling * job.upstream_elapsed
-        finish = start + duration
-        self._busy[name] += 1
-        hs.n_running += 1
-        st.busy_time += duration
-
-        def complete() -> None:
-            self._busy[name] -= 1
-            hs.n_running -= 1
-            elapsed = finish - job.t_arrive  # wait + service
-            job.record.elapsed[name] = job.record.elapsed.get(name, 0.0) + elapsed
-            job.record.invocations[name] = job.record.invocations.get(name, 0) + 1
-            st.n_jobs += 1
-            if st.spec.queueing and self._queues[name]:
-                self._begin(name, self._queues[name].pop(0))
-            job.done(finish, elapsed)
-
-        self._schedule(finish, complete)
-
-    # ------------------------------------------------------------------ #
-    # Workflow semantics
-    # ------------------------------------------------------------------ #
-
-    def _exec(
-        self,
-        node: WorkflowNode,
-        t: float,
-        record: TransactionRecord,
-        upstream: float,
-        done: Callable[[float, float], None],
-    ) -> None:
+        Continuations are static — what follows a node is fixed by its
+        position in the workflow — so only the frame varies per
+        transaction.  A Sequence chains its steps, a Parallel forks and
+        AND-joins through its own frame slot, a Choice draws one branch,
+        a Loop re-enters its body with ``continue_prob``.
+        """
         if isinstance(node, Activity):
-            job = _Job(record=record, t_arrive=t, upstream_elapsed=upstream, done=done)
-            self._schedule(t, lambda: self._arrive(node.name, job))
-        elif isinstance(node, WfSequence):
-            steps = node.steps
-
-            def run_step(i: int, t_i: float, up_i: float) -> None:
-                if i == len(steps):
-                    done(t_i, up_i)
-                    return
-                self._exec(
-                    steps[i], t_i, record, up_i,
-                    lambda ft, el: run_step(i + 1, ft, el),
-                )
-
-            run_step(0, t, upstream)
-        elif isinstance(node, Parallel):
+            return self._compile_activity(node.name, done)
+        if isinstance(node, WfSequence):
+            step = done
+            for child in reversed(node.steps):
+                step = self._compile(child, step, joins)
+            return step
+        if isinstance(node, Parallel):
+            slot = next(joins)
             n = len(node.branches)
-            state = {"pending": n, "finish": t, "elapsed": 0.0}
 
-            def join(ft: float, el: float) -> None:
-                state["pending"] -= 1
-                state["finish"] = max(state["finish"], ft)
-                state["elapsed"] = max(state["elapsed"], el)
-                if state["pending"] == 0:
-                    done(state["finish"], state["elapsed"])
+            def join(t: float, frame: list, elapsed: float) -> None:
+                state = frame[slot]  # [pending, latest finish, max elapsed]
+                state[0] -= 1
+                if t > state[1]:
+                    state[1] = t
+                if elapsed > state[2]:
+                    state[2] = elapsed
+                if not state[0]:
+                    done(state[1], frame, state[2])
 
-            for b in node.branches:
-                self._exec(b, t, record, upstream, join)
-        elif isinstance(node, Choice):
-            i = int(self.rng.choice(len(node.branches), p=node.probabilities))
-            self._exec(node.branches[i], t, record, upstream, done)
-        elif isinstance(node, Loop):
-            def iteration(t_i: float, up_i: float) -> None:
-                self._exec(
-                    node.body, t_i, record, up_i,
-                    lambda ft, el: (
-                        iteration(ft, el)
-                        if self.rng.random() < node.continue_prob
-                        else done(ft, el)
-                    ),
-                )
+            forks = [self._compile(b, join, joins) for b in node.branches]
 
-            iteration(t, upstream)
-        else:
-            raise SimulationError(f"unknown workflow node {type(node)!r}")
+            def fork(t: float, frame: list, upstream: float) -> None:
+                frame[slot] = [n, t, 0.0]
+                for branch in forks:
+                    branch(t, frame, upstream)
+
+            return fork
+        if isinstance(node, Choice):
+            bounds = _choice_cdf(node.probabilities)
+            options = [self._compile(b, done, joins) for b in node.branches]
+            random = self.rng.random
+
+            def choose(t: float, frame: list, upstream: float) -> None:
+                options[bisect_right(bounds, random())](t, frame, upstream)
+
+            return choose
+        if isinstance(node, Loop):
+            p = node.continue_prob
+            random = self.rng.random
+            body: _Step
+
+            def again(t: float, frame: list, elapsed: float) -> None:
+                if random() < p:
+                    body(t, frame, elapsed)
+                else:
+                    done(t, frame, elapsed)
+
+            body = self._compile(node.body, again, joins)
+            return body
+        raise SimulationError(f"unknown workflow node {type(node)!r}")
+
+    def _compile_activity(self, name: str, done: _Step) -> _Step:
+        """Arrive/begin/complete handlers of one service, resolved once.
+
+        A job is ``(frame, arrival time, upstream elapsed)``; it waits in
+        the service's FIFO queue while the (queueing) service is busy.
+        """
+        st = self._services[name]
+        spec = st.spec
+        hs = self._hosts[spec.host]
+        sample = spec.delay.sample
+        rng = self.rng
+        speed = hs.host.speed
+        contention = hs.host.contention
+        sensitivity = spec.demand_sensitivity
+        coupling = spec.upstream_coupling
+        queueing = spec.queueing
+        windows = self.faults.for_service(name) if self.faults is not None else ()
+        schedule = self._schedule
+        queue: deque = deque()
+        busy = 0
+
+        def begin(start: float, job: tuple) -> None:
+            nonlocal busy
+            duration = float(sample(rng)) / speed
+            if sensitivity:
+                duration *= job[0][0].demand ** sensitivity
+            if contention:
+                duration *= 1.0 + contention * hs.n_running
+            if windows:
+                duration *= combined_factor(windows, start)
+            if coupling:
+                duration += coupling * job[2]
+            busy += 1
+            hs.n_running += 1
+            st.busy_time += duration
+            schedule(start + duration, complete, job)
+
+        def arrive(now: float, job: tuple) -> None:
+            if queueing and busy:
+                queue.append(job)
+            else:
+                begin(now, job)
+
+        def complete(finish: float, job: tuple) -> None:
+            nonlocal busy
+            busy -= 1
+            hs.n_running -= 1
+            frame, t_arrive, _ = job
+            elapsed = finish - t_arrive  # wait + service
+            record = frame[0]
+            record.elapsed[name] = record.elapsed.get(name, 0.0) + elapsed
+            record.invocations[name] = record.invocations.get(name, 0) + 1
+            if queue:
+                begin(finish, queue.popleft())
+            done(finish, frame, elapsed)
+
+        def enter(t: float, frame: list, upstream: float) -> None:
+            schedule(t, arrive, (frame, t, upstream))
+
+        return enter
 
     # ------------------------------------------------------------------ #
     # Driving
@@ -256,20 +301,15 @@ class Engine:
             for r, d in zip(records, demands):
                 r.demand = float(d)
 
-        def make_done(record: TransactionRecord) -> Callable[[float, float], None]:
-            def finish(ft: float, _el: float) -> None:
-                record.completion = ft
-
-            return finish
-
+        root = self._compile(self.workflow, _record_completion, itertools.count(1))
+        n_joins = sum(isinstance(n, Parallel) for n in self.workflow.walk())
         for record in records:
-            self._exec(
-                self.workflow, record.arrival, record, 0.0, make_done(record)
-            )
-        while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
+            root(record.arrival, [record] + [None] * n_joins, 0.0)
+        heap = self._heap
+        while heap:
+            t, _, kind, payload = heapq.heappop(heap)
             self.now = t
-            fn()
+            kind(t, payload)
         incomplete = [r for r in records if not np.isfinite(r.completion)]
         if incomplete:  # pragma: no cover - internal consistency guard
             raise SimulationError(f"{len(incomplete)} transactions never completed")

@@ -64,15 +64,16 @@ class FaultSchedule:
             d for d in self._by_service.get(service, ()) if d.active_at(t)
         )
 
+    def for_service(self, service: str) -> tuple:
+        """All degradations of ``service``, in declaration order."""
+        return tuple(self._by_service.get(service, ()))
+
     def factor_at(self, service: str, t: float) -> float:
         """Combined slowdown factor for ``service`` at simulation time ``t``.
 
         Overlapping windows multiply (two concurrent faults compound).
         """
-        factor = 1.0
-        for d in self.active(service, t):
-            factor *= d.factor
-        return factor
+        return combined_factor(self._by_service.get(service, ()), t)
 
     @property
     def services(self) -> tuple[str, ...]:
@@ -87,6 +88,19 @@ class FaultSchedule:
 
     def merged_with(self, other: "FaultSchedule") -> "FaultSchedule":
         return FaultSchedule(self.degradations + other.degradations)
+
+
+def combined_factor(windows: Iterable[Degradation], t: float) -> float:
+    """Product of the factors of the ``windows`` active at ``t``.
+
+    Multiplies in the order given, without building the active set, so
+    the engine can call it per job on a list it resolved once per run.
+    """
+    factor = 1.0
+    for d in windows:
+        if d.start <= t < d.end:
+            factor *= d.factor
+    return factor
 
 
 def degradation_windows(

@@ -84,13 +84,9 @@ class _ServiceState:
     """Engine-private dynamic state of one service."""
 
     spec: ServiceSpec
-    free_at: float = 0.0
-    n_jobs: int = 0
     busy_time: float = 0.0
 
     def reset(self) -> None:
-        self.free_at = 0.0
-        self.n_jobs = 0
         self.busy_time = 0.0
 
 
