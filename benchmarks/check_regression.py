@@ -80,11 +80,6 @@ ABSOLUTE_METRICS: Tuple[Tuple[str, str, str], ...] = (
 #: dotted paths (``matrix.bins3_width6``).
 OPTIONAL_RATIO_METRICS: Tuple[Tuple[str, str, str], ...] = (
     (
-        "jtree",
-        "incremental_speedup_vs_full",
-        "incremental recalibration vs full sweep",
-    ),
-    (
         "batched.float32",
         "speedup_vs_float64",
         "float32 batch vs float64 batch",

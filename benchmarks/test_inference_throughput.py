@@ -25,9 +25,7 @@ import pytest
 from _util import RESULTS_DIR, emit_series
 
 from repro.bn.inference.engine import FLOAT32_MAX_DEVIATION
-from repro.bn.inference.junction_tree import JunctionTree
 from repro.bn.inference.variable_elimination import query as ve_query
-from repro.bn.random_nets import random_discrete_network
 from repro.core.kertbn import build_discrete_kertbn
 from repro.simulator.scenarios.ediamond import ediamond_scenario
 
@@ -174,7 +172,7 @@ def test_inference_throughput(discrete_model, benchmark):
 def _merge_payload(update: dict) -> None:
     """Merge ``update`` into both BENCH_inference.json copies.
 
-    The throughput, junction-tree, and matrix benchmarks each own a
+    The throughput and matrix benchmarks each own a
     top-level key; merging (rather than overwriting) lets them run in
     any combination without clobbering each other's sections.
     """
@@ -191,73 +189,3 @@ def _merge_payload(update: dict) -> None:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-
-
-N_CHURN_WINDOWS = 60
-
-
-def test_incremental_recalibration_speedup(benchmark):
-    """Evidence churn on a wide random net: incremental vs full sweeps.
-
-    The manager's per-window loop is absorb → read a few marginals →
-    retract.  The incremental tree reuses every message from subtrees
-    the window's evidence did not touch; the ``incremental=False`` tree
-    recomputes the full two-sweep calibration per window — the honest
-    comparator the ``jtree.incremental_speedup_vs_full`` gate guards.
-    """
-    rng = np.random.default_rng(1234)
-    net = random_discrete_network(rng, width=16, n_bins=4)
-    nodes = [str(n) for n in net.nodes]
-    cards = net.cardinalities
-    windows = []
-    rng2 = np.random.default_rng(5678)
-    for _ in range(N_CHURN_WINDOWS):
-        picks = [nodes[i] for i in rng2.choice(len(nodes), 5, replace=False)]
-        ev = {v: int(rng2.integers(cards[v])) for v in picks[:2]}
-        windows.append((ev, picks[2:]))
-
-    def churn(tree):
-        for ev, queries in windows:
-            tree.absorb(ev)
-            for q in queries:
-                tree.marginal(q)
-            tree.retract(list(ev))
-
-    inc = JunctionTree(net, incremental=True)
-    full = JunctionTree(net, incremental=False)
-    churn(inc)  # warm both trees outside the timing
-    churn(full)
-    t0 = time.perf_counter()
-    churn(inc)
-    inc_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    churn(full)
-    full_s = time.perf_counter() - t0
-    speedup = full_s / inc_s
-
-    # Cross-check: both trees answer identically after the churn.
-    ev, queries = windows[0]
-    inc.absorb(ev)
-    full.absorb(ev)
-    for q in queries:
-        np.testing.assert_allclose(
-            inc.marginal(q).values, full.marginal(q).values, atol=1e-10
-        )
-    inc.retract(list(ev))
-    full.retract(list(ev))
-
-    assert speedup >= 1.2, (
-        f"incremental recalibration only {speedup:.2f}x vs full sweep"
-    )
-    _merge_payload(
-        {
-            "jtree": {
-                "model": "random(width=16, n_bins=4, max_parents=2)",
-                "n_windows": N_CHURN_WINDOWS,
-                "incremental_windows_per_s": _qps(inc_s, N_CHURN_WINDOWS),
-                "full_sweep_windows_per_s": _qps(full_s, N_CHURN_WINDOWS),
-                "incremental_speedup_vs_full": speedup,
-            }
-        }
-    )
-    benchmark(churn, inc)

@@ -4,7 +4,9 @@
   conditioning for linear-Gaussian networks (dComp / pAccel posteriors in
   the continuous setting).
 - :mod:`repro.bn.inference.variable_elimination` — exact discrete
-  inference (the discrete Section-5 models).
+  inference by factor algebra (the discrete Section-5 models): the
+  reference the compiled engine is tested against and the serving
+  fallback chain's exact tier.
 - :mod:`repro.bn.inference.engine` — compile-once engine for repeated /
   batched queries against a fixed discrete model (the serving hot path).
 - :mod:`repro.bn.inference.sampling` — forward sampling and likelihood
@@ -20,7 +22,6 @@ from repro.bn.inference.gaussian import (
 )
 from repro.bn.inference.variable_elimination import query
 from repro.bn.inference.engine import CompiledDiscreteModel
-from repro.bn.inference.junction_tree import JunctionTree
 from repro.bn.inference.sampling import forward_sample, likelihood_weighting
 from repro.bn.inference.likelihood import log10_likelihood, mean_log_likelihood
 
@@ -30,7 +31,6 @@ __all__ = [
     "marginal_gaussian",
     "query",
     "CompiledDiscreteModel",
-    "JunctionTree",
     "forward_sample",
     "likelihood_weighting",
     "log10_likelihood",

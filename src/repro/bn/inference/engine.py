@@ -28,7 +28,10 @@ on the evidence *values*:
   no per-row Python and no per-row contraction;
 - signatures whose joint table would exceed ``max_joint_entries`` fall
   back to replaying the (cached) contraction schedule against
-  evidence-sliced operands — still one vectorized pass per batch;
+  evidence-sliced operands — still one vectorized pass per batch.  A
+  signature the planner cannot schedule at all raises
+  :class:`~repro.exceptions.InferenceError`; the serving fallback chain
+  answers it exactly with variable elimination;
 - :meth:`query_batch` accepts columnar integer evidence directly and
   never copies columns that already are 1-D integer arrays; an optional
   ``dtype=np.float32`` runs the batch in single precision (documented
@@ -106,7 +109,6 @@ class _QueryPlan:
         "operands_f32",       # lazily cast float32 operand tables
         "schedule_single",    # sliced-path schedule (joint too big)
         "schedule_batch",
-        "elimination_order",  # memoized min-fill order for the sweep
     )
 
     def __init__(self, variables, evidence_vars, ev_cards, out_shape):
@@ -127,7 +129,6 @@ class _QueryPlan:
         self.operands_f32 = None
         self.schedule_single = None
         self.schedule_batch = None
-        self.elimination_order = None
 
 
 class CompiledDiscreteModel:
@@ -140,7 +141,7 @@ class CompiledDiscreteModel:
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         max_joint_entries: int = DEFAULT_MAX_JOINT_ENTRIES,
     ):
-        from repro.bn.inference.variable_elimination import _network_factors
+        from repro.bn.inference.variable_elimination import network_factors
 
         if plan_cache_size < 1:
             raise InferenceError("plan_cache_size must be >= 1")
@@ -148,7 +149,7 @@ class CompiledDiscreteModel:
             raise InferenceError("max_joint_entries must be >= 1")
         self._nodes: tuple[str, ...] = tuple(map(str, network.nodes))
         self._cards: dict[str, int] = dict(network.cardinalities)
-        self._factors: tuple[DiscreteFactor, ...] = tuple(_network_factors(network))
+        self._factors: tuple[DiscreteFactor, ...] = tuple(network_factors(network))
         self._scopes: tuple[tuple[str, ...], ...] = tuple(
             f.variables for f in self._factors
         )
@@ -306,12 +307,11 @@ class CompiledDiscreteModel:
                 _OBS.metrics.counter("engine.plan.evictions").inc(n_evicted)
         return plan
 
-    def _build_operands(self, plan: _QueryPlan) -> None:
-        """Evidence-axes-first factor tables (sweep + sliced paths)."""
-        if plan.operands is not None:
-            return
+    def _build_sliced(self, plan: _QueryPlan) -> None:
+        """Evidence-axes-first factor tables plus the schedules that
+        replay against their evidence slices."""
         evidence_vars = set(plan.evidence_vars)
-        operands = []
+        plan.operands = []
         for f in self._factors:
             ev_axes = [i for i, v in enumerate(f.variables) if v in evidence_vars]
             free_axes = [i for i, v in enumerate(f.variables) if v not in evidence_vars]
@@ -320,20 +320,7 @@ class CompiledDiscreteModel:
             # Evidence axes first so advanced indexing (scalar states or
             # row columns) lands the batch axis in front of the free axes.
             values = np.ascontiguousarray(np.transpose(f.values, ev_axes + free_axes))
-            operands.append((values, ev_vars, free_vars))
-        eliminate = (
-            set(self._nodes) - set(plan.variables) - set(plan.evidence_vars)
-        )
-        plan.elimination_order = _min_fill_order(
-            self._factors, eliminate, frozenset(plan.evidence_vars)
-        )
-        # Publish ``operands`` last: it is the is-built guard other
-        # threads check, so everything it implies must be visible first.
-        plan.operands = operands
-
-    def _build_sliced(self, plan: _QueryPlan) -> None:
-        """Schedules that replay against evidence-sliced operands."""
-        self._build_operands(plan)
+            plan.operands.append((values, ev_vars, free_vars))
         cards = dict(self._cards)
         cards[_BATCH_VAR] = _NOMINAL_BATCH
         single_scopes = [free for _, _, free in plan.operands]
@@ -341,16 +328,11 @@ class CompiledDiscreteModel:
             ((_BATCH_VAR,) + free if ev else free)
             for _, ev, free in plan.operands
         ]
-        try:
-            plan.schedule_single = plan_contraction(
-                single_scopes, cards, plan.variables
-            )
-            plan.schedule_batch = plan_contraction(
-                batch_scopes, cards, (_BATCH_VAR,) + plan.variables
-            )
-        except InferenceError:  # pragma: no cover - pathological widths
-            plan.schedule_single = None
-            plan.schedule_batch = None
+        # A signature the planner cannot schedule raises here, uncached.
+        plan.schedule_single = plan_contraction(single_scopes, cards, plan.variables)
+        plan.schedule_batch = plan_contraction(
+            batch_scopes, cards, (_BATCH_VAR,) + plan.variables
+        )
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -390,14 +372,12 @@ class CompiledDiscreteModel:
             self.failure_hook("query", variables, evidence)
         if plan.joint is not None:
             values = plan.joint[flat].reshape(plan.out_shape)
-        elif plan.schedule_single is not None:
+        else:
             arrays = [
                 values[tuple(evidence[v] for v in ev_vars)] if ev_vars else values
                 for values, ev_vars, _ in plan.operands
             ]
             values = execute_schedule(plan.schedule_single, arrays)
-        else:  # pragma: no cover - pathological contraction widths
-            values = self._eliminate(plan, evidence)
         total = float(values.sum())
         if total <= 0:
             raise InferenceError("evidence has zero probability under the model")
@@ -508,29 +488,19 @@ class CompiledDiscreteModel:
         use_f32: bool,
     ) -> np.ndarray:
         """Batch answer for plans whose joint table was over budget."""
-        if plan.schedule_batch is None:  # pragma: no cover - see _build_sliced
-            out = np.stack(
-                [
-                    self._eliminate(
-                        plan, {v: int(col[i]) for v, col in columns.items()}
-                    )
-                    for i in range(n)
+        operands = plan.operands
+        if use_f32:
+            if plan.operands_f32 is None:
+                plan.operands_f32 = [
+                    (values.astype(np.float32), ev, free)
+                    for values, ev, free in plan.operands
                 ]
-            )
-        else:
-            operands = plan.operands
-            if use_f32:
-                if plan.operands_f32 is None:
-                    plan.operands_f32 = [
-                        (values.astype(np.float32), ev, free)
-                        for values, ev, free in plan.operands
-                    ]
-                operands = plan.operands_f32
-            arrays = [
-                values[tuple(columns[v] for v in ev_vars)] if ev_vars else values
-                for values, ev_vars, _ in operands
-            ]
-            out = execute_schedule(plan.schedule_batch, arrays)
+            operands = plan.operands_f32
+        arrays = [
+            values[tuple(columns[v] for v in ev_vars)] if ev_vars else values
+            for values, ev_vars, _ in operands
+        ]
+        out = execute_schedule(plan.schedule_batch, arrays)
         totals = out.reshape(n, -1).sum(axis=1)
         bad = np.flatnonzero(totals <= 0)
         if bad.size:
@@ -538,43 +508,7 @@ class CompiledDiscreteModel:
                 "evidence has zero probability under the model at rows "
                 f"{bad[:5].tolist()}"
             )
-        out = out / totals.reshape((n,) + (1,) * len(plan.out_shape))
-        if use_f32 and out.dtype != np.float32:  # pragma: no cover - stack path
-            out = out.astype(np.float32)
-        return out
-
-    def query_via_sweep(
-        self,
-        variables: Iterable[str],
-        evidence: "Mapping[str, int] | None" = None,
-    ) -> DiscreteFactor:
-        """Answer via the plan-guided factor-algebra sweep.
-
-        Semantically identical to :meth:`query` but routed through
-        :class:`~repro.bn.factors.DiscreteFactor` operations instead of
-        the contraction kernels — an independent numeric path that the
-        serving layer's fallback chain uses when the compiled kernel
-        faults; :attr:`failure_hook` deliberately does not fire here.
-        """
-        variables = tuple(map(str, variables))
-        evidence = (
-            {str(k): int(v) for k, v in evidence.items()} if evidence else {}
-        )
-        key = (variables, frozenset(evidence))
-        plan = self._lookup(key)
-        if plan is None:
-            plan = self._compile(key, variables, frozenset(evidence))
-        for v in plan.evidence_vars:
-            s = evidence[v]
-            if not 0 <= s < self._cards[v]:
-                raise InferenceError(
-                    f"state {s} out of range for {v!r} (card {self._cards[v]})"
-                )
-        values = self._eliminate(plan, evidence)
-        total = float(values.sum())
-        if total <= 0:
-            raise InferenceError("evidence has zero probability under the model")
-        return DiscreteFactor(variables, plan.out_shape, values / total)
+        return out / totals.reshape((n,) + (1,) * len(plan.out_shape))
 
     def prior(self, variable: str) -> DiscreteFactor:
         """Cached evidence-free marginal ``P(variable)``."""
@@ -598,43 +532,6 @@ class CompiledDiscreteModel:
         if centers.shape != pmfs.shape[1:]:
             raise InferenceError("centers do not match the variable's cardinality")
         return pmfs @ centers
-
-    # ------------------------------------------------------------------ #
-    # Factor-algebra sweep (independent numeric fallback)
-    # ------------------------------------------------------------------ #
-
-    def _eliminate(self, plan: _QueryPlan, evidence: Mapping[str, int]) -> np.ndarray:
-        """One plan-guided sweep of factor-algebra elimination."""
-        self._build_operands(plan)
-        constants = 1.0
-        live: list[DiscreteFactor] = []
-        for values, ev_vars, free_vars in plan.operands:
-            if ev_vars:
-                values = values[tuple(evidence[v] for v in ev_vars)]
-            if not free_vars:
-                constants *= float(values)
-            else:
-                live.append(
-                    DiscreteFactor(free_vars, [self._cards[v] for v in free_vars], values)
-                )
-        for var in plan.elimination_order:
-            related = [f for f in live if var in f.variables]
-            live = [f for f in live if var not in f.variables]
-            if not related:
-                continue
-            product = related[0]
-            for f in related[1:]:
-                product = product.product(f)
-            if set(product.variables) == {var}:
-                constants *= float(product.values.sum())
-            else:
-                live.append(product.marginalize([var]))
-        if not live:
-            raise InferenceError("query produced an empty factor set")
-        result = live[0]
-        for f in live[1:]:
-            result = result.product(f)
-        return result.permute(plan.variables).values * constants
 
 
 # --------------------------------------------------------------------- #
@@ -679,39 +576,3 @@ def _evidence_columns(evidence_rows) -> dict[str, np.ndarray]:
         for k in keys:
             out[k][i] = row[k]
     return out
-
-
-def _min_fill_order(
-    factors: Sequence[DiscreteFactor],
-    eliminate: "set[str]",
-    evidence_vars: "frozenset[str]",
-) -> tuple[str, ...]:
-    """Greedy min-fill order over ``eliminate`` on evidence-reduced scopes."""
-    adj: dict[str, set[str]] = {}
-    for f in factors:
-        scope = [v for v in f.variables if v not in evidence_vars]
-        for v in scope:
-            adj.setdefault(v, set())
-        for v in scope:
-            adj[v] |= set(scope) - {v}
-    order: list[str] = []
-    remaining = set(eliminate)
-    while remaining:
-        best, best_fill = None, None
-        for v in sorted(remaining):
-            nbrs = list(adj.get(v, set()) & set(adj))
-            fill = sum(
-                1
-                for i in range(len(nbrs))
-                for j in range(i + 1, len(nbrs))
-                if nbrs[j] not in adj.get(nbrs[i], set())
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        order.append(best)
-        remaining.discard(best)
-        nbrs = adj.pop(best, set())
-        for u in nbrs:
-            adj[u].discard(best)
-            adj[u] |= nbrs - {u}
-    return tuple(order)

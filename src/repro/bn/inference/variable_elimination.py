@@ -4,12 +4,17 @@ Used by the discrete Section-5 models: dComp's posterior over an
 unobservable service's elapsed-time bins, and pAccel's posterior response
 -time distribution given an accelerated service.  The elimination order is
 chosen greedily by the min-fill heuristic, which is near-optimal for the
-small, workflow-shaped networks that arise here.
+small, workflow-shaped networks that arise here; candidates are scanned
+in sorted order, so ties break the same way under any ``PYTHONHASHSEED``.
+
+:func:`eliminate` runs over an already-extracted factor list, so a caller
+that answers many queries (the serving fallback chain's exact tier) pays
+the CPD→factor extraction once; :func:`query` extracts and delegates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.bn.cpd.deterministic import DeterministicCPD
 from repro.bn.cpd.tabular import TabularCPD
@@ -17,7 +22,8 @@ from repro.bn.factors import DiscreteFactor
 from repro.exceptions import InferenceError
 
 
-def _network_factors(network) -> list[DiscreteFactor]:
+def network_factors(network) -> list[DiscreteFactor]:
+    """One factor per CPD, in node order."""
     factors = []
     for node in network.nodes:
         cpd = network.cpd(node)
@@ -31,27 +37,25 @@ def _network_factors(network) -> list[DiscreteFactor]:
     return factors
 
 
-def _min_fill_order(factors: list[DiscreteFactor], eliminate: set[str]) -> list[str]:
-    """Greedy min-fill elimination order over ``eliminate``."""
+def _min_fill_order(factors: list[DiscreteFactor], hidden: set[str]) -> list[str]:
+    """Greedy min-fill elimination order over ``hidden``."""
     # Build the interaction (moral-ish) graph of current factor scopes.
     adj: dict[str, set[str]] = {}
     for f in factors:
         for v in f.variables:
-            adj.setdefault(v, set())
-        for v in f.variables:
-            adj[v] |= set(f.variables) - {v}
+            adj.setdefault(v, set()).update(u for u in f.variables if u != v)
     order: list[str] = []
-    remaining = set(eliminate)
+    remaining = set(hidden)
     while remaining:
         best, best_fill = None, None
-        for v in remaining:
-            nbrs = adj.get(v, set()) & set(adj)
-            fill = 0
-            nlist = list(nbrs)
-            for i in range(len(nlist)):
-                for j in range(i + 1, len(nlist)):
-                    if nlist[j] not in adj.get(nlist[i], set()):
-                        fill += 1
+        for v in sorted(remaining):
+            nbrs = sorted(adj.get(v, ()))
+            fill = sum(
+                1
+                for i in range(len(nbrs))
+                for j in range(i + 1, len(nbrs))
+                if nbrs[j] not in adj[nbrs[i]]
+            )
             if best_fill is None or fill < best_fill:
                 best, best_fill = v, fill
         order.append(best)
@@ -63,25 +67,16 @@ def _min_fill_order(factors: list[DiscreteFactor], eliminate: set[str]) -> list[
     return order
 
 
-def query(
-    network,
+def eliminate(
+    factors: Sequence[DiscreteFactor],
     variables: Iterable[str],
     evidence: "Mapping[str, int] | None" = None,
 ) -> DiscreteFactor:
-    """Posterior joint factor ``P(variables | evidence)``.
-
-    Parameters
-    ----------
-    network:
-        A :class:`repro.bn.network.DiscreteBayesianNetwork`.
-    variables:
-        Query variables (kept in the returned factor's scope).
-    evidence:
-        Observed ``{variable: state_index}``.
-    """
+    """Posterior joint factor ``P(variables | evidence)`` from a network's
+    CPD factors (as returned by :func:`network_factors`)."""
     variables = [str(v) for v in variables]
     evidence = {str(k): int(v) for k, v in (evidence or {}).items()}
-    all_nodes = set(network.nodes)
+    all_nodes = {v for f in factors for v in f.variables}
     unknown = (set(variables) | set(evidence)) - all_nodes
     if unknown:
         raise InferenceError(f"unknown variables {sorted(unknown)}")
@@ -95,14 +90,14 @@ def query(
     # the zero-probability-evidence check below stays meaningful.
     constants = 1.0
     live: list[DiscreteFactor] = []
-    for f in _network_factors(network):
+    for f in factors:
         if set(f.variables) <= set(evidence):
             constants *= f.value_at(evidence)
         else:
             live.append(f.reduce(evidence))
 
-    eliminate = all_nodes - set(variables) - set(evidence)
-    for var in _min_fill_order(live, eliminate):
+    hidden = all_nodes - set(variables) - set(evidence)
+    for var in _min_fill_order(live, hidden):
         related = [f for f in live if var in f.variables]
         live = [f for f in live if var not in f.variables]
         if not related:
@@ -127,3 +122,22 @@ def query(
         [v for v in variables if v in result.variables]
         + [v for v in result.variables if v not in variables]
     )
+
+
+def query(
+    network,
+    variables: Iterable[str],
+    evidence: "Mapping[str, int] | None" = None,
+) -> DiscreteFactor:
+    """Posterior joint factor ``P(variables | evidence)``.
+
+    Parameters
+    ----------
+    network:
+        A :class:`repro.bn.network.DiscreteBayesianNetwork`.
+    variables:
+        Query variables (kept in the returned factor's scope).
+    evidence:
+        Observed ``{variable: state_index}``.
+    """
+    return eliminate(network_factors(network), variables, evidence)

@@ -32,8 +32,7 @@ Built on those, the egress/consumption layer:
   rendering of snapshots (``repro dashboard``).
 
 Instrumentation is wired through the inference engine
-(query / batch / plan-cache), the junction tree (absorb / retract /
-recalibrate), the decentralized coordinator (per-agent fit times and
+(query / batch / plan-cache), the decentralized coordinator (per-agent fit times and
 the Sec.-3.4 max-over-agents round span), the model server (per-tier
 answer counts, breaker transitions, deadline misses), and the
 autonomic manager (phase spans, quarantines, rollbacks).  See

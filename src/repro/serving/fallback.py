@@ -6,9 +6,10 @@ strictly cheaper in assumptions than the one before:
 
 1. ``compiled-einsum`` — the compile-once einsum kernel
    (:class:`~repro.bn.inference.engine.CompiledDiscreteModel.query`);
-2. ``factor-sweep`` — the plan-guided factor-algebra elimination sweep
-   (:meth:`~repro.bn.inference.engine.CompiledDiscreteModel.query_via_sweep`),
-   an independent numeric path through the same plans;
+2. ``factor-sweep`` — exact variable elimination
+   (:func:`~repro.bn.inference.variable_elimination.eliminate`) over CPD
+   factors the chain extracts on first use; it shares no plans, cache or
+   kernels with tier 1, so a broken plan cannot fail both;
 3. ``likelihood-weighting`` — seeded importance sampling straight off
    the CPDs, needing no compiled artifacts at all;
 4. ``cached-prior`` — evidence-free marginals captured at chain
@@ -29,6 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.bn.inference.sampling import likelihood_weighting
+from repro.bn.inference.variable_elimination import eliminate, network_factors
 from repro.exceptions import InferenceError, ServingError
 from repro.utils.rng import ensure_rng
 
@@ -77,6 +79,10 @@ class FallbackChain:
         self.breakers = dict(breakers or {})
         self._cards = self.engine.cardinalities
         self._priors = self._capture_priors()
+        #: CPD factors for the elimination tier; extracted on its first
+        #: use so healthy model swaps never pay for them.  Racing first
+        #: uses may each extract a list; either one is correct.
+        self._factors = None
 
     # ------------------------------------------------------------------ #
 
@@ -117,6 +123,11 @@ class FallbackChain:
 
     # ------------------------------------------------------------------ #
 
+    def _sweep_pmf(self, variables: tuple, evidence: Mapping[str, int]) -> np.ndarray:
+        if self._factors is None:
+            self._factors = network_factors(self.network)
+        return eliminate(self._factors, variables, evidence).values
+
     def _sampling_pmf(
         self, variables: tuple, evidence: Mapping[str, int]
     ) -> np.ndarray:
@@ -136,7 +147,7 @@ class FallbackChain:
         if tier == TIER_COMPILED:
             return self.engine.query(variables, evidence).values
         if tier == TIER_SWEEP:
-            return self.engine.query_via_sweep(variables, evidence).values
+            return self._sweep_pmf(variables, evidence)
         if tier == TIER_SAMPLING:
             return self._sampling_pmf(variables, evidence)
         raise ServingError(f"unknown tier {tier!r}")  # pragma: no cover

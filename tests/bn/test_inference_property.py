@@ -1,25 +1,30 @@
-"""Property test: every inference path agrees with variable elimination.
+"""Property test: every exact inference path agrees with an oracle.
 
 ~50 seeded random networks sweep width 4–20 and n_bins 3–8
 (``max_parents=2`` keeps the exact cross-check cheap).  On each net the
-compiled engine (fresh plan, pattern-cache hit, and batched gather), and
-the incremental junction tree (through absorb → retract → absorb churn)
-must reproduce ``VariableElimination`` posteriors to within 1e-9 — the
-same bound the benchmark gate enforces on the eDiaMoND cell.  A
-deterministic zero-probability case exercises the junction tree's
-rollback on the same random-net family.
+compiled engine (fresh plan, pattern-cache hit, batched gather and the
+float32 batch, on both the joint-table and the evidence-sliced
+contraction path) must reproduce variable-elimination posteriors to within
+1e-9 — the same bound the benchmark gate enforces on the eDiaMoND cell.
+On every cell whose full joint grid has at most
+:data:`~tests.bn._enumeration_oracle.MAX_JOINT_STATES` states, the
+engine and variable elimination are also checked against brute-force
+joint enumeration, which shares no code with either.  A deterministic
+zero-probability case checks that both exact paths reject impossible
+evidence and that the engine keeps answering afterwards.
 """
 
 import numpy as np
 import pytest
 
 from repro.bn.cpd import TabularCPD
-from repro.bn.inference.engine import CompiledDiscreteModel
-from repro.bn.inference.junction_tree import JunctionTree
+from repro.bn.inference.engine import FLOAT32_MAX_DEVIATION, CompiledDiscreteModel
 from repro.bn.inference.variable_elimination import query as ve_query
 from repro.bn.network import DiscreteBayesianNetwork
 from repro.bn.random_nets import random_discrete_network
 from repro.exceptions import InferenceError
+
+from tests.bn._enumeration_oracle import MAX_JOINT_STATES, joint_states, posterior
 
 # 50 (seed, width, n_bins) cells sweeping the ISSUE's ranges.
 CASES = [(s, 4 + (s * 3) % 17, 3 + s % 6) for s in range(50)]
@@ -43,67 +48,41 @@ def test_all_paths_match_variable_elimination(seed, width, n_bins):
     rng = np.random.default_rng(seed)
     net = random_discrete_network(rng, width=width, n_bins=n_bins)
     q, ev = _pick(rng, net)
-    expected = ve_query(net, [q], ev).values
-
-    engine = CompiledDiscreteModel(net)
-    # Fresh plan compile.
-    np.testing.assert_allclose(
-        engine.query([q], ev).values, expected, atol=1e-9
-    )
     # Same pattern, other values → cached-plan path.
     ev2 = {
         v: (s + 1) % net.cardinalities[v] for v, s in ev.items()
     }
-    expected2 = ve_query(net, [q], ev2).values
-    hits_before = engine.cache_stats()["hits"]
-    np.testing.assert_allclose(
-        engine.query([q], ev2).values, expected2, atol=1e-9
-    )
-    assert engine.cache_stats()["hits"] == hits_before + 1
+    references = [(ve_query(net, [q], ev).values, ve_query(net, [q], ev2).values)]
+    if joint_states(net) <= MAX_JOINT_STATES:
+        oracle = (posterior(net, [q], ev), posterior(net, [q], ev2))
+        for ve_values, exact in zip(references[0], oracle):
+            np.testing.assert_allclose(ve_values, exact, atol=1e-9)
+        references.append(oracle)
 
-    # Batched gather over both evidence rows at once.
     cols = {
         v: np.array([ev[v], ev2[v]], dtype=np.intp) for v in ev
     }
-    batch = engine.query_batch([q], cols)
-    np.testing.assert_allclose(batch[0], expected, atol=1e-9)
-    np.testing.assert_allclose(batch[1], expected2, atol=1e-9)
-
-
-@pytest.mark.parametrize(
-    "seed,width,n_bins", [c for c in CASES if c[0] % 5 == 0]
-)
-def test_junction_tree_churn_matches_ve(seed, width, n_bins):
-    """absorb → query → retract → absorb again, incrementally."""
-    rng = np.random.default_rng(seed)
-    net = random_discrete_network(rng, width=width, n_bins=n_bins)
-    q, ev = _pick(rng, net)
-    jt = JunctionTree(net)
-
-    # Prior marginal before any evidence.
-    np.testing.assert_allclose(
-        jt.marginal(q).values, ve_query(net, [q]).values, atol=1e-9
-    )
-    jt.absorb(ev)
-    np.testing.assert_allclose(
-        jt.marginal(q).values, ve_query(net, [q], ev).values, atol=1e-9
-    )
-    # Retract one variable; the other stays observed.
-    keep, gone = sorted(ev)[0], sorted(ev)[1]
-    jt.retract([gone])
-    np.testing.assert_allclose(
-        jt.marginal(q).values,
-        ve_query(net, [q], {keep: ev[keep]}).values,
-        atol=1e-9,
-    )
-    # Absorb fresh evidence on the retracted variable.
-    new_state = (ev[gone] + 1) % net.cardinalities[gone]
-    jt.absorb({gone: new_state})
-    np.testing.assert_allclose(
-        jt.marginal(q).values,
-        ve_query(net, [q], {keep: ev[keep], gone: new_state}).values,
-        atol=1e-9,
-    )
+    # Joint-table gather, and (max_joint_entries=1) the evidence-sliced
+    # contraction path.
+    for engine in (
+        CompiledDiscreteModel(net),
+        CompiledDiscreteModel(net, max_joint_entries=1),
+    ):
+        fresh = engine.query([q], ev).values
+        hits_before = engine.cache_stats()["hits"]
+        cached = engine.query([q], ev2).values
+        assert engine.cache_stats()["hits"] == hits_before + 1
+        # Batched over both evidence rows at once.
+        batch = engine.query_batch([q], cols)
+        batch32 = engine.query_batch([q], cols, dtype=np.float32)
+        assert batch32.dtype == np.float32
+        for expected, expected2 in references:
+            np.testing.assert_allclose(fresh, expected, atol=1e-9)
+            np.testing.assert_allclose(cached, expected2, atol=1e-9)
+            np.testing.assert_allclose(batch[0], expected, atol=1e-9)
+            np.testing.assert_allclose(batch[1], expected2, atol=1e-9)
+            for row, exact in zip(batch32, (expected, expected2)):
+                np.testing.assert_allclose(row, exact, atol=FLOAT32_MAX_DEVIATION)
 
 
 def _with_impossible_state(net, variable):
@@ -127,7 +106,7 @@ def _with_impossible_state(net, variable):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 21, 33, 45])
-def test_zero_probability_rollback_leaves_tree_consistent(seed):
+def test_zero_probability_evidence_rejected_then_engine_recovers(seed):
     rng = np.random.default_rng(seed)
     width, n_bins = 4 + (seed * 3) % 17, 3 + seed % 6
     net = random_discrete_network(rng, width=width, n_bins=n_bins)
@@ -135,24 +114,19 @@ def test_zero_probability_rollback_leaves_tree_consistent(seed):
     dead = sorted(ev)[0]
     net = _with_impossible_state(net, dead)
 
-    jt = JunctionTree(net)
-    with pytest.raises(InferenceError, match="zero probability"):
-        jt.absorb({dead: 0})
-    assert jt.evidence == {}
+    engine = CompiledDiscreteModel(net)
+    for answer in (engine.query, lambda *a: ve_query(net, *a)):
+        with pytest.raises(InferenceError, match="zero probability"):
+            answer([q], {dead: 0})
 
-    # The rolled-back tree must still answer — and still match VE —
-    # through a full absorb → retract → absorb cycle afterwards.
+    # The rejected signature leaves the engine healthy: the same plan
+    # and a wider one still answer, and still match VE.
     good = {dead: 1, **{k: v for k, v in ev.items() if k != dead}}
-    jt.absorb(good)
-    np.testing.assert_allclose(
-        jt.marginal(q).values, ve_query(net, [q], good).values, atol=1e-9
-    )
-    jt.retract(list(good))
+    for evidence in ({dead: 1}, good):
+        np.testing.assert_allclose(
+            engine.query([q], evidence).values,
+            ve_query(net, [q], evidence).values,
+            atol=1e-9,
+        )
     with pytest.raises(InferenceError, match="zero probability"):
-        jt.absorb({dead: 0})
-    jt.absorb({dead: 1})
-    np.testing.assert_allclose(
-        jt.marginal(q).values,
-        ve_query(net, [q], {dead: 1}).values,
-        atol=1e-9,
-    )
+        engine.query_batch([q], {dead: np.array([1, 0])})

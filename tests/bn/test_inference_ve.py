@@ -1,10 +1,16 @@
 """Variable elimination cross-checked against brute-force enumeration."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bn.cpd import TabularCPD
 from repro.bn.dag import DAG
 from repro.bn.network import DiscreteBayesianNetwork
@@ -110,3 +116,39 @@ def test_ve_evidence_on_all_but_query():
     np.testing.assert_allclose(
         factor.values, brute_force(net, [target], evidence), atol=1e-10
     )
+
+
+_ORDER_SCRIPT = """
+import json
+import numpy as np
+from repro.bn.inference.variable_elimination import _min_fill_order, network_factors
+from repro.bn.random_nets import random_discrete_network
+
+orders = []
+for seed in range(20):
+    net = random_discrete_network(
+        np.random.default_rng(seed), width=6 + seed % 10, n_bins=3
+    )
+    orders.append(_min_fill_order(network_factors(net), set(net.nodes)))
+print(json.dumps(orders))
+"""
+
+
+def test_min_fill_order_ignores_hash_seed():
+    """Ties in the min-fill scan break the same way under any hash seed."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        runs.append(json.loads(out.stdout))
+    assert all(run == runs[0] for run in runs[1:])

@@ -89,15 +89,18 @@ def test_lw_matches_ve_on_discrete_net():
     np.testing.assert_allclose(approx, exact, atol=0.01)
 
 
-def test_junction_tree_matches_ve_on_ediamond(ediamond_discrete_model):
-    from repro.bn.inference.junction_tree import JunctionTree
+def test_enumeration_oracle_matches_ve_on_ediamond(ediamond_discrete_model):
+    """Priors through eDiaMoND's DeterministicCPD response node, checked
+    against joint enumeration (no factor algebra) for VE and the engine."""
+    from repro.bn.inference.variable_elimination import query
+
+    from tests.bn._enumeration_oracle import posterior
 
     net = ediamond_discrete_model.network
-    jt = JunctionTree(net)
     for node in map(str, net.nodes):
-        np.testing.assert_allclose(
-            jt.marginal(node).values, net.query([node]).values, atol=1e-9
-        )
+        exact = posterior(net, [node])
+        np.testing.assert_allclose(query(net, [node]).values, exact, atol=1e-9)
+        np.testing.assert_allclose(net.query([node]).values, exact, atol=1e-9)
 
 
 @given(

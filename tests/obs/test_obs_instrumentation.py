@@ -52,32 +52,6 @@ def test_engine_query_batch_counts_rows(obs_active, ediamond_discrete_model):
 
 
 # --------------------------------------------------------------------- #
-# Junction tree
-# --------------------------------------------------------------------- #
-
-
-def test_junction_tree_absorb_retract_counters(
-    obs_active, ediamond_discrete_model
-):
-    from repro.bn.inference.junction_tree import JunctionTree
-
-    net = ediamond_discrete_model.network
-    nodes = [str(n) for n in net.nodes]
-    jt = JunctionTree(net)
-    jt.marginal(nodes[0])
-    jt.absorb({nodes[0]: 0})
-    jt.marginal(nodes[1])
-    jt.retract([nodes[0]])
-    jt.marginal(nodes[1])
-    c = _counters(obs_active)
-    assert c["jtree.absorb.calls"] == 1
-    assert c["jtree.retract.calls"] == 1
-    assert c["jtree.recalibrations"] >= 1
-    h = obs_active.snapshot()["metrics"]["histograms"]
-    assert h["jtree.recalibrate.seconds"]["count"] == c["jtree.recalibrations"]
-
-
-# --------------------------------------------------------------------- #
 # Serving: ModelServer + CircuitBreaker
 # --------------------------------------------------------------------- #
 

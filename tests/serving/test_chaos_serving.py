@@ -1,8 +1,8 @@
 """End-to-end serving chaos: the PR's acceptance scenario.
 
 One seeded run drives well-formed and malformed traffic through a
-registry-backed :class:`ModelServer` while the engine and the sweep
-backend fail in bursts.  The resilience contract under test:
+registry-backed :class:`ModelServer` while the engine and the
+variable-elimination tier fail in bursts.  The resilience contract under test:
 
 - zero uncaught exceptions across the whole run;
 - every well-formed query is *answered*, with the fallback tier that
@@ -60,22 +60,22 @@ def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data):
     services = [n for n in server.model.network.nodes if n != response]
 
     # ---------------- fault injection (seeded, burst-shaped) ---------- #
-    engine = server.chain.engine
+    chain = server.chain
     phase = {"engine_down": False, "sweep_down": False}
 
     def hook(kind, *args):
         if phase["engine_down"]:
             raise RuntimeError("chaos: engine fault")
 
-    real_sweep = engine.query_via_sweep
+    real_sweep = chain._sweep_pmf
 
     def flaky_sweep(variables, evidence):
         if phase["sweep_down"]:
             raise RuntimeError("chaos: sweep fault")
         return real_sweep(variables, evidence)
 
-    engine.failure_hook = hook
-    engine.query_via_sweep = flaky_sweep
+    chain.engine.failure_hook = hook
+    chain._sweep_pmf = flaky_sweep
 
     # ---------------- mixed traffic ----------------------------------- #
     tiers_seen = set()
@@ -175,7 +175,7 @@ def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data):
     assert gate.quarantined and gate.quarantined[0][0] == 3
 
     # ---------------- accuracy tripwire auto-rollback ------------------ #
-    engine.failure_hook = None  # publishing path is healthy again
+    chain.engine.failure_hook = None  # publishing path is healthy again
     noise = Dataset(
         {
             c: rng.uniform(0.1, 10.0, size=200)

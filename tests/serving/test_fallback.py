@@ -45,8 +45,27 @@ def test_engine_fault_degrades_to_sweep(fresh_discrete_model):
     ans = chain.answer([model.response], _evidence(model))
     assert ans.tier == TIER_SWEEP and ans.degraded and not ans.approximate
     assert "injected engine fault" in ans.tier_errors[TIER_COMPILED]
-    # the sweep is an independent numeric path to the same posterior
+    # variable elimination is an independent exact path to the same posterior
     np.testing.assert_allclose(ans.values, exact, atol=1e-10)
+
+
+def test_plan_compile_fault_is_answered_exactly_by_elimination(
+    fresh_discrete_model,
+):
+    """The elimination tier shares no plans or cache with the engine."""
+    from tests.bn._enumeration_oracle import posterior
+
+    model = fresh_discrete_model
+    chain = FallbackChain(model.network, rng=0)
+    chain.engine._compile = _boom
+    ans = chain.answer([model.response], _evidence(model))
+    assert ans.tier == TIER_SWEEP and not ans.approximate
+    assert "injected engine fault" in ans.tier_errors[TIER_COMPILED]
+    np.testing.assert_allclose(
+        ans.values,
+        posterior(model.network, [model.response], _evidence(model)),
+        atol=1e-9,
+    )
 
 
 def test_sweep_fault_degrades_to_sampling(fresh_discrete_model):
@@ -54,7 +73,7 @@ def test_sweep_fault_degrades_to_sampling(fresh_discrete_model):
     chain = FallbackChain(model.network, rng=0, n_samples=4000)
     exact = chain.answer([model.response], _evidence(model)).values
     chain.engine.failure_hook = _boom
-    chain.engine.query_via_sweep = _boom
+    chain._sweep_pmf = _boom
     ans = chain.answer([model.response], _evidence(model))
     assert ans.tier == TIER_SAMPLING and ans.approximate
     assert set(ans.tier_errors) == {TIER_COMPILED, TIER_SWEEP}
@@ -67,7 +86,7 @@ def test_everything_broken_still_answers_with_cached_prior(fresh_discrete_model)
     chain = FallbackChain(model.network, rng=0)
     prior = model.network.compiled().prior(model.response).values
     chain.engine.failure_hook = _boom
-    chain.engine.query_via_sweep = _boom
+    chain._sweep_pmf = _boom
     chain._sampling_pmf = _boom
     ans = chain.answer([model.response], _evidence(model))
     assert ans.tier == TIER_PRIOR and ans.approximate

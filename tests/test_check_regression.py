@@ -145,14 +145,14 @@ def test_gate_accepts_the_committed_obs_baseline():
     assert failures == []
 
 
-def test_jtree_metric_only_gated_when_baseline_has_it():
+def test_optional_metric_only_gated_when_baseline_has_it():
     base = copy.deepcopy(BASELINE)
-    base["jtree"] = {"incremental_speedup_vs_full": 2.0}
+    base["batched"]["float32"] = {"speedup_vs_float64": 2.0}
     slow = copy.deepcopy(base)
-    slow["jtree"]["incremental_speedup_vs_full"] = 0.8
+    slow["batched"]["float32"]["speedup_vs_float64"] = 0.8
     failures, _ = gate.compare(base, slow)
     assert len(failures) == 1
-    assert "incremental" in failures[0]
+    assert "float32" in failures[0]
     # A baseline without the section ignores it entirely.
     failures, report = gate.compare(BASELINE, slow)
     assert failures == []
