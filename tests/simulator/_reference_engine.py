@@ -1,15 +1,24 @@
 """Callback-based reference engine (test-only oracle).
 
-This is the discrete-event engine as it stood before the workflow was
-compiled into a per-run event program: every activity of every
-transaction builds a ``_Job`` and fresh closures, events are lambdas on
-one binary heap, delays are drawn through the NumPy ``size=None`` paths
-(``np.where`` and ``float(0-d array)``), a Choice calls
-``Generator.choice(n, p=...)`` per visit, and a fault lookup builds a
-tuple per job.
+This is the discrete-event engine in its callback form: every activity
+of every transaction builds a ``_Job`` and fresh closures, events are
+lambdas on one binary heap, and a fault lookup builds a tuple per job.
+It follows the draw contract written in :mod:`repro.simulator.engine`'s
+docstring, implemented here from that text:
+
+- demand factors first, one ``normal`` array per run;
+- one start event per transaction at its arrival time, pushed in
+  request order before the loop;
+- an activity is entered inline: queue when its queueing service is
+  busy, else begin at once; a completion starts the next queued job of
+  its service before it continues the workflow;
+- each service's base delays come from its own blocks of 32, 64, ...,
+  1024, 1024, ... draws, refilled when a job begins and the block is
+  used up; Choice and Loop share one ``random`` block stream of the
+  same sizes; a Choice searches its normalized CDF on the right.
 
 It shares no code with :mod:`repro.simulator.engine` and none with the
-scalar ``sample`` paths of :mod:`repro.simulator.delays`: the draws are
+``sample`` methods of :mod:`repro.simulator.delays`: the block draws are
 re-implemented below from the distributions' parameters.  The oracle
 tests demand that the production engine reproduce its records, its
 utilization and the generator state *exactly*.
@@ -38,40 +47,57 @@ from repro.workflow.constructs import (
 )
 
 
-def reference_sample(dist, rng):
-    """One delay draw, exactly as the array-capable ``sample`` drew it."""
+def reference_sample(dist, rng, size):
+    """A block of ``size`` delay draws, re-derived from the parameters."""
     if isinstance(dist, dl.Exponential):
-        return rng.exponential(dist.mean, size=None)
+        return rng.exponential(dist.mean, size)
     if isinstance(dist, dl.LogNormal):
-        return dist.median * np.exp(rng.normal(0.0, dist.sigma, size=None))
+        return dist.median * np.exp(rng.normal(0.0, dist.sigma, size))
     if isinstance(dist, dl.Gamma):
-        return rng.gamma(dist.shape, dist.scale, size=None)
+        return rng.gamma(dist.shape, dist.scale, size)
     if isinstance(dist, dl.Uniform):
-        return rng.uniform(dist.low, dist.high, size=None)
+        return rng.uniform(dist.low, dist.high, size)
     if isinstance(dist, dl.Deterministic):
-        return dist.value
+        return np.repeat(dist.value, size)
     if isinstance(dist, dl.MMk):
-        service = rng.exponential(dist.service_mean, size=None)
-        wait = rng.exponential(dist.conditional_wait_mean, size=None)
-        queued = rng.random(size=None) < dist.p_wait
-        return float(service + np.where(queued, wait, 0.0))
+        service = rng.exponential(dist.service_mean, size)
+        wait = rng.exponential(dist.conditional_wait_mean, size)
+        queued = rng.random(size) < dist.p_wait
+        return service + wait * queued
     if isinstance(dist, dl.GG1):
         if dist.scv_service == 0.0:
-            service = dist.service_mean
+            service = np.repeat(dist.service_mean, size)
         else:
             shape = 1.0 / dist.scv_service
-            service = rng.gamma(shape, dist.service_mean / shape, size=None)
-        queued = rng.random(size=None) < dist.utilization
-        if dist.wait_mean > 0.0:
-            wait = rng.exponential(dist.wait_mean / dist.utilization, size=None)
-        else:
-            wait = np.zeros(())
-        return float(service + np.where(queued, wait, 0.0))
+            service = rng.gamma(shape, dist.service_mean / shape, size)
+        queued = rng.random(size) < dist.utilization
+        if dist.wait_mean == 0.0:
+            return service
+        wait = rng.exponential(dist.wait_mean / dist.utilization, size)
+        return service + wait * queued
     if isinstance(dist, dl.Scaled):
-        return dist.factor * reference_sample(dist.base, rng)
+        return dist.factor * reference_sample(dist.base, rng, size)
     if isinstance(dist, dl.Shifted):
-        return dist.offset + reference_sample(dist.base, rng)
+        return dist.offset + reference_sample(dist.base, rng, size)
     raise TypeError(f"no reference sampler for {type(dist)!r}")
+
+
+class _Blocks:
+    """Draws one value at a time from blocks of 32 doubling to 1024."""
+
+    def __init__(self, draw: Callable[[int], np.ndarray]):
+        self.draw = draw
+        self.values = np.empty(0)
+        self.used = 0
+        self.next_size = 32
+
+    def take(self) -> float:
+        if self.used == len(self.values):
+            self.values = self.draw(self.next_size)
+            self.used = 0
+            self.next_size = min(self.next_size * 2, 1024)
+        self.used += 1
+        return float(self.values[self.used - 1])
 
 
 def reference_factor_at(schedule, service, t):
@@ -194,6 +220,13 @@ class ReferenceEngine:
         self._heap.clear()
         self._queues = {name: [] for name in self._services}
         self._busy = {name: 0 for name in self._services}
+        self._delays = {
+            name: _Blocks(
+                lambda size, dist=st.spec.delay: reference_sample(dist, self.rng, size)
+            )
+            for name, st in self._services.items()
+        }
+        self._routing = _Blocks(lambda size: self.rng.random(size))
         self.now = 0.0
 
     def _arrive(self, name: str, job: _Job) -> None:
@@ -208,8 +241,7 @@ class ReferenceEngine:
         hs = self._hosts[st.spec.host]
         spec = st.spec
         start = self.now
-        base = float(reference_sample(spec.delay, self.rng))
-        duration = base / hs.host.speed
+        duration = self._delays[name].take() / hs.host.speed
         if spec.demand_sensitivity:
             duration *= job.record.demand ** spec.demand_sensitivity
         if hs.host.contention:
@@ -246,7 +278,7 @@ class ReferenceEngine:
     ) -> None:
         if isinstance(node, Activity):
             job = _Job(record=record, t_arrive=t, upstream_elapsed=upstream, done=done)
-            self._schedule(t, lambda: self._arrive(node.name, job))
+            self._arrive(node.name, job)
         elif isinstance(node, WfSequence):
             steps = node.steps
 
@@ -274,7 +306,10 @@ class ReferenceEngine:
             for b in node.branches:
                 self._exec(b, t, record, upstream, join)
         elif isinstance(node, Choice):
-            i = int(self.rng.choice(len(node.branches), p=node.probabilities))
+            cdf = np.cumsum(np.asarray(node.probabilities, dtype=float))
+            cdf = cdf / cdf[-1]
+            u = self._routing.take()
+            i = int(np.searchsorted(cdf, u, side="right"))
             self._exec(node.branches[i], t, record, upstream, done)
         elif isinstance(node, Loop):
             def iteration(t_i: float, up_i: float) -> None:
@@ -282,7 +317,7 @@ class ReferenceEngine:
                     node.body, t_i, record, up_i,
                     lambda ft, el: (
                         iteration(ft, el)
-                        if self.rng.random() < node.continue_prob
+                        if self._routing.take() < node.continue_prob
                         else done(ft, el)
                     ),
                 )
@@ -316,8 +351,11 @@ class ReferenceEngine:
             return finish
 
         for record in records:
-            self._exec(
-                self.workflow, record.arrival, record, 0.0, make_done(record)
+            self._schedule(
+                record.arrival,
+                lambda record=record: self._exec(
+                    self.workflow, record.arrival, record, 0.0, make_done(record)
+                ),
             )
         while self._heap:
             t, _, fn = heapq.heappop(self._heap)

@@ -1,12 +1,14 @@
 """The compiled engine against the callback reference, with exact equality.
 
-``_reference_engine`` is the engine before compilation: closures and a
-``_Job`` per activity, ``Generator.choice`` per Choice visit, delays
-drawn through the NumPy array paths.  For any seed both must produce the
-same events in the same order from the same generator draws, so every
-record, the utilization and the generator's final state are compared
-with ``==``, never approximately.  Golden digests pin ``env.simulate``
-on the two bench scenarios to the bytes the callback engine produced.
+``_reference_engine`` implements the engine's written draw contract in
+callback form: closures and a ``_Job`` per activity, per-service delay
+blocks and the shared routing stream re-derived from the distributions'
+parameters.  For any seed both must produce the same events in the same
+order from the same generator draws, so every record, the utilization
+and the generator's final state are compared with ``==``, never
+approximately.  Golden digests pin ``env.simulate`` on the two bench
+scenarios to the bytes the reference engine produces, and both engines
+are checked against them.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.simulator.environment as environment
 from repro.simulator.delays import (
     GG1,
     Deterministic,
@@ -28,6 +31,7 @@ from repro.simulator.delays import (
 from repro.simulator.engine import Engine
 from repro.simulator.faults import Degradation, FaultSchedule
 from repro.simulator.service import Host, ServiceSpec
+from repro.workflow.constructs import Activity, Choice, Loop, Parallel, Sequence
 from repro.workflow.generator import random_workflow
 from tests.simulator._reference_engine import ReferenceEngine
 
@@ -163,8 +167,29 @@ def test_corpus_scenario_matches_reference(delay):
     assert_same_run(env.workflow, env.services, env.hosts, arrivals, kwargs, seed=5)
 
 
+def test_long_run_refills_past_the_block_cap():
+    """Services a, d, e and the routing stream take 3000+ draws each, so
+    they refill at the 1024 cap more than once (32 + ... + 512 = 992)."""
+    workflow = Sequence(
+        [
+            Activity("a"),
+            Loop(Choice([Activity("b"), Activity("c")], [0.3, 0.7]), 0.5),
+            Parallel([Activity("d"), Activity("e")]),
+        ]
+    )
+    families = delay_families()
+    services = [
+        ServiceSpec(name, families[i * 2], host="h", queueing=i % 2 == 0)
+        for i, name in enumerate("abcde")
+    ]
+    hosts = [Host("h", contention=0.1)]
+    arrivals = np.cumsum(np.random.default_rng(9).exponential(0.5, size=3000))
+    kwargs = dict(demand_sigma=0.2, faults=None)
+    assert_same_run(workflow, services, hosts, arrivals, kwargs, seed=12)
+
+
 # --------------------------------------------------------------------- #
-# Golden digests of env.simulate, computed with the callback engine
+# Golden digests of env.simulate, computed with the reference engine
 # --------------------------------------------------------------------- #
 
 
@@ -176,20 +201,15 @@ def dataset_digest(data):
     return h.hexdigest()
 
 
-def test_ediamond_simulate_golden_digest():
+def ediamond_run():
     from repro.simulator.scenarios.ediamond import ediamond_scenario
 
     rng = np.random.default_rng(0)
     data = ediamond_scenario().simulate(250, rng=rng)
-    assert dataset_digest(data) == (
-        "c9b4941df0bafda59f81cec2174c0282e0bf297826e8f059ef8b72a5f3f6c409"
-    )
-    assert rng.bit_generator.state["state"]["state"] == (
-        2326744654749171686253198861725290177
-    )
+    return dataset_digest(data), rng.bit_generator.state["state"]["state"]
 
 
-def test_mixed80_storm_simulate_golden_digest():
+def mixed80_storm_run():
     from repro.corpus.generate import build_scenario
     from repro.corpus.spec import ScenarioSpec
 
@@ -197,9 +217,31 @@ def test_mixed80_storm_simulate_golden_digest():
     env = build_scenario(spec, seed=20260808).env
     rng = np.random.default_rng(0)
     data = env.simulate(120, rng=rng)
-    assert dataset_digest(data) == (
-        "4f4523784394661ee7a4e6669837f0a5955f23f5d627fde3bbdcff668e87556f"
-    )
-    assert rng.bit_generator.state["state"]["state"] == (
-        262463538592387151288093038779815029805
-    )
+    return dataset_digest(data), rng.bit_generator.state["state"]["state"]
+
+
+GOLDEN = {
+    ediamond_run: (
+        "d600beda19dc105a3c86a8764e59fbe744e746456bb239c5d66ce5e29c8c254c",
+        300211251857066581702314681655535673621,
+    ),
+    mixed80_storm_run: (
+        "21bf188b9665b76383bad73031bdc09f5d01fa179ec0f5335bfbe759f937bdf1",
+        337314318728553189479382916787808250100,
+    ),
+}
+
+
+def test_ediamond_simulate_golden_digest():
+    assert ediamond_run() == GOLDEN[ediamond_run]
+
+
+def test_mixed80_storm_simulate_golden_digest():
+    assert mixed80_storm_run() == GOLDEN[mixed80_storm_run]
+
+
+@pytest.mark.parametrize("run", list(GOLDEN), ids=lambda run: run.__name__)
+def test_golden_digests_come_from_the_reference(run, monkeypatch):
+    """The pinned values are what ``env.simulate`` gives on the reference."""
+    monkeypatch.setattr(environment, "Engine", ReferenceEngine)
+    assert run() == GOLDEN[run]

@@ -1,9 +1,10 @@
 """Per-job primitives of the compiled engine: Choice draws, fault factors.
 
-The engine replaces ``Generator.choice(n, p=p)`` per Choice visit with a
-CDF computed once and one ``random()`` + ``bisect_right``, and it looks
-up each service's fault windows once per run instead of building the
-active set per job.  Both must be bit-identical to what they replace.
+The engine maps each Choice uniform to a branch with a CDF computed once
+and ``bisect_right``, the same search ``Generator.choice(n, p=p)`` does,
+and it looks up each service's fault windows once per run instead of
+building the active set per job.  Both must be bit-identical to the
+NumPy and per-job forms.
 """
 
 from bisect import bisect_right
