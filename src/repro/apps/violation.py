@@ -31,14 +31,17 @@ def tail_probability_from_pmf(
         raise InferenceError(
             f"pmf has {pmf.size} bins but edges define {edges.size - 1}"
         )
-    if threshold <= edges[0]:
-        return float(pmf.sum())
     if threshold >= edges[-1]:
         return 0.0
-    b = int(np.searchsorted(edges, threshold, side="right") - 1)
-    b = min(max(b, 0), pmf.size - 1)
-    within = (edges[b + 1] - threshold) / (edges[b + 1] - edges[b])
-    return float(pmf[b + 1:].sum() + pmf[b] * within)
+    if threshold <= edges[0]:
+        tail = pmf.sum()
+    else:
+        b = int(np.searchsorted(edges, threshold, side="right") - 1)
+        b = min(max(b, 0), pmf.size - 1)
+        within = (edges[b + 1] - threshold) / (edges[b + 1] - edges[b])
+        tail = pmf[b + 1:].sum() + pmf[b] * within
+    # A normalized pmf can sum to 1 + 1 ulp.
+    return min(float(tail), 1.0)
 
 
 def relative_violation_error(p_model: float, p_real: float) -> float:

@@ -22,6 +22,14 @@ def test_tail_probability_exact_cases():
     assert tail_probability_from_pmf(pmf, edges, 0.5) == pytest.approx(0.875)
 
 
+def test_tail_probability_is_at_most_one():
+    counts = np.array([1.0, 6.0, 3.0, 3.0])
+    pmf = counts / counts.sum()  # sums to 1 + 1 ulp
+    edges = np.arange(5.0)
+    assert tail_probability_from_pmf(pmf, edges, -1.0) == 1.0
+    assert tail_probability_from_pmf(pmf, edges, 1e-12) <= 1.0
+
+
 def test_tail_probability_validation():
     with pytest.raises(InferenceError):
         tail_probability_from_pmf(np.ones(3) / 3, np.array([0.0, 1.0]), 0.5)

@@ -41,7 +41,8 @@ def test_samples_nonnegative_and_mean_close(dist, rng):
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
 def test_scalar_sample(dist, rng):
     v = dist.sample(rng)
-    assert float(v) >= 0
+    assert isinstance(v, float)
+    assert v >= 0
 
 
 def test_validation():
@@ -147,6 +148,7 @@ def test_queueing_scalar_samples():
     rng = np.random.default_rng(3)
     assert isinstance(MMk(0.2, 0.6, servers=2).sample(rng), float)
     assert isinstance(GG1(0.2, 0.6).sample(rng), float)
+    assert isinstance(GG1(0.2, 0.6, scv_service=0.0).sample(rng), float)
 
 
 def test_queueing_validation():
