@@ -273,17 +273,32 @@ class DAG:
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "DAG":
-        return DAG(nodes=self.nodes, edges=self.edges)
+        return self._induced(self._parents)
 
     def subgraph(self, nodes: Iterable[Node]) -> "DAG":
         """Induced subgraph on ``nodes``."""
         keep = set(nodes)
         for n in keep:
             self._check(n)
-        return DAG(
-            nodes=[n for n in self.nodes if n in keep],
-            edges=[(u, v) for u, v in self.edges if u in keep and v in keep],
-        )
+        return self._induced(keep)
+
+    def _induced(self, keep) -> "DAG":
+        """The graph induced on ``keep``, copied from the adjacency maps.
+
+        A copy or induced subgraph of an acyclic graph is acyclic, so no
+        edge needs :meth:`add_edge`'s cycle search.  Node, edge and
+        ``parents()`` order equal those of ``DAG(nodes, edges)`` over the
+        kept nodes and edges: parents come out in node order.
+        """
+        out = DAG()
+        out._parents = {n: {} for n in self._parents if n in keep}
+        out._children = {n: {} for n in out._parents}
+        for u, children in out._children.items():
+            for v in self._children[u]:
+                if v in keep:
+                    children[v] = None
+                    out._parents[v][u] = None
+        return out
 
     def to_networkx(self):
         """Return an equivalent :class:`networkx.DiGraph`."""

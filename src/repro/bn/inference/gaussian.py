@@ -1,7 +1,7 @@
 """Exact inference for linear-Gaussian Bayesian networks.
 
 A linear-Gaussian network is equivalent to one joint multivariate normal;
-:func:`joint_gaussian` builds it by the standard topological recursion and
+:func:`joint_gaussian` builds it with one triangular solve and
 :func:`condition_gaussian` applies Gaussian conditioning, giving the exact
 posteriors that dComp (posterior of an unobservable service's elapsed
 time) and pAccel (posterior response time under a hypothetical
@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from repro.bn.cpd.linear_gaussian import LinearGaussianCPD
 from repro.exceptions import InferenceError
@@ -23,37 +24,46 @@ from repro.exceptions import InferenceError
 def joint_gaussian(network) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Convert a linear-Gaussian network to ``(names, mean, cov)``.
 
-    Processing nodes in topological order, with ``w`` the coefficient
-    vector of node *i* over its parents ``pa``:
-
-    - ``mean[i] = b0 + w · mean[pa]``
-    - ``cov[i, j] = w · cov[pa, j]`` for previously processed ``j``
-    - ``cov[i, i] = σ²_i + w · cov[pa, pa] · w``
+    Names come in the DAG's topological order; see
+    :func:`joint_gaussian_of` for the computation.
     """
     order = [str(n) for n in network.dag.topological_order()]
-    index = {n: i for i, n in enumerate(order)}
-    k = len(order)
-    mean = np.zeros(k)
-    cov = np.zeros((k, k))
-    for i, n in enumerate(order):
-        cpd = network.cpd(n)
+    return joint_gaussian_of([network.cpd(n) for n in order])
+
+
+def joint_gaussian_of(cpds) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The joint MVN of linear-Gaussian CPDs given in topological order.
+
+    Stacking the nodes as ``X = b₀ + B X + ε`` with ``B`` strictly lower
+    triangular (``B[i, pa] = w_i``) and ``ε ~ N(0, diag(σ²))`` gives
+    ``X = L (b₀ + ε)`` with ``L = (I − B)⁻¹``, so
+
+    - ``mean = L b₀``
+    - ``cov = L diag(σ²) Lᵀ``
+
+    one unit-lower-triangular solve and one product.
+    """
+    names = [cpd.variable for cpd in cpds]
+    for cpd in cpds:
         if not isinstance(cpd, LinearGaussianCPD):
             raise InferenceError(
                 f"joint_gaussian requires linear-Gaussian CPDs; "
-                f"{n!r} has {type(cpd).__name__}"
+                f"{cpd.variable!r} has {type(cpd).__name__}"
             )
-        pa = [index[p] for p in cpd.parents]
-        w = cpd.coefficients
-        mean[i] = cpd.intercept + (w @ mean[pa] if pa else 0.0)
-        if pa:
-            # Node i's topological position is i, so the already-processed
-            # nodes (parents included) are exactly the slice ``:i``.
-            cov[i, :i] = w @ cov[pa, :i]
-            cov[:i, i] = cov[i, :i]
-            cov[i, i] = cpd.variance + w @ cov[np.ix_(pa, pa)] @ w
-        else:
-            cov[i, i] = cpd.variance
-    return order, mean, cov
+    index = {n: i for i, n in enumerate(names)}
+    k = len(names)
+    rows = [i for i, cpd in enumerate(cpds) for _ in cpd.parents]
+    cols = [index[p] for cpd in cpds for p in cpd.parents]
+    if any(c >= r for r, c in zip(rows, cols)):
+        raise InferenceError("CPDs must be given in topological order")
+    a = np.eye(k)
+    if rows:
+        a[rows, cols] = -np.concatenate([cpd.coefficients for cpd in cpds])
+    lower = solve_triangular(a, np.eye(k), lower=True, unit_diagonal=True)
+    mean = lower @ np.array([cpd.intercept for cpd in cpds])
+    scaled = lower * np.sqrt([cpd.variance for cpd in cpds])
+    # ``M @ M.T`` comes out exactly symmetric, like the recursion it replaces.
+    return names, mean, scaled @ scaled.T
 
 
 def marginal_gaussian(

@@ -6,7 +6,7 @@ and its parent columns only — the decentralizable unit of Section 3.4.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -16,6 +16,62 @@ from repro.bn.dag import DAG
 from repro.bn.data import Dataset
 from repro.bn.network import DiscreteBayesianNetwork, GaussianBayesianNetwork
 from repro.exceptions import LearningError
+
+
+class DesignMoments:
+    """A design ``Z = [1, X_1..X_m]`` with its moment matrix ``ZᵀZ``.
+
+    Formed once per window, it fits every linear-Gaussian CPD over those
+    columns from index blocks: :meth:`fit` reads the ``ZᵀZ`` entries of
+    ``{1} ∪ Φ(X_i) ∪ {X_i}`` instead of restacking and re-multiplying the
+    columns per CPD.  Column 0 is the intercept; column ``j + 1`` holds
+    ``columns[j]``.
+    """
+
+    def __init__(self, columns: Sequence[np.ndarray]):
+        n = len(columns[0])
+        self.design = np.empty((n, len(columns) + 1))
+        self.design[:, 0] = 1.0
+        for j, col in enumerate(columns, start=1):
+            self.design[:, j] = col
+        self.gram = self.design.T @ self.design
+        self.variances = None
+        if n:
+            # Two-pass variances: row 0 of ZᵀZ holds the column sums.
+            centered = self.design - self.gram[0] / n
+            self.variances = np.einsum("ij,ij->j", centered, centered) / n
+
+    def fit(
+        self,
+        block: np.ndarray,
+        variable: str,
+        parents: tuple[str, ...] = (),
+        min_variance: float = 1e-9,
+        ridge: float = 1e-10,
+        relative_variance_floor: float = 1e-3,
+    ) -> LinearGaussianCPD:
+        """Fit ``variable`` from its integer-array block of design columns
+        ``[0, parent columns…, child column]``.
+
+        See :func:`fit_linear_gaussian` for the ridge and the two variance
+        floors; the residual variance comes from the explicit residuals
+        over the block's design columns, as in a per-CPD least squares.
+        """
+        n, child = self.design.shape[0], block[-1]
+        if n == 0:
+            raise LearningError(f"no rows to fit {variable!r}")
+        marginal_var = float(self.variances[child])
+        if not parents:
+            mu = float(self.gram[0, child]) / n
+            variance = max(marginal_var, min_variance)
+            return LinearGaussianCPD(variable, mu, (), variance, ())
+        floor = max(min_variance, relative_variance_floor * marginal_var)
+        rows = block[:-1]
+        g = self.gram[rows[:, None], block]
+        beta = np.linalg.solve(g[:, :-1] + ridge * np.eye(len(rows)), g[:, -1])
+        resid = self.design[:, child] - self.design[:, rows] @ beta
+        var = max(float(resid @ resid) / n, floor)
+        return LinearGaussianCPD(variable, float(beta[0]), beta[1:], var, parents)
 
 
 def fit_linear_gaussian(
@@ -35,24 +91,23 @@ def fit_linear_gaussian(
     with tiny training windows a regression on several parents can
     interpolate the sample almost exactly, and an (effectively) zero
     residual variance would make the model infinitely confident — and
-    catastrophically wrong on test data.
+    catastrophically wrong on test data.  A root node gets the sample
+    mean and variance.
+
+    Uses only the child's and the parents' columns, through the same
+    :class:`DesignMoments` solver that fits a whole window's CPDs.
     """
     parents = tuple(parents)
-    y = np.asarray(data[variable], dtype=float)
-    n = y.size
-    if n == 0:
-        raise LearningError(f"no rows to fit {variable!r}")
-    marginal_var = float(y.var())
-    floor = max(min_variance, relative_variance_floor * marginal_var)
-    if not parents:
-        mu = float(y.mean())
-        return LinearGaussianCPD(variable, mu, (), max(marginal_var, min_variance), ())
-    X = np.column_stack([np.ones(n)] + [np.asarray(data[p], dtype=float) for p in parents])
-    gram = X.T @ X + ridge * np.eye(X.shape[1])
-    beta = np.linalg.solve(gram, X.T @ y)
-    resid = y - X @ beta
-    var = max(float(np.mean(resid * resid)), floor)
-    return LinearGaussianCPD(variable, float(beta[0]), beta[1:], var, parents)
+    columns = [np.asarray(data[p], dtype=float) for p in parents]
+    columns.append(np.asarray(data[variable], dtype=float))
+    return DesignMoments(columns).fit(
+        np.arange(len(columns) + 1),
+        variable,
+        parents,
+        min_variance=min_variance,
+        ridge=ridge,
+        relative_variance_floor=relative_variance_floor,
+    )
 
 
 def fit_tabular(

@@ -12,15 +12,23 @@
   containers used by the benchmarks.
 """
 
-from repro.core.kertbn import KERTBN, build_continuous_kertbn, build_discrete_kertbn
+from repro.core.kertbn import (
+    KERTBN,
+    WorkflowKnowledge,
+    build_continuous_kertbn,
+    build_discrete_kertbn,
+    derive_knowledge,
+)
 from repro.core.nrtbn import NRTBN, build_continuous_nrtbn, build_discrete_nrtbn
 from repro.core.reconstruction import ReconstructionSchedule, ModelReconstructor
 from repro.core.metrics import BuildReport, ModelComparison
 
 __all__ = [
     "KERTBN",
+    "WorkflowKnowledge",
     "build_continuous_kertbn",
     "build_discrete_kertbn",
+    "derive_knowledge",
     "NRTBN",
     "build_continuous_nrtbn",
     "build_discrete_nrtbn",

@@ -6,7 +6,9 @@ performance problem localization and remediation".  This module wires
 the pieces of this library into that loop, MAPE-K style:
 
 - **Monitor** — pull a window of monitored data from the environment;
-- **Analyze** — rebuild the KERT-BN (Eqs. 1–2 schedule) and assess the
+- **Analyze** — refit the KERT-BN's CPDs on the window (Eqs. 1–2
+  schedule; the workflow knowledge — ``f``, the DAG and the fitting
+  layout — is derived once, at construction) and assess the
   SLA-violation probability with the rapid analytic assessor;
 - **Plan** — when the violation probability exceeds the policy bound,
   localize the most-blamed service and project candidate accelerations
@@ -27,12 +29,17 @@ import numpy as np
 
 from repro.apps.assessment import RapidAssessor
 from repro.apps.localization import ProblemLocalizer
-from repro.core.kertbn import KERTBN, build_continuous_kertbn
+from repro.core.kertbn import KERTBN, build_continuous_kertbn, derive_knowledge
 from repro.exceptions import ReproError
 from repro.obs.runtime import OBS as _OBS
 from repro.obs.runtime import span as _span
 from repro.simulator.environment import SimulatedEnvironment
 from repro.utils.rng import ensure_rng
+
+#: Reports :attr:`AutonomicManager.history` keeps; each pins its model,
+#: so an unbounded history grows the heap (and the collector's work)
+#: with every cycle.
+HISTORY_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,12 @@ class CycleReport:
 
 
 class AutonomicManager:
-    """Monitor → analyze → plan → execute over a simulated environment."""
+    """Monitor → analyze → plan → execute over a simulated environment.
+
+    ``history`` holds the last :data:`HISTORY_LIMIT` reports;
+    :meth:`run_cycle` and :meth:`run` return every report, and
+    ``report.cycle`` keeps counting past the bound.
+    """
 
     def __init__(
         self,
@@ -135,13 +147,18 @@ class AutonomicManager:
                 registry, max_regression=tripwire_max_regression
             )
         self.history: list[CycleReport] = []
+        self._cycles = 0
+        # f, the DAG and the CPD fitting layout depend on the workflow
+        # only; every window refits just the CPDs.
+        self._knowledge = derive_knowledge(environment.workflow, environment.response)
         # Localization compares *current* observations against the last
         # model built while the SLA held — a freshly rebuilt model already
-        # reflects the fault and would show nothing anomalous.  The
-        # localizer for that reference model is cached alongside it, so
-        # consecutive violating cycles reuse its compiled joint Gaussian
-        # instead of re-deriving it every cycle.
+        # reflects the fault and would show nothing anomalous.  That
+        # model's assessor (and, once a violation needs it, its localizer)
+        # is kept alongside it, so violating and degraded cycles reuse its
+        # joint Gaussian and evidence-free sweep instead of re-deriving them.
         self._reference_model: "KERTBN | None" = None
+        self._reference_assessor: "RapidAssessor | None" = None
         self._reference_localizer: "ProblemLocalizer | None" = None
 
     # ------------------------------------------------------------------ #
@@ -150,8 +167,8 @@ class AutonomicManager:
         """Survive a failed analyze step: reuse the last healthy model's
         assessment (or report no estimate at all), record the incident,
         take no action, and let the next cycle try again."""
-        if self._reference_model is not None:
-            assessor = RapidAssessor(self._reference_model)
+        if self._reference_assessor is not None:
+            assessor = self._reference_assessor
             expected, _ = assessor.assess()
             p_violation = assessor.violation_probability(self.policy.threshold)
         else:
@@ -165,8 +182,13 @@ class AutonomicManager:
             degraded=True,
             incident=incident,
         )
-        self.history.append(report)
+        self._record(report)
         return report
+
+    def _record(self, report: CycleReport) -> None:
+        self.history.append(report)
+        if len(self.history) > HISTORY_LIMIT:
+            del self.history[0]
 
     def _unlearnable(self, data) -> "str | None":
         """A window no rebuild can survive: some column has no finite data."""
@@ -309,7 +331,8 @@ class AutonomicManager:
         return breaches
 
     def _run_cycle(self) -> CycleReport:
-        cycle = len(self.history)
+        cycle = self._cycles
+        self._cycles += 1
         # Monitor: fresh window from the live environment.
         with _span("manager.monitor"):
             data = self.env.simulate(self.window_points, rng=self.rng)
@@ -341,7 +364,11 @@ class AutonomicManager:
             return report
         try:
             with _span("manager.analyze"):
-                model = build_continuous_kertbn(self.env.workflow, data)
+                if self._knowledge.workflow is not self.env.workflow:
+                    self._knowledge = derive_knowledge(
+                        self.env.workflow, self.env.response
+                    )
+                model = build_continuous_kertbn(self._knowledge, data)
                 assessor = RapidAssessor(model)
                 expected, _ = assessor.assess()
                 p_violation = assessor.violation_probability(
@@ -394,9 +421,10 @@ class AutonomicManager:
             report.projected_violation_prob = chosen[1]
         else:
             self._reference_model = model
+            self._reference_assessor = assessor
             self._reference_localizer = None
             self._refresh_budgets(model)
-        self.history.append(report)
+        self._record(report)
         return report
 
     def _plan_action(self, model, assessor, data, report):
@@ -405,7 +433,9 @@ class AutonomicManager:
         projected_violation_prob))`` and records suspects on ``report``."""
         if self._reference_model is not None:
             if self._reference_localizer is None:
-                self._reference_localizer = ProblemLocalizer(self._reference_model)
+                self._reference_localizer = ProblemLocalizer(
+                    self._reference_model, assessor=self._reference_assessor
+                )
             localizer = self._reference_localizer
         else:
             # No healthy reference yet: localize against the fresh

@@ -17,7 +17,14 @@ from typing import Mapping
 
 @dataclass
 class BuildReport:
-    """Cost accounting for one model construction."""
+    """Cost accounting for one model construction.
+
+    ``per_cpd_seconds`` times each CPD's own fit.  The continuous KERT-BN
+    fits its service CPDs from one window-wide ``ZᵀZ`` moment pass
+    (:class:`~repro.bn.learning.mle.DesignMoments`); that shared pass
+    counts under ``parameter_seconds`` and not under any one CPD, so
+    ``parameter_seconds`` can exceed the per-CPD sum.
+    """
 
     model_kind: str
     structure_seconds: float = 0.0

@@ -93,3 +93,23 @@ def test_moral_neighbors_symmetric_and_marries_parents(dag):
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 assert ps[j] in adj[ps[i]]
+
+
+def _layout(dag):
+    return dag.nodes, dag.edges, [dag.parents(n) for n in dag.nodes]
+
+
+@given(random_dags(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_copy_and_subgraph_match_edge_by_edge_rebuild(dag, seed):
+    """Copies skip the per-edge cycle search but keep its exact order."""
+    assert _layout(dag.copy()) == _layout(DAG(dag.nodes, dag.edges))
+    rng = np.random.default_rng(seed)
+    keep = [n for n in dag.nodes if rng.random() < 0.6]
+    kept = set(keep)
+    rebuilt = DAG(keep, [(u, v) for u, v in dag.edges if u in kept and v in kept])
+    assert _layout(dag.subgraph(reversed(keep))) == _layout(rebuilt)
+    before, clone = _layout(dag), dag.copy()
+    for u, v in dag.edges:  # the copy shares no adjacency map
+        clone.remove_edge(u, v)
+    assert _layout(dag) == before

@@ -18,6 +18,7 @@ from repro.bn.inference.gaussian import (
 )
 from repro.bn.network import GaussianBayesianNetwork
 from repro.exceptions import InferenceError
+from tests.bn._gaussian_oracle import joint_gaussian_recursion
 
 
 def test_joint_gaussian_chain(chain_gaussian_net):
@@ -133,3 +134,39 @@ def test_conditional_of_errors(chain_gaussian_net):
     names, mean, cov = joint_gaussian(chain_gaussian_net)
     with pytest.raises(InferenceError):
         conditional_of(names, mean, cov, "b", {"b": 1.0})
+
+
+def _mixed80_service_network():
+    from repro.core.kertbn import build_continuous_kertbn
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
+    env = build_scenario(spec, seed=20260808).env
+    model = build_continuous_kertbn(env.workflow, env.simulate(120, rng=3))
+    return model.network.service_subnetwork()
+
+
+@pytest.mark.parametrize("which", ["ediamond", "mixed80"])
+def test_joint_solve_matches_per_node_recursion(which, ediamond_continuous_model):
+    """The triangular solve against the recursion it replaced."""
+    if which == "ediamond":
+        net = ediamond_continuous_model.network.service_subnetwork()
+    else:
+        net = _mixed80_service_network()
+    names, mean, cov = joint_gaussian(net)
+    ref_names, ref_mean, ref_cov = joint_gaussian_recursion(net)
+    assert names == ref_names
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
+    atol = 1e-14 * np.abs(ref_cov).max()
+    np.testing.assert_allclose(cov, ref_cov, rtol=1e-10, atol=atol)
+    np.testing.assert_array_equal(cov, cov.T)
+    assert np.count_nonzero(cov) == np.count_nonzero(ref_cov)
+
+
+def test_joint_of_rejects_cpds_out_of_topological_order(chain_gaussian_net):
+    from repro.bn.inference.gaussian import joint_gaussian_of
+
+    cpds = [chain_gaussian_net.cpd(n) for n in ("b", "a", "c")]
+    with pytest.raises(InferenceError):
+        joint_gaussian_of(cpds)

@@ -154,3 +154,59 @@ def test_simulate_window_is_compiled():
     env.simulate(120, rng=0)  # warm imports and allocator
     secs = min(timed(env.simulate, 120, rng=seed)[1] for seed in range(1, 11))
     assert secs < 0.05
+
+
+def test_manager_cycle_cost_contract(monkeypatch):
+    """Six manager cycles on the mixed80 cell, counted rather than timed.
+
+    The workflow knowledge (``f`` and the DAG) is derived once, one
+    moment plan serves every model refitted from it, a healthy cycle
+    runs one evidence-free sweep (read by both ``assess`` and
+    ``violation_probability``), and ``history`` stays bounded while
+    ``report.cycle`` keeps counting.
+    """
+    from repro.apps import assessment
+    from repro.core import kertbn
+    from repro.core import manager as manager_mod
+    from repro.core.manager import AutonomicManager, SLAPolicy
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    calls = {"f": 0, "dag": 0, "plans": 0, "runs": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    plan = assessment._MomentPlan
+    for owner, name, key in [
+        (kertbn, "response_time_function", "f"),
+        (kertbn, "kert_bn_structure", "dag"),
+        (plan, "__init__", "plans"),
+        (plan, "run", "runs"),
+    ]:
+        monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+    monkeypatch.setattr(manager_mod, "HISTORY_LIMIT", 4)
+
+    spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
+    env = build_scenario(spec, seed=20260808).env
+    sla = float(np.quantile(env.simulate(120, rng=0)[env.response], 0.9))
+    mgr = AutonomicManager(env, SLAPolicy(sla, 0.15), window_points=120, rng=0)
+    healthy = acted = 0
+    for cycle in range(6):
+        if cycle == 3:
+            env.scale_service("X66", 3.0)  # the cell's largest E[D] lever
+        runs = calls["runs"]
+        report = mgr.run_cycle()
+        assert report.cycle == cycle and not report.degraded
+        assert len(mgr.history) == min(cycle + 1, 4) and mgr.history[-1] is report
+        if report.acted:
+            acted += 1
+        else:
+            healthy += 1
+            assert calls["runs"] - runs == 1
+    assert healthy and acted
+    assert (calls["f"], calls["dag"], calls["plans"]) == (1, 1, 1)

@@ -69,9 +69,11 @@ def test_plan_compile_fault_is_answered_exactly_by_elimination(
 
 
 def test_sweep_fault_degrades_to_sampling(fresh_discrete_model):
+    from tests.bn._enumeration_oracle import posterior
+
     model = fresh_discrete_model
     chain = FallbackChain(model.network, rng=0, n_samples=4000)
-    exact = chain.answer([model.response], _evidence(model)).values
+    exact = posterior(model.network, [model.response], _evidence(model))
     chain.engine.failure_hook = _boom
     chain._sweep_pmf = _boom
     ans = chain.answer([model.response], _evidence(model))
@@ -142,10 +144,13 @@ def test_joint_prior_is_product_of_marginals(fresh_discrete_model):
 
 @pytest.mark.slow
 def test_sampling_tier_converges_to_exact_posterior(fresh_discrete_model):
-    """Heavier statistical check of the likelihood-weighting tier."""
+    """Heavier statistical check of the likelihood-weighting tier,
+    scored against the enumeration oracle rather than the engine."""
+    from tests.bn._enumeration_oracle import posterior
+
     model = fresh_discrete_model
     chain = FallbackChain(model.network, rng=1, n_samples=40_000)
     evidence = _evidence(model)
-    exact = chain.answer([model.response], evidence).values
+    exact = posterior(model.network, [model.response], evidence)
     approx = chain._sampling_pmf((model.response,), evidence)
     assert np.abs(approx - exact).sum() < 0.05
