@@ -1,6 +1,6 @@
 """CI gate: fail when a guarded benchmark regresses.
 
-Two benchmark payloads are guarded:
+Three benchmark payloads are guarded:
 
 - ``--suite inference`` (default) —
   ``benchmarks/test_inference_throughput.py`` persists its numbers to
@@ -15,15 +15,6 @@ Two benchmark payloads are guarded:
   baseline carries the SLO-budget ``budgets`` section, the ratio of
   per-evaluation burn tracking to once-per-publish budget derivation is
   ceilinged too (plus raw latencies under ``--absolute``).
-- ``--suite serving`` — ``benchmarks/test_serving_throughput.py``
-  persists ``BENCH_serving.json`` (sharded-fabric load harness); the
-  gate keeps the dynamic batcher's coalesce ratio and the guarded
-  columnar path's fraction-of-raw-kernel throughput from eroding, and —
-  with ``--absolute`` — floors sustained qps and ceilings p95/p99 tail
-  latency.  Once the baseline carries the replicated-fabric ``degraded``
-  section, blackout availability is floored (relative to baseline *and*
-  a hard 0.99 contract) and degraded tail latency is ceilinged under
-  ``--absolute``.
 - ``--suite corpus`` — ``benchmarks/test_corpus_matrix.py`` persists
   ``BENCH_corpus.json`` (KERT-BN vs NRT-BN over the scenario-corpus
   matrix); the gate keeps the knowledge-enhanced model's accuracy win
@@ -92,7 +83,7 @@ OPTIONAL_RATIO_METRICS: Tuple[Tuple[str, str, str], ...] = (
 #: ``optional_*`` entries only gate once the baseline carries them.
 #: ``hard_floors`` entries are ``(section, key, label, floor)``
 #: absolute constants checked against the *fresh* payload alone —
-#: availability-style contracts that no baseline drift may relax.
+#: contracts that no baseline drift may relax.
 SUITES = {
     "inference": {
         "lower": RATIO_METRICS,
@@ -126,50 +117,6 @@ SUITES = {
         "optional_upper_absolute": (
             ("budgets", "derive_seconds", "budget derivation latency (s)"),
             ("budgets", "track_seconds", "burn tracking latency (s)"),
-        ),
-    },
-    "serving": {
-        # Machine-independent ratios: rows coalesced per kernel flush,
-        # and the guarded columnar path as a fraction of the raw kernel.
-        "lower": (
-            ("coalesce", "ratio", "batcher coalesce ratio (rows/flush)"),
-            (
-                "batched",
-                "fabric_over_kernel",
-                "guarded columnar path vs raw kernel",
-            ),
-        ),
-        "lower_absolute": (
-            ("coalesce", "sustained_qps", "sustained single-query qps"),
-            ("batched", "fabric_rows_per_s", "guarded columnar rows/sec"),
-        ),
-        "upper": (),
-        "upper_absolute": (
-            ("coalesce", "p95_seconds", "p95 single-query latency (s)"),
-            ("coalesce", "p99_seconds", "p99 single-query latency (s)"),
-        ),
-        # Degraded-mode (single-replica blackout) metrics gate once the
-        # baseline records them, so pre-replication payloads stay valid.
-        "optional_lower": (
-            ("degraded", "availability", "degraded-mode availability"),
-        ),
-        "optional_upper_absolute": (
-            ("degraded", "p99_seconds", "degraded p99 latency (s)"),
-            (
-                "degraded",
-                "p99_over_healthy",
-                "degraded/healthy p99 inflation",
-            ),
-        ),
-        # Absolute contract, independent of any baseline: ≥99% of
-        # queries must survive a single-replica blackout.
-        "hard_floors": (
-            (
-                "degraded",
-                "availability",
-                "availability floor under blackout",
-                0.99,
-            ),
         ),
     },
     "corpus": {
@@ -312,18 +259,8 @@ def compare(
             if not ok:
                 failures.append(line)
     # Hard floors: absolute contracts checked against the fresh payload
-    # alone — a slipping baseline can never relax them.  Skipped while
-    # the metric is absent from both payloads (pre-replication schema);
-    # dropping a metric the baseline still carries is a schema error.
+    # alone — a slipping baseline can never relax them.
     for section, key, label, floor in spec.get("hard_floors", ()):
-        if not _has(fresh, section, key):
-            if _has(baseline, section, key):
-                raise SystemExit(
-                    f"fresh payload dropped {section}.{key}, which the "
-                    f"baseline still carries — was the degraded-mode "
-                    f"benchmark skipped?"
-                )
-            continue
         new = extract(fresh, section, key)
         ok = new >= floor
         line = (

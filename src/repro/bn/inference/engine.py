@@ -43,8 +43,8 @@ The engine treats the network as immutable — compile a new engine if
 CPDs are refit (network construction already builds fresh objects
 everywhere in this codebase).  Plan-cache bookkeeping (the LRU ordered
 dict, hit/compile/eviction counters) is guarded by a per-engine lock so
-the serving fabric's worker threads cannot corrupt the recency order or
-evict a plan mid-lookup; plan *construction* happens outside the lock,
+concurrent callers cannot corrupt the recency order or evict a plan
+mid-lookup; plan *construction* happens outside the lock,
 so on a racing miss two threads may build the same plan once each — the
 loser's build is discarded and counted as a hit, never double-inserted.
 """

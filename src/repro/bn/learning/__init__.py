@@ -18,10 +18,6 @@ from repro.bn.learning.mle import (
     fit_gaussian_network,
     fit_discrete_network,
 )
-from repro.bn.learning.bayes import (
-    fit_linear_gaussian_bayes,
-    fit_gaussian_network_bayes,
-)
 from repro.bn.learning.scores import (
     gaussian_bic_local,
     discrete_k2_local,
@@ -29,7 +25,6 @@ from repro.bn.learning.scores import (
     ScoreCache,
 )
 from repro.bn.learning.k2 import k2_search, k2_random_restarts, K2Result
-from repro.bn.learning.hill_climbing import hill_climb, HillClimbResult
 from repro.bn.learning.exhaustive import exhaustive_search
 from repro.bn.learning.em import em_gaussian
 
@@ -38,8 +33,6 @@ __all__ = [
     "fit_tabular",
     "fit_gaussian_network",
     "fit_discrete_network",
-    "fit_linear_gaussian_bayes",
-    "fit_gaussian_network_bayes",
     "gaussian_bic_local",
     "discrete_k2_local",
     "discrete_bic_local",
@@ -47,8 +40,6 @@ __all__ = [
     "k2_search",
     "k2_random_restarts",
     "K2Result",
-    "hill_climb",
-    "HillClimbResult",
     "exhaustive_search",
     "em_gaussian",
 ]

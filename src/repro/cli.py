@@ -20,9 +20,6 @@ Subcommands
   comparison per cell and print the summary.
 - ``registry``         — versioned model store: list/publish/activate/rollback.
 - ``serve``            — guarded one-shot query through the fallback chain.
-- ``serve-fabric``     — stand up the sharded multi-tenant fabric and
-  drive a mixed-tenant load through the dynamic batcher, printing
-  sustained qps, tail latency, coalesce ratio, and per-tenant budgets.
 - ``obs``              — dump or reset this process's observability state
   (``snapshot --format prom`` emits the same Prometheus text the HTTP
   ``/metrics`` endpoint serves).
@@ -472,157 +469,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_fabric(args: argparse.Namespace) -> int:
-    import time
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.core.persistence import load_model
-    from repro.serving.fabric import build_fabric
-    from repro.serving.registry import ModelRegistry
-
-    sources = [load_model(path) for path in args.model or ()]
-    sources += [ModelRegistry(root) for root in args.registry or ()]
-    if not sources:
-        raise SystemExit(
-            "serve-fabric needs at least one --model / --registry"
-        )
-    n_shards = max(args.shards or 0, len(sources))
-    # Fewer sources than shards: replicate round-robin to fill the ring.
-    sources = [sources[i % len(sources)] for i in range(n_shards)]
-
-    evidence = _parse_assignments(args.observe) or None
-    fabric = build_fabric(
-        sources,
-        n_replicas=max(1, args.replicas),
-        hedge=bool(args.hedge),
-        probe_interval_s=args.probe_interval,
-        max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
-        deadline_seconds=args.deadline,
-        rng=args.seed,
-    )
-    if args.inject_faults:
-        from repro.serving.faults import ReplicaFaultInjector
-
-        group = fabric.router.shards[args.fault_shard % n_shards]
-        replica = args.fault_replica % group.n_replicas
-        injector = ReplicaFaultInjector(rng=args.seed)
-        if args.inject_faults == "blackout":
-            injector.blackout(duration=args.fault_duration)
-        elif args.inject_faults == "latency":
-            injector.latency_storm(
-                0.05, probability=0.5, duration=args.fault_duration
-            )
-        else:  # errors
-            injector.error_burst(0.5, duration=args.fault_duration)
-        group.inject_fault(replica, injector)
-        print(
-            f"injecting {args.inject_faults} fault: shard "
-            f"{args.fault_shard % n_shards} replica {replica} for "
-            f"{args.fault_duration} calls"
-        )
-    target = [args.target or fabric.router.shards[0].model.response]
-    tenants = [f"tenant-{i}" for i in range(args.tenants)]
-    burst = max(1, args.burst)
-
-    def worker(w: int) -> list:
-        rng = np.random.default_rng(args.seed + 1 + w)
-        n = args.queries // args.threads + (
-            1 if w < args.queries % args.threads else 0
-        )
-        out, pending = [], []
-
-        def drain():
-            for t0, p in pending:
-                r = p.result(timeout=60.0)
-                out.append((time.perf_counter() - t0, r.status))
-            pending.clear()
-
-        for _ in range(n):
-            tenant = tenants[int(rng.integers(len(tenants)))]
-            pending.append(
-                (time.perf_counter(), fabric.submit(tenant, target, evidence))
-            )
-            if len(pending) >= burst:
-                drain()
-        drain()
-        return out
-
-    t_start = time.perf_counter()
-    try:
-        with ThreadPoolExecutor(args.threads) as ex:
-            outcomes = [
-                x for chunk in ex.map(worker, range(args.threads))
-                for x in chunk
-            ]
-    finally:
-        fabric.close()
-    elapsed = time.perf_counter() - t_start
-    lats = sorted(lat for lat, _ in outcomes)
-    n_failed = sum(1 for _, status in outcomes if status == "failed")
-
-    def pct(q: float) -> float:
-        return lats[min(len(lats) - 1, int(q * len(lats)))] * 1e3
-
-    b = fabric.batcher
-    print(
-        f"shards={n_shards} replicas={max(1, args.replicas)} "
-        f"tenants={len(tenants)} queries={len(lats)} "
-        f"threads={args.threads} burst={burst}"
-    )
-    print(
-        f"sustained: {len(lats) / elapsed:,.0f} qps over {elapsed:.2f}s  "
-        f"p50={pct(0.50):.2f}ms p95={pct(0.95):.2f}ms p99={pct(0.99):.2f}ms"
-    )
-    print(
-        f"availability: {1.0 - n_failed / max(1, len(outcomes)):.4%} "
-        f"({n_failed} failed of {len(outcomes)})"
-    )
-    print(
-        f"coalesce: {b.coalesce_ratio:.2f} rows/flush "
-        f"({b.n_coalesced_rows} rows in {b.n_flushes} flushes, "
-        f"{b.n_bypass} bypassed to singles)"
-    )
-    for gi, group in enumerate(fabric.router.shards):
-        snap = group.snapshot()
-        fo, hedge = snap["failover"], snap["hedge"]
-        if (
-            group.n_replicas == 1
-            and not fo["switches"]
-            and not hedge["issued"]
-            and not snap["faults_injected"]
-        ):
-            continue
-        replicas = " ".join(
-            f"{r['name']}:{r['state']}({r['score']:.2f})"
-            for r in snap["replicas"]
-        )
-        print(
-            f"shard{gi}: {replicas}  failovers={fo['switches']} "
-            f"exhausted={fo['exhausted']} hedge issued/won/wasted="
-            f"{hedge['issued']}/{hedge['won']}/{hedge['wasted']} "
-            f"faults={snap['faults_injected']}"
-        )
-    if fabric.prober is not None:
-        ps = fabric.prober.snapshot()
-        if ps["probes"]:
-            print(
-                f"prober: {ps['probes']} probes ({ps['clean']} clean), "
-                f"{ps['readmitted']} readmitted"
-            )
-    print(f"{'tenant':<12s} {'shard':>5s} {'ok':>8s} {'rejected':>8s} "
-          f"{'shed':>6s} {'failed':>6s} {'breaker':>9s}")
-    snap = fabric.stats()
-    for name, t in snap["tenants"].items():
-        s = t["stats"]
-        print(
-            f"{name:<12s} {t['shard']:>5d} {s['n_ok']:>8d} "
-            f"{s['n_rejected']:>8d} {s['n_shed']:>6d} {s['n_failed']:>6d} "
-            f"{t['breaker_state']:>9s}"
-        )
-    return 0
-
-
 # --------------------------------------------------------------------- #
 # Parser wiring
 # --------------------------------------------------------------------- #
@@ -812,48 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-query deadline in seconds")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "serve-fabric",
-        help="sharded multi-tenant fabric: drive a batched load and "
-        "print qps / tail latency / coalesce ratio / tenant budgets",
-    )
-    p.add_argument("--model", action="append", metavar="BUNDLE",
-                   help="bundle file per shard (repeatable)")
-    p.add_argument("--registry", action="append", metavar="ROOT",
-                   help="registry root per shard (repeatable)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="replicate the given sources round-robin up to "
-                   "N shards")
-    p.add_argument("--replicas", type=int, default=1,
-                   help="ModelServer replicas per ring slot (failover "
-                   "and hedging need >= 2)")
-    p.add_argument("--hedge", action="store_true",
-                   help="issue a backup query to a sibling replica past "
-                   "the adaptive p95 hedge delay")
-    p.add_argument("--probe-interval", type=float, default=0.25,
-                   help="seconds between canary sweeps readmitting "
-                   "ejected replicas")
-    p.add_argument("--inject-faults",
-                   choices=("blackout", "latency", "errors"), default=None,
-                   help="seeded chaos drill against one replica")
-    p.add_argument("--fault-shard", type=int, default=0)
-    p.add_argument("--fault-replica", type=int, default=0)
-    p.add_argument("--fault-duration", type=int, default=500,
-                   help="fault window length in replica calls")
-    p.add_argument("--tenants", type=int, default=8)
-    p.add_argument("--queries", type=int, default=2000)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--burst", type=int, default=16,
-                   help="pipelined submissions per caller before waiting")
-    p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--max-wait-us", type=float, default=2000.0)
-    p.add_argument("--target", help="query variable (default: response)")
-    p.add_argument("--observe", action="append", metavar="NAME=VALUE",
-                   help="shared evidence for every query")
-    p.add_argument("--deadline", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_serve_fabric)
 
     return parser
 

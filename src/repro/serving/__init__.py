@@ -6,11 +6,7 @@ query it: the versioned :class:`ModelRegistry`, the guarded
 deterministic :class:`CircuitBreaker` / :class:`AdmissionController`
 load protection, and the :class:`DataQualityGate` +
 :class:`AccuracyTripwire` pair that keep poisoned monitoring windows
-and regressed models out of production.  On top of single servers, the
-:mod:`repro.serving.fabric` module scales out: a sharded multi-tenant
-:class:`ShardRouter` with per-tenant budgets and a thread-safe
-:class:`DynamicBatcher` that coalesces concurrent single queries into
-batched kernel calls.
+and regressed models out of production.
 """
 
 from repro.serving.breaker import (
@@ -19,17 +15,6 @@ from repro.serving.breaker import (
     OPEN,
     AdmissionController,
     CircuitBreaker,
-)
-from repro.serving.fabric import (
-    DynamicBatcher,
-    HedgePolicy,
-    PendingQuery,
-    ReplicaGroup,
-    ServingFabric,
-    ShardRouter,
-    TenantState,
-    build_fabric,
-    shard_index,
 )
 from repro.serving.fallback import (
     CHAIN,
@@ -40,26 +25,12 @@ from repro.serving.fallback import (
     FallbackChain,
     TierAnswer,
 )
-from repro.serving.faults import (
-    KINDS,
-    FaultWindow,
-    ReplicaFaultInjector,
-)
 from repro.serving.guards import (
     GuardedBatch,
     RowRejection,
     SanitizedBatch,
     check_row,
     sanitize_rows,
-)
-from repro.serving.health import (
-    ACTIVE,
-    EJECTED,
-    PROBATION,
-    HealthPolicy,
-    HealthProber,
-    QuantileTracker,
-    ReplicaHealth,
 )
 from repro.serving.quality import (
     AccuracyTripwire,
@@ -81,7 +52,6 @@ from repro.serving.server import (
 )
 
 __all__ = [
-    "ACTIVE",
     "AccuracyTripwire",
     "AdmissionController",
     "CHAIN",
@@ -89,32 +59,17 @@ __all__ = [
     "CircuitBreaker",
     "ColumnarBatchResult",
     "DataQualityGate",
-    "DynamicBatcher",
-    "EJECTED",
     "FallbackChain",
-    "FaultWindow",
     "GuardedBatch",
     "HALF_OPEN",
-    "HealthPolicy",
-    "HealthProber",
-    "HedgePolicy",
-    "KINDS",
     "ModelRegistry",
     "ModelServer",
     "OPEN",
-    "PROBATION",
-    "PendingQuery",
     "PublishOutcome",
-    "QuantileTracker",
     "QueryResult",
-    "ReplicaFaultInjector",
-    "ReplicaGroup",
-    "ReplicaHealth",
     "RowRejection",
     "SanitizedBatch",
     "ServerStats",
-    "ServingFabric",
-    "ShardRouter",
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_REJECTED",
@@ -124,12 +79,9 @@ __all__ = [
     "TIER_PRIOR",
     "TIER_SAMPLING",
     "TIER_SWEEP",
-    "TenantState",
     "TierAnswer",
     "VersionInfo",
     "WindowVerdict",
-    "build_fabric",
     "check_row",
     "sanitize_rows",
-    "shard_index",
 ]

@@ -12,9 +12,9 @@ Both mechanisms are *deterministic* so chaos tests replay exactly:
   refusals instead of an unbounded queue.
 
 Both are **thread-safe**: every state transition happens under a
-per-instance lock, so the :class:`~repro.serving.fabric.DynamicBatcher`'s
-worker threads and concurrent single-query callers cannot corrupt
-breaker state or lose admission-window outcomes.  Under threads the
+per-instance lock, so concurrent callers of one
+:class:`~repro.serving.server.ModelServer` cannot corrupt breaker state
+or lose admission-window outcomes.  Under threads the
 *interleaving* of RNG draws depends on scheduling, so cross-thread runs
 are deterministic in their invariants (counts always balance) rather
 than in their exact shed pattern; single-threaded runs replay exactly
@@ -103,19 +103,6 @@ class CircuitBreaker:
     def record_success(self) -> None:
         with self._lock:
             self._consecutive_failures = 0
-            self._transition(CLOSED)
-
-    def reset(self) -> None:
-        """Force the breaker closed with a clean failure history.
-
-        Used when a recovered replica is readmitted by the health
-        prober: the replica proved itself with canary queries, so trip
-        state accumulated while it was unreachable must not follow it
-        back into service.
-        """
-        with self._lock:
-            self._consecutive_failures = 0
-            self._cooldown_remaining = 0
             self._transition(CLOSED)
 
     def record_failure(self) -> None:

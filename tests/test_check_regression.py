@@ -188,123 +188,6 @@ def test_matrix_cells_gate_per_cell():
     assert "bins3_width6" in failures[0]
 
 
-SERVING_BASELINE = {
-    "coalesce": {
-        "ratio": 30.0,
-        "sustained_qps": 20000.0,
-        "p95_seconds": 0.012,
-        "p99_seconds": 0.034,
-    },
-    "batched": {
-        "fabric_over_kernel": 0.85,
-        "fabric_rows_per_s": 8_000_000.0,
-    },
-}
-
-
-def test_serving_suite_floors_the_ratios():
-    """Coalesce ratio and fabric/kernel fraction are higher-is-better."""
-    worse = copy.deepcopy(SERVING_BASELINE)
-    worse["coalesce"]["ratio"] = 1.5          # batching stopped coalescing
-    worse["batched"]["fabric_over_kernel"] = 0.1  # guards got expensive
-    failures, _ = gate.compare(SERVING_BASELINE, worse, suite="serving")
-    assert len(failures) == 2
-    assert any("ratio" in f for f in failures)
-    assert any("fabric_over_kernel" in f for f in failures)
-
-    better = copy.deepcopy(SERVING_BASELINE)
-    better["coalesce"]["ratio"] *= 2.0
-    failures, _ = gate.compare(SERVING_BASELINE, better, suite="serving")
-    assert failures == []
-
-
-def test_serving_suite_absolute_gates_qps_and_tail_latency():
-    slow = copy.deepcopy(SERVING_BASELINE)
-    slow["coalesce"]["sustained_qps"] /= 3.0
-    slow["coalesce"]["p99_seconds"] *= 3.0
-    # Machine-dependent numbers are ignored without --absolute.
-    failures, _ = gate.compare(SERVING_BASELINE, slow, suite="serving")
-    assert failures == []
-    failures, _ = gate.compare(
-        SERVING_BASELINE, slow, suite="serving", absolute=True
-    )
-    assert len(failures) == 2
-    assert any("sustained_qps" in f for f in failures)
-    assert any("p99_seconds" in f for f in failures)
-
-
-DEGRADED = {
-    "availability": 0.999,
-    "p99_seconds": 0.05,
-    "p99_over_healthy": 1.8,
-}
-
-
-def test_degraded_metrics_only_gate_when_baseline_has_them():
-    # Pre-replication baselines ignore the degraded section entirely.
-    fresh = copy.deepcopy(SERVING_BASELINE)
-    fresh["degraded"] = copy.deepcopy(DEGRADED)
-    failures, _ = gate.compare(
-        SERVING_BASELINE, fresh, suite="serving", absolute=True
-    )
-    assert failures == []
-    # Once the baseline carries them, a real availability drop fails.
-    base = copy.deepcopy(fresh)
-    worse = copy.deepcopy(base)
-    worse["degraded"]["availability"] = 0.5
-    failures, _ = gate.compare(base, worse, suite="serving")
-    assert any("availability" in f for f in failures)
-
-
-def test_degraded_tail_latency_needs_absolute_flag():
-    base = copy.deepcopy(SERVING_BASELINE)
-    base["degraded"] = copy.deepcopy(DEGRADED)
-    slow = copy.deepcopy(base)
-    slow["degraded"]["p99_seconds"] *= 5.0
-    slow["degraded"]["p99_over_healthy"] *= 5.0
-    failures, _ = gate.compare(base, slow, suite="serving")
-    assert failures == []  # machine-dependent, not gated by default
-    failures, _ = gate.compare(base, slow, suite="serving", absolute=True)
-    assert len(failures) == 2
-    assert any("p99_seconds" in f for f in failures)
-    assert any("p99_over_healthy" in f for f in failures)
-
-
-def test_availability_hard_floor_ignores_baseline_drift():
-    """A baseline that itself slipped below 99% cannot launder a fresh
-    sub-floor run through the relative tolerance."""
-    base = copy.deepcopy(SERVING_BASELINE)
-    base["degraded"] = copy.deepcopy(DEGRADED)
-    base["degraded"]["availability"] = 0.90  # drifted baseline
-    fresh = copy.deepcopy(base)
-    fresh["degraded"]["availability"] = 0.95  # within 30% of baseline...
-    failures, _ = gate.compare(base, fresh, suite="serving")
-    assert len(failures) == 1  # ...but below the absolute 0.99 contract
-    assert "hard-floor" in failures[0]
-
-    ok_fresh = copy.deepcopy(base)
-    ok_fresh["degraded"]["availability"] = 0.995
-    failures, _ = gate.compare(base, ok_fresh, suite="serving")
-    assert failures == []
-
-
-def test_dropping_degraded_metrics_is_a_schema_error():
-    base = copy.deepcopy(SERVING_BASELINE)
-    base["degraded"] = copy.deepcopy(DEGRADED)
-    with pytest.raises(SystemExit, match="degraded.availability"):
-        gate.compare(base, SERVING_BASELINE, suite="serving")
-
-
-def test_gate_accepts_the_committed_serving_baseline():
-    """The real BENCH_serving.json must satisfy the serving suite."""
-    committed = _GATE.parent.parent / "BENCH_serving.json"
-    payload = json.loads(committed.read_text())
-    failures, _ = gate.compare(
-        payload, payload, suite="serving", absolute=True
-    )
-    assert failures == []
-
-
 CORPUS_BASELINE = {
     "summary": {
         "n_cells": 27,

@@ -159,34 +159,6 @@ def test_localize_subcommand(workspace, capsys):
         run("localize", "--model", model_path)
 
 
-def test_serve_fabric_subcommand(workspace, capsys):
-    data_path = os.path.join(workspace, "train.csv")
-    wf_path = os.path.join(workspace, "wf.json")
-    model_path = os.path.join(workspace, "model.json")
-    run("simulate", "--points", "200", "--seed", "2",
-        "--out", data_path, "--workflow-out", wf_path)
-    run("build", "--family", "kert", "--kind", "discrete", "--bins", "4",
-        "--workflow", wf_path, "--data", data_path, "--out", model_path)
-    capsys.readouterr()
-
-    assert run(
-        "serve-fabric", "--model", model_path, "--shards", "4",
-        "--tenants", "6", "--queries", "200", "--threads", "4",
-        "--burst", "8", "--observe", "X1=0.2",
-    ) == 0
-    out = capsys.readouterr().out
-    assert "shards=4 replicas=1 tenants=6 queries=200" in out
-    assert "sustained:" in out and "p99=" in out
-    assert "coalesce:" in out
-    # Per-tenant table: every tenant served and stayed healthy.
-    for i in range(6):
-        assert f"tenant-{i}" in out
-    assert "UNHEALTHY" not in out
-
-    with pytest.raises(SystemExit):
-        run("serve-fabric")  # needs a source
-
-
 def test_corpus_subcommand(workspace, capsys):
     # list: every default cell, one line each.
     assert run("corpus", "list", "--sizes", "10") == 0
