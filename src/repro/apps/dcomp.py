@@ -16,7 +16,7 @@ narrower ("more deterministic and precise").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -87,94 +87,6 @@ class DComp:
             return self._gaussian(variable, observed_means)
         raise InferenceError(
             f"dComp does not support networks of type {type(network).__name__}"
-        )
-
-    def posterior_batch(
-        self,
-        variable: str,
-        observed_means_rows: "Sequence[Mapping[str, float]]",
-    ) -> "list[DCompResult]":
-        """Batched :meth:`posterior` for discrete models.
-
-        All rows must observe the same service set (one compiled
-        signature); the N posteriors are computed in a single vectorized
-        engine pass instead of N elimination sweeps.
-        """
-        network = self.model.network
-        if not isinstance(network, DiscreteBayesianNetwork):
-            raise InferenceError("posterior_batch needs the discrete KERT-BN")
-        if not observed_means_rows:
-            raise InferenceError("need at least one row of observed means")
-        if any(variable in row for row in observed_means_rows):
-            raise InferenceError(f"{variable!r} is listed as observed")
-        disc = self.model.discretizer
-        assert disc is not None
-        evidence_rows = [
-            {name: disc.state_of(name, float(mean)) for name, mean in row.items()}
-            for row in observed_means_rows
-        ]
-        engine = network.compiled()
-        prior = engine.prior(variable).values
-        posteriors = engine.query_batch([variable], evidence_rows)
-        centers = disc.centers(variable)
-        pm, ps = _pmf_stats(prior, centers)
-        results = []
-        for posterior in posteriors:
-            qm, qs = _pmf_stats(posterior, centers)
-            results.append(
-                DCompResult(
-                    variable=variable,
-                    centers=centers,
-                    prior=prior,
-                    posterior=posterior,
-                    prior_mean=pm,
-                    posterior_mean=qm,
-                    prior_std=ps,
-                    posterior_std=qs,
-                )
-            )
-        return results
-
-    def posterior_batch_guarded(
-        self,
-        variable: str,
-        observed_means_rows: "Sequence[Mapping[str, float]]",
-    ):
-        """:meth:`posterior_batch` behind the serving guard layer.
-
-        Malformed rows (unknown services, NaN means, the target variable
-        listed as observed) are rejected individually with reasons
-        instead of failing the whole batch; clean rows are answered.
-        Returns a :class:`repro.serving.guards.GuardedBatch` whose
-        ``results`` align with ``kept_indices``.
-        """
-        from repro.serving.guards import GuardedBatch, sanitize_rows
-
-        network = self.model.network
-        if not isinstance(network, DiscreteBayesianNetwork):
-            raise InferenceError("posterior_batch needs the discrete KERT-BN")
-        sanitized = sanitize_rows(
-            observed_means_rows,
-            known=frozenset(map(str, network.nodes)),
-            forbid={str(variable)},
-            binned=False,
-        )
-        # The vectorized kernel needs one evidence signature per call;
-        # guarded batches may mix signatures, so group and reassemble.
-        results: "list[DCompResult | None]" = [None] * len(sanitized.rows)
-        groups: "dict[tuple, list[int]]" = {}
-        for j, row in enumerate(sanitized.rows):
-            groups.setdefault(tuple(sorted(map(str, row))), []).append(j)
-        for members in groups.values():
-            group_results = self.posterior_batch(
-                variable, [sanitized.rows[j] for j in members]
-            )
-            for j, res in zip(members, group_results):
-                results[j] = res
-        return GuardedBatch(
-            results=results,
-            kept_indices=sanitized.kept_indices,
-            rejections=sanitized.rejections,
         )
 
     # ------------------------------------------------------------------ #

@@ -13,7 +13,7 @@ gauges the action's benefit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -148,80 +148,6 @@ class PAccel:
         std = float(np.sqrt(max(np.dot(pmf, (centers - mean) ** 2), 0.0)))
         return PAccelResult(
             evidence=dict(predicted_means), edges=edges, pmf=pmf, mean=mean, std=std
-        )
-
-    def project_batch(
-        self, predicted_means_rows: "Sequence[Mapping[str, float]]"
-    ) -> "list[PAccelResult]":
-        """Batched :meth:`project` for discrete models.
-
-        Evaluates N candidate resource actions (all predicting the same
-        service set) in one vectorized engine pass — the manager's
-        candidate-speedup scan without N elimination sweeps.
-        """
-        network = self.model.network
-        if not isinstance(network, DiscreteBayesianNetwork):
-            raise InferenceError("project_batch needs the discrete KERT-BN")
-        if not predicted_means_rows:
-            raise InferenceError("need at least one row of predicted means")
-        response = self.model.response
-        if any(response in row for row in predicted_means_rows):
-            raise InferenceError("cannot condition on the response itself")
-        disc = self.model.discretizer
-        assert disc is not None
-        evidence_rows = [
-            {name: disc.state_of(name, float(mean)) for name, mean in row.items()}
-            for row in predicted_means_rows
-        ]
-        pmfs = network.compiled().query_batch([response], evidence_rows)
-        centers = disc.centers(response)
-        edges = disc.edges(response)
-        results = []
-        for row, pmf in zip(predicted_means_rows, pmfs):
-            mean = float(np.dot(pmf, centers))
-            std = float(np.sqrt(max(np.dot(pmf, (centers - mean) ** 2), 0.0)))
-            results.append(
-                PAccelResult(
-                    evidence=dict(row), edges=edges, pmf=pmf, mean=mean, std=std
-                )
-            )
-        return results
-
-    def project_batch_guarded(
-        self, predicted_means_rows: "Sequence[Mapping[str, float]]"
-    ):
-        """:meth:`project_batch` behind the serving guard layer.
-
-        Malformed candidate rows (unknown services, NaN predictions,
-        conditioning on the response) are rejected per row with reasons;
-        clean rows — even with differing service sets — are projected.
-        Returns a :class:`repro.serving.guards.GuardedBatch`.
-        """
-        from repro.serving.guards import GuardedBatch, sanitize_rows
-
-        network = self.model.network
-        if not isinstance(network, DiscreteBayesianNetwork):
-            raise InferenceError("project_batch needs the discrete KERT-BN")
-        sanitized = sanitize_rows(
-            predicted_means_rows,
-            known=frozenset(map(str, network.nodes)),
-            forbid={str(self.model.response)},
-            binned=False,
-        )
-        results: "list[PAccelResult | None]" = [None] * len(sanitized.rows)
-        groups: "dict[tuple, list[int]]" = {}
-        for j, row in enumerate(sanitized.rows):
-            groups.setdefault(tuple(sorted(map(str, row))), []).append(j)
-        for members in groups.values():
-            group_results = self.project_batch(
-                [sanitized.rows[j] for j in members]
-            )
-            for j, res in zip(members, group_results):
-                results[j] = res
-        return GuardedBatch(
-            results=results,
-            kept_indices=sanitized.kept_indices,
-            rejections=sanitized.rejections,
         )
 
     def _hybrid(

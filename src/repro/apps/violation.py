@@ -77,61 +77,6 @@ def violation_curve(
     return rows
 
 
-def guarded_violation_curve(
-    model_prob,
-    real_samples: np.ndarray,
-    thresholds: Sequence[float],
-) -> list[dict]:
-    """:func:`violation_curve` that survives bad thresholds and a flaky
-    ``model_prob``.
-
-    Non-finite thresholds and per-threshold evaluation failures produce
-    a row with an ``"error"`` string (and ``p_model``/``epsilon`` of
-    NaN) instead of aborting the sweep — an autonomic loop keeps the
-    assessments it *can* compute.
-    """
-    real_samples = np.asarray(real_samples, dtype=float)
-    rows = []
-    for h in thresholds:
-        h = float(h)
-        if not np.isfinite(h):
-            rows.append(
-                {
-                    "threshold": h,
-                    "p_real": float("nan"),
-                    "p_model": float("nan"),
-                    "epsilon": float("nan"),
-                    "error": f"threshold {h!r} is not finite",
-                }
-            )
-            continue
-        p_real = empirical_tail_probability(real_samples, h)
-        try:
-            p_model = float(model_prob(h))
-            epsilon = relative_violation_error(p_model, p_real)
-        except Exception as exc:
-            rows.append(
-                {
-                    "threshold": h,
-                    "p_real": p_real,
-                    "p_model": float("nan"),
-                    "epsilon": float("nan"),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            continue
-        rows.append(
-            {
-                "threshold": h,
-                "p_real": p_real,
-                "p_model": p_model,
-                "epsilon": epsilon,
-                "error": None,
-            }
-        )
-    return rows
-
-
 def default_thresholds(samples: np.ndarray, n: int = 6) -> list[float]:
     """Six evenly spread quantile thresholds over the observed response
     range (the paper does not list its values; quantiles keep every

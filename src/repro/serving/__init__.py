@@ -25,13 +25,7 @@ from repro.serving.fallback import (
     FallbackChain,
     TierAnswer,
 )
-from repro.serving.guards import (
-    GuardedBatch,
-    RowRejection,
-    SanitizedBatch,
-    check_row,
-    sanitize_rows,
-)
+from repro.serving.guards import check_row
 from repro.serving.quality import (
     AccuracyTripwire,
     DataQualityGate,
@@ -60,15 +54,12 @@ __all__ = [
     "ColumnarBatchResult",
     "DataQualityGate",
     "FallbackChain",
-    "GuardedBatch",
     "HALF_OPEN",
     "ModelRegistry",
     "ModelServer",
     "OPEN",
     "PublishOutcome",
     "QueryResult",
-    "RowRejection",
-    "SanitizedBatch",
     "ServerStats",
     "STATUS_FAILED",
     "STATUS_OK",
@@ -83,5 +74,4 @@ __all__ = [
     "VersionInfo",
     "WindowVerdict",
     "check_row",
-    "sanitize_rows",
 ]

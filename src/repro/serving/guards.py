@@ -3,9 +3,10 @@
 Monitoring data arrives noisy and partial (Sutton & Jordan's point about
 real queueing measurements), so the serving front-end never trusts a
 query row: every row is checked against the model's variable set and
-value domain, and bad rows are *rejected with reasons* — one
-:class:`RowRejection` per offending row — instead of crashing the whole
-batch.  Clean rows keep flowing.
+value domain, and a bad row is *rejected with reasons* instead of
+crashing the server.  (The columnar batch lane runs the same bin-range
+check vectorized and masks out-of-range rows while the clean rows keep
+flowing.)
 
 Two evidence unit systems are supported:
 
@@ -19,41 +20,7 @@ Two evidence unit systems are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-
-@dataclass(frozen=True)
-class RowRejection:
-    """Why one evidence row was refused."""
-
-    index: int
-    reasons: tuple[str, ...]
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return f"row {self.index}: {'; '.join(self.reasons)}"
-
-
-@dataclass
-class SanitizedBatch:
-    """Outcome of guarding a batch of evidence rows.
-
-    ``rows`` holds the accepted rows (values coerced to ``float`` / bin
-    ``int``), ``kept_indices`` their positions in the original input, and
-    ``rejections`` one entry per refused row.
-    """
-
-    rows: list = field(default_factory=list)
-    kept_indices: list = field(default_factory=list)
-    rejections: list = field(default_factory=list)
-
-    @property
-    def n_accepted(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_rejected(self) -> int:
-        return len(self.rejections)
+from typing import Iterable, Mapping
 
 
 def check_row(
@@ -106,56 +73,3 @@ def check_row(
             elif math.isinf(x):
                 reasons.append(f"{name!r}: non-finite mean {x!r}")
     return tuple(reasons)
-
-
-def sanitize_rows(
-    rows: "Sequence[Mapping]",
-    *,
-    known: Iterable[str],
-    cards: "Mapping[str, int] | None" = None,
-    forbid: Iterable[str] = (),
-    binned: bool = False,
-) -> SanitizedBatch:
-    """Validate a batch of evidence rows, splitting clean from rejected.
-
-    Never raises on bad content — malformed rows come back as
-    :class:`RowRejection` entries with every reason listed.
-    """
-    known_set = frozenset(map(str, known))
-    batch = SanitizedBatch()
-    for i, row in enumerate(rows):
-        reasons = check_row(
-            row, known=known_set, cards=cards, forbid=forbid, binned=binned
-        )
-        if reasons:
-            batch.rejections.append(RowRejection(index=i, reasons=reasons))
-            continue
-        if binned:
-            clean = {str(k): int(v) for k, v in row.items()}
-        else:
-            clean = {str(k): float(v) for k, v in row.items()}
-        batch.rows.append(clean)
-        batch.kept_indices.append(i)
-    return batch
-
-
-@dataclass
-class GuardedBatch:
-    """A guarded batch-query outcome: per-kept-row results + rejections.
-
-    ``results[j]`` answers the row at original index
-    ``kept_indices[j]``; rejected rows are absent from ``results`` and
-    explained in ``rejections``.
-    """
-
-    results: list
-    kept_indices: list
-    rejections: "list[RowRejection]"
-
-    @property
-    def n_accepted(self) -> int:
-        return len(self.results)
-
-    @property
-    def n_rejected(self) -> int:
-        return len(self.rejections)

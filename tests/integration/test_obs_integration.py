@@ -10,6 +10,7 @@ same state from inside the process.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -31,10 +32,9 @@ def _serve_batch(model):
 
     srv = ModelServer(model, rng=0)
     svc = [n for n in model.network.nodes if n != model.response][0]
-    rows = [{svc: 0}, {svc: 1}, {svc: 2}]
-    results = srv.query_batch([model.response], rows, binned=True)
-    assert all(r.ok for r in results)
-    return results
+    result = srv.query_batch_columns([model.response], {svc: np.arange(3)})
+    assert result.ok and result.n_valid == 3
+    return result
 
 
 def _learn_round(ediamond_env, train):
@@ -51,7 +51,7 @@ def test_snapshot_after_serving_and_learning(
     obs_active, ediamond_env, ediamond_data, ediamond_discrete_model
 ):
     train, _ = ediamond_data
-    results = _serve_batch(ediamond_discrete_model)
+    batch = _serve_batch(ediamond_discrete_model)
     round_result = _learn_round(ediamond_env, train)
 
     snap = obs.snapshot()
@@ -62,8 +62,8 @@ def test_snapshot_after_serving_and_learning(
         name: v for name, v in counters.items()
         if name.startswith("serving.tier.")
     }
-    assert sum(tier_counts.values()) == len(results)
-    assert counters["serving.queries"] == len(results)
+    assert sum(tier_counts.values()) == batch.n_rows
+    assert counters["serving.queries"] == batch.n_rows
 
     # Learning produced the per-agent fit-time histogram.
     fit_hist = snap["metrics"]["histograms"]["decentralized.agent_fit_seconds"]

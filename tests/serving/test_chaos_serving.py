@@ -7,7 +7,8 @@ variable-elimination tier fail in bursts.  The resilience contract under test:
 - zero uncaught exceptions across the whole run;
 - every well-formed query is *answered*, with the fallback tier that
   produced the answer recorded;
-- malformed rows are rejected individually, each with reasons;
+- malformed rows are rejected individually: single queries with
+  reasons, columnar batch rows through the ``valid`` mask;
 - the compiled tier's circuit breaker trips within its threshold;
 - a poisoned monitoring window is quarantined by the quality gate;
 - publishing a regressed model trips the accuracy tripwire, the
@@ -106,17 +107,23 @@ def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data):
             )
             well_formed = True
         else:
-            batch = server.query_batch(
-                [response],
-                [{svc: mean}, {svc: float("inf")}, {svc: mean * 1.1}],
+            # One binned columnar batch; its middle row is out of range.
+            disc = server.model.discretizer
+            states = np.array(
+                [
+                    disc.state_of(svc, mean),
+                    server.model.network.cardinalities[svc],
+                    disc.state_of(svc, mean * 1.1),
+                ]
             )
-            assert [r.status for r in batch] == ["ok", "rejected", "ok"]
-            for r in batch:
-                if r.ok:
-                    tiers_seen.add(r.tier)
-            assert batch[1].reasons
+            batch = server.query_batch_columns([response], {svc: states})
+            assert batch.ok and batch.tier in CHAIN
+            np.testing.assert_array_equal(batch.valid, [True, False, True])
+            assert batch.n_valid == len(batch.pmfs) == 2
+            np.testing.assert_allclose(batch.pmfs.sum(axis=1), 1.0)
+            tiers_seen.add(batch.tier)
             n_well_formed += 2
-            n_answered += sum(r.ok for r in batch)
+            n_answered += batch.n_valid
             n_malformed += 1
             n_rejected += 1
             continue

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.serving.guards import check_row, sanitize_rows
+from repro.serving.guards import check_row
 
 KNOWN = frozenset({"a", "b", "D"})
 CARDS = {"a": 4, "b": 4, "D": 4}
@@ -62,27 +62,3 @@ def test_multiple_reasons_all_reported():
         {"zz": 1.0, "a": float("nan"), "D": 2.0}, known=KNOWN, forbid={"D"}
     )
     assert len(reasons) == 3
-
-
-def test_sanitize_rows_splits_and_aligns():
-    rows = [
-        {"a": 1.0},
-        {"a": float("nan")},
-        {"zz": 2.0},
-        {"b": np.float64(3.0)},
-        {},
-    ]
-    batch = sanitize_rows(rows, known=KNOWN)
-    assert batch.kept_indices == [0, 3]
-    assert batch.n_accepted == 2 and batch.n_rejected == 3
-    assert [r.index for r in batch.rejections] == [1, 2, 4]
-    for rej in batch.rejections:
-        assert rej.reasons  # every rejection carries at least one reason
-    # accepted values coerced to plain floats
-    assert isinstance(batch.rows[1]["b"], float)
-
-
-def test_sanitize_rows_binned_coerces_ints():
-    batch = sanitize_rows([{"a": np.int64(1)}], known=KNOWN, cards=CARDS, binned=True)
-    assert batch.rows == [{"a": 1}]
-    assert isinstance(batch.rows[0]["a"], int)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.serving.breaker import AdmissionController
+from repro.serving.breaker import CLOSED, AdmissionController
 from repro.serving.fallback import TIER_COMPILED, TIER_PRIOR, TIER_SWEEP
 from repro.serving.registry import ModelRegistry
 from repro.serving.server import (
-    STATUS_OK,
     STATUS_REJECTED,
     STATUS_SHED,
     TIER_ANALYTIC,
@@ -114,56 +113,6 @@ def test_admission_control_sheds_under_overload(fresh_discrete_model):
 
 
 # --------------------------------------------------------------------- #
-# Batches
-# --------------------------------------------------------------------- #
-
-
-def test_query_batch_aligns_results_with_input_rows(
-    fresh_discrete_model, ediamond_data
-):
-    train, _ = ediamond_data
-    model = fresh_discrete_model
-    srv = ModelServer(model, rng=0)
-    a, b = _svc(model, 0), _svc(model, 1)
-    rows = [
-        {a: _mean(train, a)},
-        {a: float("nan")},
-        {"martian": 1.0},
-        {b: _mean(train, b)},          # different signature, same batch
-        {a: _mean(train, a) * 1.1},
-    ]
-    results = srv.query_batch([model.response], rows)
-    assert [r.status for r in results] == [
-        STATUS_OK, STATUS_REJECTED, STATUS_REJECTED, STATUS_OK, STATUS_OK,
-    ]
-    # batched answers equal the single-query path
-    single = srv.query([model.response], rows[0])
-    np.testing.assert_allclose(results[0].value, single.value)
-    assert srv.stats.n_rows_rejected == 2
-
-
-def test_query_batch_survives_engine_fault_per_row(
-    fresh_discrete_model, ediamond_data
-):
-    train, _ = ediamond_data
-    model = fresh_discrete_model
-    srv = ModelServer(model, rng=0)
-    a = _svc(model)
-    exact = srv.query([model.response], {a: _mean(train, a)}).value
-
-    def boom(*args):
-        raise RuntimeError("injected")
-
-    srv.chain.engine.failure_hook = boom
-    results = srv.query_batch(
-        [model.response], [{a: _mean(train, a)}, {a: _mean(train, a) * 2}]
-    )
-    assert all(r.ok for r in results)
-    assert all(r.tier == TIER_SWEEP for r in results)
-    np.testing.assert_allclose(results[0].value, exact, atol=1e-10)
-
-
-# --------------------------------------------------------------------- #
 # Columnar lane
 # --------------------------------------------------------------------- #
 
@@ -185,12 +134,9 @@ def test_columns_match_query_batch_row_by_row(fresh_discrete_model):
     cr = srv.query_batch_columns([model.response], cols)
     assert cr.ok and cr.tier == TIER_COMPILED
     assert cr.n_rows == cr.n_valid == 40 and cr.valid is None
-    rows = [
-        {v: int(c[i]) for v, c in cols.items()} for i in range(cr.n_rows)
-    ]
-    results = srv.query_batch([model.response], rows, binned=True)
-    assert len(cr.pmfs) == len(results)
-    for pmf, r in zip(cr.pmfs, results):
+    for i, pmf in enumerate(cr.pmfs):
+        row = {v: int(c[i]) for v, c in cols.items()}
+        r = srv.query([model.response], row, binned=True)
         assert r.ok
         np.testing.assert_allclose(pmf, r.value, rtol=0, atol=1e-12)
 
@@ -269,6 +215,27 @@ def test_columns_stats_count_every_row_once(fresh_discrete_model):
         s["n_queries"]
     )
     assert s["tier_counts"] == {TIER_COMPILED: 9, TIER_SWEEP: 2}
+
+
+def test_columns_kernel_failure_runs_the_batch_kernel_once(
+    fresh_discrete_model,
+):
+    model = fresh_discrete_model
+    srv = ModelServer(model, rng=0)
+    calls = []
+
+    def batch_only(kind, *args):
+        calls.append(kind)
+        if kind == "batch":
+            raise RuntimeError("injected batch fault")
+
+    srv.chain.engine.failure_hook = batch_only
+    cr = srv.query_batch_columns([model.response], _columns(model, 5))
+    # The failed batch kernel is not retried: each row walks the chain.
+    assert calls == ["batch"] + ["query"] * 5
+    assert cr.ok and cr.n_valid == 5
+    assert cr.tier == TIER_COMPILED  # the single-row compiled tier
+    assert srv.breakers[TIER_COMPILED].state == CLOSED
 
 
 def test_columns_admission_shed_counts_every_row(fresh_discrete_model):
@@ -361,3 +328,35 @@ def test_refresh_follows_rollback(
     assert srv.refresh() == 1
     r = srv.query([srv.model.response], {})
     assert r.ok and r.value.shape == (4,)
+
+
+def test_refresh_during_a_query_answers_from_one_version(
+    tmp_path, ediamond_env, ediamond_data
+):
+    from repro.core.kertbn import build_discrete_kertbn
+
+    train, _ = ediamond_data
+    reg = ModelRegistry(str(tmp_path / "reg"))
+    reg.publish(build_discrete_kertbn(ediamond_env.workflow, train, n_bins=4))
+    srv = ModelServer(reg, rng=0)
+    v1 = srv.model
+    reg.publish(build_discrete_kertbn(ediamond_env.workflow, train, n_bins=6))
+    svc = _svc(v1)
+
+    # The swap lands mid-query: after v1's checks, while v1's
+    # discretizer bins the evidence.
+    disc = v1.discretizer
+    state_of = disc.state_of
+
+    def refreshing_state_of(column, value):
+        srv.refresh()
+        return state_of(column, value)
+
+    disc.state_of = refreshing_state_of
+    r = srv.query([v1.response], {svc: _mean(train, svc)})
+    assert srv.version == 2
+    assert r.ok and r.value.shape == (4,)
+    expected = v1.network.compiled().query(
+        [v1.response], {svc: state_of(svc, _mean(train, svc))}
+    ).values
+    np.testing.assert_allclose(r.value, expected)
