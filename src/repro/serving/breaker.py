@@ -24,7 +24,6 @@ as before.
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
@@ -103,7 +102,11 @@ class CircuitBreaker:
     def record_success(self) -> None:
         with self._lock:
             self._consecutive_failures = 0
-            self._transition(CLOSED)
+            # Call out only on a real change: a call made while the lock
+            # is held lets the interpreter switch threads inside it (see
+            # :meth:`AdmissionController.admit`).
+            if self._state != CLOSED:
+                self._transition(CLOSED)
 
     def record_failure(self) -> None:
         with self._lock:
@@ -147,14 +150,21 @@ class AdmissionController:
         self.shed_fraction = float(shed_fraction)
         self.rng = ensure_rng(rng)
         self._lock = threading.Lock()
-        self._outcomes: deque = deque(maxlen=self.window)
+        # Ring buffer of the last ``window`` overload signals, with its
+        # fill level and the count of ``True`` in it kept in step, so a
+        # decision or a record costs O(1) and makes no call under the
+        # lock (see :meth:`admit`).
+        self._outcomes = [False] * self.window
+        self._next = 0
+        self._n_outcomes = 0
+        self._n_overloaded = 0
         self.n_shed = 0
         self.n_admitted = 0
 
     def _overload_fraction_locked(self) -> float:
-        if not self._outcomes:
+        if not self._n_outcomes:
             return 0.0
-        return sum(self._outcomes) / len(self._outcomes)
+        return self._n_overloaded / self._n_outcomes
 
     @property
     def overload_fraction(self) -> float:
@@ -165,16 +175,19 @@ class AdmissionController:
     def overloaded(self) -> bool:
         with self._lock:
             return (
-                len(self._outcomes) >= self.window
+                self._n_outcomes >= self.window
                 and self._overload_fraction_locked() >= self.overload_threshold
             )
 
     def admit(self) -> bool:
         """Admission decision for one incoming query."""
         with self._lock:
+            # Inline, not through the helper: a call made while the lock
+            # is held lets the interpreter switch threads inside it, and
+            # under contention the other threads then queue on the lock.
             overloaded = (
-                len(self._outcomes) >= self.window
-                and self._overload_fraction_locked() >= self.overload_threshold
+                self._n_outcomes >= self.window
+                and self._n_overloaded / self.window >= self.overload_threshold
             )
             if overloaded and self.rng.random() < self.shed_fraction:
                 self.n_shed += 1
@@ -184,5 +197,11 @@ class AdmissionController:
 
     def record(self, overloaded: bool) -> None:
         """Report one completed query's overload signal."""
+        overloaded = bool(overloaded)
         with self._lock:
-            self._outcomes.append(bool(overloaded))
+            i = self._next
+            self._n_overloaded += overloaded - self._outcomes[i]
+            self._outcomes[i] = overloaded
+            self._next = (i + 1) % self.window
+            if self._n_outcomes < self.window:
+                self._n_outcomes += 1

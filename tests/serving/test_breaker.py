@@ -1,5 +1,7 @@
 """Circuit breaker and admission control: deterministic state machines."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ def test_admission_sheds_only_when_window_is_overloaded():
     assert not ac.overloaded
     assert ac.admit()
 
+
+def test_admission_window_slides_like_a_bounded_deque():
+    """The ring buffer's running counts match a recount of the last
+    ``window`` outcomes after every record, through many wrap-arounds."""
+    ac = AdmissionController(window=7, overload_threshold=0.4)
+    ref = deque(maxlen=7)
+    signals = np.random.default_rng(3).random(100) < 0.4
+    for signal in signals:
+        ac.record(signal)
+        ref.append(bool(signal))
+        assert ac.overload_fraction == sum(ref) / len(ref)
+        assert ac.overloaded == (len(ref) == 7 and sum(ref) / 7 >= 0.4)
 
 def test_admission_is_deterministic_under_a_seed():
     def run():
