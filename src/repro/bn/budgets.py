@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
-from scipy.stats import multivariate_normal, norm
+from numpy.typing import ArrayLike
+from scipy.special import ndtr, owens_t
 
 from repro.exceptions import ReproError
 from repro.workflow.constructs import (
@@ -265,8 +266,9 @@ def allocate_budgets(
                     hi = mid
             lam = lo
         feasible = True
+    tail = float(ndtr(-lam))  # P(Z > lambda), shared by every service
     tails = {
-        s: (float(norm.sf(lam)) if marginals[s][1] > 0 or mu[s] > 0 else 0.0)
+        s: (tail if marginals[s][1] > 0 or mu[s] > 0 else 0.0)
         for s in services
     }
     tail_total = float(sum(tails.values()))
@@ -418,6 +420,33 @@ def discrete_blame(
     return blame
 
 
+def _upper_orthant(h: ArrayLike, k: ArrayLike, rho: ArrayLike) -> np.ndarray:
+    """``P(X > h, Y > k)`` for standard bivariate normals with correlation
+    ``rho``, elementwise, in closed form via Owen's T function.
+
+    Owen (1956): with ``s = sqrt(1 - rho**2)``, the lower orthant at
+    ``(x, y) = (-h, -k)`` is ``Phi(x)/2 + Phi(y)/2 - T(x, (y - rho x) /
+    (x s)) - T(y, (x - rho y) / (y s)) - beta``, ``beta = 1/2`` when
+    ``x`` and ``y`` have opposite signs.  At ``x = 0`` the first T term
+    and ``beta`` cancel against ``Phi(0)/2``, leaving ``Phi(y)/2 + T(y,
+    rho / s)`` (symmetrically at ``y = 0``; both zero gives ``1/4 +
+    asin(rho) / (2 pi)``).
+    """
+    x, y = -np.asarray(h, dtype=float), -np.asarray(k, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    x_s = np.where(x == 0.0, 1.0, x) * s  # zero rows are replaced below
+    y_s = np.where(y == 0.0, 1.0, y) * s
+    general = (
+        0.5 * (ndtr(x) + ndtr(y))
+        - owens_t(x, (y - rho * x) / x_s)
+        - owens_t(y, (x - rho * y) / y_s)
+        - np.where((x < 0.0) != (y < 0.0), 0.5, 0.0)
+    )
+    out = np.where(x == 0.0, 0.5 * ndtr(y) + owens_t(y, rho / s), general)
+    return np.where(y == 0.0, 0.5 * ndtr(x) + owens_t(x, rho / s), out)
+
+
 def normal_blame(
     moments: Mapping[str, tuple[float, float, float]],
     d_mean: float,
@@ -431,28 +460,24 @@ def normal_blame(
     produced by :meth:`repro.apps.assessment.RapidAssessor.
     response_moments`; the joint of ``(X_i, D)`` is approximated as
     bivariate normal (D's moments already carry the Clark max
-    propagation), giving a closed-form orthant probability per service.
+    propagation), giving a closed-form orthant probability per service
+    (:func:`_upper_orthant`, all services in one vectorized call).
     """
     d_std = math.sqrt(max(float(d_var), 1e-18))
-    p_breach = float(norm.sf(sla, loc=d_mean, scale=d_std))
-    blame: dict[str, float] = {}
-    for service, bound in budgets.items():
-        if service not in moments:
-            blame[service] = 0.0
-            continue
-        m, v, c = moments[service]
-        if p_breach <= 1e-300 or v <= 0.0:
-            blame[service] = 0.0
-            continue
-        s_std = math.sqrt(v)
-        rho = max(min(c / (s_std * d_std), 0.999999), -0.999999)
-        zb = (float(bound) - m) / s_std
-        zt = (float(sla) - d_mean) / d_std
-        # P(X > zb, D > zt) = F_{(-X,-D)}(-zb, -zt), same correlation.
-        joint = float(
-            multivariate_normal(
-                mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]]
-            ).cdf([-zb, -zt])
-        )
-        blame[service] = min(max(joint / p_breach, 0.0), 1.0)
+    zt = (float(sla) - d_mean) / d_std
+    p_breach = float(ndtr(-zt))  # norm.sf(sla, d_mean, d_std), bit for bit
+    blame = {service: 0.0 for service in budgets}
+    if p_breach <= 1e-300:
+        return blame
+    # "not v <= 0" as the scalar test had it: a NaN variance is not skipped.
+    live = [s for s in budgets if s in moments and not moments[s][1] <= 0.0]
+    if not live:
+        return blame
+    m, v, c = np.array([moments[s] for s in live], dtype=float).T
+    bound = np.array([budgets[s] for s in live], dtype=float)
+    s_std = np.sqrt(v)
+    rho = np.clip(c / (s_std * d_std), -0.999999, 0.999999)
+    joint = _upper_orthant((bound - m) / s_std, zt, rho)
+    share = np.clip(joint / p_breach, 0.0, 1.0)
+    blame.update(zip(live, share.tolist()))
     return blame

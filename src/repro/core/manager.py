@@ -242,9 +242,7 @@ class AutonomicManager:
         m = _OBS.metrics
         resp = np.asarray(data[self.env.response], dtype=float)
         finite = resp[np.isfinite(resp)]
-        hist = m.histogram("manager.window.response_seconds")
-        for value in finite:
-            hist.observe(float(value))
+        m.histogram("manager.window.response_seconds").observe_many(finite)
         m.counter("manager.window.points").inc(int(finite.size))
         m.counter("manager.window.violations").inc(
             int(np.count_nonzero(finite > self.policy.threshold))
@@ -259,12 +257,10 @@ class AutonomicManager:
 
             for service in self.env.service_names:
                 col = np.asarray(data[service], dtype=float)
-                shist = m.histogram(
+                m.histogram(
                     tracker.stream_name(service),
                     buckets=BUDGET_STREAM_BUCKETS,
-                )
-                for value in col[np.isfinite(col)]:
-                    shist.observe(float(value))
+                ).observe_many(col[np.isfinite(col)])
 
     def _budget_tracker(self):
         """The BudgetTracker riding the attached SLO monitor, if any."""

@@ -6,9 +6,10 @@ holds the current allocation (duck-typed — anything with ``sla``,
 ``target``, ``slack``, ``feasible``, ``expression`` and a ``budgets``
 sequence of ``service``/``budget`` records, so the obs layer stays
 import-free of the model stack), watches one *measured* latency
-histogram per service with the same cumulative-delta windowing
-:class:`~repro.obs.slo.SLOMonitor` applies to its objectives, and keeps
-the model-side posterior blame ``P(X_i > b_i | D > sla)`` the analyze
+histogram per service through the same
+:class:`~repro.obs.slo.CountWindow` that
+:class:`~repro.obs.slo.SLOMonitor` keeps per objective, and keeps the
+model-side posterior blame ``P(X_i > b_i | D > sla)`` the analyze
 phase pushes in.
 
 The product is a ranked attribution: for each service the *allocated*
@@ -26,6 +27,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
+
+from repro.obs.slo import CountWindow, _percentile_from_buckets
 
 __all__ = ["BudgetTracker", "BUDGET_GAUGE_FAMILIES", "BUDGET_STREAM_BUCKETS"]
 
@@ -56,10 +59,9 @@ _HISTORY = 32
 
 @dataclass
 class _ServiceState:
-    """Rolling window + burn history for one service's stream."""
+    """Count window + burn history for one service's stream."""
 
-    window: Deque[Tuple[int, ...]] = field(default_factory=deque)
-    last: Optional[Tuple[int, ...]] = None
+    window: CountWindow = field(default_factory=CountWindow)
     consumed: Optional[float] = None
     burn_rate: float = 0.0
     breached: bool = False
@@ -67,14 +69,6 @@ class _ServiceState:
     history: Deque[float] = field(
         default_factory=lambda: deque(maxlen=_HISTORY)
     )
-
-
-def _percentile_from_buckets(
-    bounds: Tuple[float, ...], counts: List[int], q: float
-) -> Optional[float]:
-    from repro.obs.slo import _percentile_from_buckets as impl
-
-    return impl(bounds, counts, q)
 
 
 class BudgetTracker:
@@ -173,30 +167,12 @@ class BudgetTracker:
         breaches: List[dict] = []
         for service in self.services:
             state = self._states[service]
-            summary = registry.histogram(
+            hist = registry.histogram(
                 self.stream_name(service), buckets=BUDGET_STREAM_BUCKETS
-            ).summary()
-            counts = tuple(int(c) for c in summary["bucket_counts"])
-            bounds = tuple(float(b) for b in summary["bucket_bounds"])
-            last = state.last
-            if last is None or len(last) != len(counts) or any(
-                c < p for c, p in zip(counts, last)
-            ):
-                delta = counts  # first interval, or the registry was reset
-            else:
-                delta = tuple(c - p for c, p in zip(counts, last))
-            state.last = counts
-            if len(state.window) and len(state.window[0]) != len(counts):
-                state.window.clear()  # bucket layout changed underneath us
-            if state.window.maxlen != self.window:
-                state.window = deque(state.window, maxlen=self.window)
-            state.window.append(delta)
-            aggregated = [
-                sum(interval[i] for interval in state.window)
-                for i in range(len(counts))
-            ]
+            )
+            aggregated = state.window.push(hist.bucket_counts(), self.window)
             consumed = _percentile_from_buckets(
-                bounds, aggregated, self.percentile
+                hist.buckets, aggregated, self.percentile
             )
             points = sum(aggregated)
             state.points = points

@@ -11,7 +11,8 @@ instruments with snapshot/reset semantics and text + JSON exporters.
 Design constraints, in order:
 
 - **cheap** — an increment is a dict lookup, a lock, and an integer
-  add; the histogram is fixed-bucket so ``observe`` never allocates;
+  add; the histogram is fixed-bucket so ``observe`` never allocates,
+  and ``observe_many`` bins a whole array outside the lock;
 - **thread-safe** — :func:`repro.decentralized.parallel.
   parallel_parameter_learning` reports fits from whatever thread drains
   the pool, and the chaos suites hammer the serving counters;
@@ -25,6 +26,9 @@ from __future__ import annotations
 import json
 import threading
 from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "Counter",
@@ -103,7 +107,17 @@ class Histogram:
     single sample, everything in overflow) stay well-defined.
     """
 
-    __slots__ = ("name", "buckets", "_counts", "_lock", "_n", "_sum", "_min", "_max")
+    __slots__ = (
+        "name",
+        "buckets",
+        "_bounds",
+        "_counts",
+        "_lock",
+        "_n",
+        "_sum",
+        "_min",
+        "_max",
+    )
 
     def __init__(self, name: str, buckets: Optional[Sequence[float]] = None):
         bounds = tuple(float(b) for b in (buckets or DEFAULT_TIME_BUCKETS))
@@ -113,6 +127,7 @@ class Histogram:
             )
         self.name = name
         self.buckets = bounds
+        self._bounds = np.asarray(bounds)
         self._counts = [0] * (len(bounds) + 1)  # +1: overflow bucket
         self._lock = threading.Lock()
         self._n = 0
@@ -137,6 +152,45 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
+
+    def observe_many(self, values: ArrayLike) -> None:
+        """Observe every value of ``values``, as an :meth:`observe` loop
+        over them in order would: the same bucket counts, ``count``,
+        ``min`` and ``max`` (NaN lands in the overflow bucket and moves
+        neither bound), and a bit-identical ``total``.
+
+        Binning runs outside the lock.  The sum is accumulated left to
+        right from the running total (``np.add.accumulate``): a pairwise
+        or compensated sum, such as ``sum()`` on Python >= 3.12, would
+        round differently.
+        """
+        v = np.asarray(values, dtype=float).reshape(-1)
+        if not v.size:
+            return
+        # side="left": first bucket whose bound >= value, as observe's
+        # bisect; NaN sorts past every bound, into the overflow bucket.
+        counts = np.bincount(
+            np.searchsorted(self._bounds, v, side="left"),
+            minlength=len(self._counts),
+        )
+        hit = np.flatnonzero(counts)
+        hits = list(zip(hit.tolist(), counts[hit].tolist()))
+        ordered = v[~np.isnan(v)]
+        lo = float(ordered.min()) if ordered.size else float("inf")
+        hi = float(ordered.max()) if ordered.size else float("-inf")
+        running = np.empty(v.size + 1)
+        running[1:] = v
+        # inf + -inf is NaN, as in observe, without numpy's warning.
+        with np.errstate(invalid="ignore"), self._lock:
+            for i, c in hits:
+                self._counts[i] += c
+            self._n += v.size
+            running[0] = self._sum
+            self._sum = float(np.add.accumulate(running, out=running)[-1])
+            if lo < self._min:
+                self._min = lo
+            if hi > self._max:
+                self._max = hi
 
     # -- read side ----------------------------------------------------- #
 
@@ -166,7 +220,8 @@ class Histogram:
         return self._counts[-1]
 
     def bucket_counts(self) -> Tuple[int, ...]:
-        return tuple(self._counts)
+        with self._lock:  # one observe_many's counts land all or none
+            return tuple(self._counts)
 
     def percentile(self, q: float) -> Optional[float]:
         """Approximate q-th percentile (``q`` in [0, 100])."""

@@ -13,7 +13,7 @@ action trigger alongside the model-predicted violation probability.
 
 Windowing works on deltas: each :meth:`SLOMonitor.evaluate` call reads
 the cumulative instruments, subtracts the previous reading, and pushes
-the interval delta into a fixed-length window.  Objectives are then
+the interval delta into a fixed-length :class:`CountWindow`.  Objectives are then
 judged on the *window aggregate* — a single slow interval in an
 otherwise healthy window need not breach, and a breach clears once
 enough healthy intervals push the bad one out.  ``burn_rate`` is the
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.obs import runtime
 from repro.obs.runtime import OBS
@@ -134,12 +136,48 @@ def _percentile_from_buckets(
     return float(bounds[-1])
 
 
+class CountWindow:
+    """Running sum of the last ``size`` interval deltas of a cumulative
+    count vector: histogram bucket counts, or an ``(errors, total)`` pair.
+
+    A reading below the previous one in any slot (the registry was reset)
+    counts whole; one of another length (the bucket layout changed) also
+    drops the older deltas.  ``size`` may change between pushes; the
+    newest ``size`` deltas stay.
+    """
+
+    def __init__(self) -> None:
+        self._deltas: Deque[np.ndarray] = deque()
+        self._last: Optional[np.ndarray] = None
+        self._sum = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self._deltas)
+
+    def push(self, reading: Sequence[int], size: int) -> List[int]:
+        """Ingest one cumulative reading; return the window's sum."""
+        counts = np.asarray(reading, dtype=np.int64)
+        if self._last is None or self._last.shape != counts.shape:
+            self._deltas.clear()
+            self._sum = np.zeros_like(counts)
+            delta = counts
+        elif (counts < self._last).any():
+            delta = counts
+        else:
+            delta = counts - self._last
+        self._last = counts
+        while len(self._deltas) >= size:
+            self._sum -= self._deltas.popleft()
+        self._deltas.append(delta)
+        self._sum += delta
+        return self._sum.tolist()
+
+
 @dataclass
 class _ObjectiveState:
-    """Rolling window + last cumulative reading for one objective."""
+    """Count window + last evaluation for one objective."""
 
-    window: deque = field(default_factory=deque)
-    last: "Tuple | None" = None
+    window: CountWindow = field(default_factory=CountWindow)
     last_eval: "dict | None" = None
 
 
@@ -179,8 +217,7 @@ class SLOMonitor:
         self.burn_rate_threshold = float(burn_rate_threshold)
         self.min_points = int(min_points)
         self._states: Dict[str, _ObjectiveState] = {
-            o.name: _ObjectiveState(window=deque(maxlen=self.window))
-            for o in self.objectives
+            o.name: _ObjectiveState() for o in self.objectives
         }
         self._subscribers: List[Callable[[SLOBreach], None]] = []
         self.evaluations = 0
@@ -200,40 +237,19 @@ class SLOMonitor:
     # -- interval ingestion --------------------------------------------- #
 
     def _latency_interval(self, obj: LatencyObjective, state: _ObjectiveState):
-        summary = self.registry.histogram(obj.histogram).summary()
-        counts = tuple(int(c) for c in summary["bucket_counts"])
-        bounds = tuple(float(b) for b in summary["bucket_bounds"])
-        last = state.last
-        if last is None or len(last) != len(counts) or any(
-            c < p for c, p in zip(counts, last)
-        ):
-            delta = counts  # first interval, or the registry was reset
-        else:
-            delta = tuple(c - p for c, p in zip(counts, last))
-        state.last = counts
-        state.window.append(delta)
-        aggregated = [
-            sum(interval[i] for interval in state.window)
-            for i in range(len(counts))
-        ]
-        observed = _percentile_from_buckets(bounds, aggregated, obj.percentile)
-        points = sum(aggregated)
-        return observed, points
+        hist = self.registry.histogram(obj.histogram)
+        aggregated = state.window.push(hist.bucket_counts(), self.window)
+        observed = _percentile_from_buckets(hist.buckets, aggregated, obj.percentile)
+        return observed, sum(aggregated)
 
     def _error_rate_interval(
         self, obj: ErrorRateObjective, state: _ObjectiveState
     ):
-        errors = self.registry.counter(obj.errors).value
-        total = self.registry.counter(obj.total).value
-        last = state.last
-        if last is None or errors < last[0] or total < last[1]:
-            delta = (errors, total)
-        else:
-            delta = (errors - last[0], total - last[1])
-        state.last = (errors, total)
-        state.window.append(delta)
-        err = sum(d[0] for d in state.window)
-        tot = sum(d[1] for d in state.window)
+        reading = (
+            self.registry.counter(obj.errors).value,
+            self.registry.counter(obj.total).value,
+        )
+        err, tot = state.window.push(reading, self.window)
         observed = (err / tot) if tot else None
         return observed, tot
 

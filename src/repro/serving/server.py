@@ -439,9 +439,7 @@ class ModelServer:
                 value=answer.values,
                 tier=answer.tier,
                 tier_errors=answer.tier_errors,
-                deadline_exceeded=any(
-                    "deadline" in e for e in answer.tier_errors.values()
-                ),
+                deadline_exceeded=_missed_deadline(answer.tier_errors),
                 approximate=answer.approximate,
             ),
             started,
@@ -548,9 +546,11 @@ class ModelServer:
         deadline = self._deadline()
         breaker = self.breakers[TIER_COMPILED]
         result: "ColumnarBatchResult | None" = None
-        if (
-            deadline is None or time.monotonic() <= deadline
-        ) and breaker.allow():
+        if deadline is not None and time.monotonic() > deadline:
+            tier_errors = {TIER_COMPILED: "deadline exceeded"}
+        elif not breaker.allow():
+            tier_errors = {TIER_COMPILED: "circuit open"}
+        else:
             try:
                 pmfs = served.chain.engine.query_batch(variables, run_cols)
             except Exception as exc:
@@ -566,8 +566,6 @@ class ModelServer:
                     n_valid=n_valid,
                     tier=TIER_COMPILED,
                 )
-        else:
-            tier_errors = {TIER_COMPILED: "circuit open"}
         if result is None:
             # Degraded: each valid row walks the chain on its own, so
             # engine faults and zero-probability rows resolve per row.
@@ -587,11 +585,8 @@ class ModelServer:
                 n_valid=n_valid,
                 tier=answers[0].tier,
                 tier_errors=tier_errors,
-                deadline_exceeded=any(
-                    "deadline" in e
-                    for a in answers
-                    for e in a.tier_errors.values()
-                ),
+                deadline_exceeded=_missed_deadline(tier_errors)
+                or any(_missed_deadline(a.tier_errors) for a in answers),
                 approximate=any(a.approximate for a in answers),
             )
         result.elapsed_seconds = time.monotonic() - started
@@ -655,9 +650,7 @@ class ModelServer:
                     value=prob,
                     tier=answer.tier,
                     tier_errors=answer.tier_errors,
-                    deadline_exceeded=any(
-                        "deadline" in e for e in answer.tier_errors.values()
-                    ),
+                    deadline_exceeded=_missed_deadline(answer.tier_errors),
                     approximate=answer.approximate,
                 ),
                 started,
@@ -714,6 +707,7 @@ class ModelServer:
                     value=result,
                     tier=answer.tier,
                     tier_errors=answer.tier_errors,
+                    deadline_exceeded=_missed_deadline(answer.tier_errors),
                     approximate=answer.approximate,
                 ),
                 started,
@@ -772,6 +766,11 @@ class ModelServer:
             QueryResult(status=STATUS_OK, value=value, tier=TIER_ANALYTIC),
             started,
         )
+
+
+def _missed_deadline(tier_errors: Mapping) -> bool:
+    """Whether a tier gave up because the call's deadline had passed."""
+    return any("deadline" in e for e in tier_errors.values())
 
 
 def binnable(model) -> bool:

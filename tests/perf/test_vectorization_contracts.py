@@ -210,3 +210,117 @@ def test_manager_cycle_cost_contract(monkeypatch):
             assert calls["runs"] - runs == 1
     assert healthy and acted
     assert (calls["f"], calls["dag"], calls["plans"]) == (1, 1, 1)
+
+
+def _slo_cycles(tmpdir, n_cycles=4):
+    """``n_cycles`` eDiaMoND cycles under an SLO monitor with a budget
+    tracker and a model registry, as perfbench's ``ediamond_mape`` sets
+    them up.  With ``rng=0`` the loop acts on cycles 0-1 and is healthy
+    on 2-3, so budgets are derived, blame is computed and the tracker
+    judges a window."""
+    from repro.core.manager import AutonomicManager, SLAPolicy
+    from repro.obs.attribution import BudgetTracker
+    from repro.obs.slo import SLOMonitor, manager_objectives
+    from repro.serving.registry import ModelRegistry
+    from repro.simulator.scenarios.ediamond import ediamond_scenario
+
+    policy = SLAPolicy(threshold=3.5, max_violation_prob=0.15)
+    tracker = BudgetTracker(window=3)
+    mgr = AutonomicManager(
+        ediamond_scenario(),
+        policy,
+        window_points=250,
+        rng=0,
+        registry=ModelRegistry(tmpdir),
+        slo_monitor=SLOMonitor(
+            manager_objectives(policy), window=3, budget_tracker=tracker
+        ),
+    )
+    for _ in range(n_cycles):
+        yield mgr.run_cycle()
+    assert tracker.allocation is not None and tracker.ranking()[0]["blame"] > 0
+
+
+def test_slo_cycle_bookkeeping_contract(monkeypatch, tmp_path):
+    """The SLO-monitored cycle's bookkeeping is array-at-a-time, counted.
+
+    Per cycle the manager feeds each of its 7 measured streams (the
+    response and 6 services) with one ``observe_many`` call and no
+    per-value ``observe``; the monitor and the tracker read bucket
+    counts, never a full ``summary()``.
+    """
+    from collections import Counter
+
+    from repro.core.manager import AutonomicManager
+    from repro.obs.attribution import BudgetTracker
+    from repro.obs.metrics import Histogram
+    from repro.obs.slo import SLOMonitor
+
+    calls = Counter()
+    scope = []
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            if scope:
+                calls[scope[-1], key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def scoped(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, "calls"] += 1
+            scope.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                scope.pop()
+
+        return wrapper
+
+    for name in ("observe", "observe_many", "summary"):
+        monkeypatch.setattr(
+            Histogram, name, counting(name, getattr(Histogram, name))
+        )
+    for owner, name, key in [
+        (AutonomicManager, "_feed_window_metrics", "feed"),
+        (SLOMonitor, "evaluate", "evaluate"),
+        (BudgetTracker, "observe", "tracker"),
+    ]:
+        monkeypatch.setattr(owner, name, scoped(key, getattr(owner, name)))
+
+    for cycle, _ in enumerate(_slo_cycles(str(tmp_path)), start=1):
+        assert calls["feed", "calls"] == cycle
+        assert calls["feed", "observe_many"] == 7 * cycle
+        assert calls["feed", "observe"] == 0
+    assert calls["evaluate", "calls"] == 4 and calls["tracker", "calls"] >= 1
+    assert calls["evaluate", "summary"] == calls["tracker", "summary"] == 0
+
+
+def test_slo_cycles_do_not_import_scipy_stats(tmp_path):
+    """``scipy.stats`` costs ~1 s to import; the loop's budget and blame
+    layers use ``scipy.special`` only.  A fresh interpreter checks."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import runpy, sys\n"
+        f"cycles = runpy.run_path({__file__!r})['_slo_cycles']\n"
+        f"for _ in cycles({str(tmp_path)!r}):\n"
+        "    pass\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]

@@ -98,6 +98,37 @@ def test_expired_deadline_degrades_to_prior(fresh_discrete_model, ediamond_data)
     assert srv.stats.n_deadline_exceeded == 1
 
 
+def test_expired_deadline_on_project_is_counted(fresh_discrete_model, ediamond_data):
+    """A discrete projection answered from the prior after an overrun
+    reports the overrun, like ``query`` and ``violation_prob``: in the
+    result, in the stats and to admission control."""
+    train, _ = ediamond_data
+    model = fresh_discrete_model
+    ac = AdmissionController(window=5, overload_threshold=0.5)
+    srv = ModelServer(model, deadline_seconds=1e-9, admission=ac, rng=0)
+    svc = _svc(model)
+    r = srv.project({svc: _mean(train, svc)})
+    assert r.ok and r.tier == TIER_PRIOR
+    assert r.deadline_exceeded
+    assert srv.stats.n_deadline_exceeded == 1
+    assert ac.overload_fraction == 1.0
+
+
+def test_expired_deadline_on_columns_is_not_an_open_circuit(fresh_discrete_model):
+    """A batch whose deadline has passed says so while the breaker stays
+    closed, and admission control counts it as an overrun."""
+    model = fresh_discrete_model
+    ac = AdmissionController(window=5, overload_threshold=0.5)
+    srv = ModelServer(model, deadline_seconds=1e-9, admission=ac, rng=0)
+    cr = srv.query_batch_columns([model.response], _columns(model, 3))
+    assert cr.ok and cr.n_valid == 3 and cr.tier == TIER_PRIOR
+    assert cr.tier_errors[TIER_COMPILED] == "deadline exceeded"
+    assert srv.breakers[TIER_COMPILED].state == CLOSED
+    assert cr.deadline_exceeded
+    assert srv.stats.n_deadline_exceeded == 3
+    assert ac.overload_fraction == 1.0
+
+
 def test_admission_control_sheds_under_overload(fresh_discrete_model):
     model = fresh_discrete_model
     ac = AdmissionController(
