@@ -47,6 +47,23 @@ class PAccelResult:
             return float(np.mean(self.samples > threshold))
         return tail_probability_from_pmf(self.pmf, self.edges, threshold)
 
+    @classmethod
+    def from_pmf(
+        cls, evidence: Mapping, pmf: np.ndarray, discretizer, response: str
+    ) -> "PAccelResult":
+        """The result for a discrete response pmf on ``discretizer``'s
+        bins, its moments taken at the bin centers."""
+        centers = discretizer.centers(response)
+        mean = float(np.dot(pmf, centers))
+        std = float(np.sqrt(max(np.dot(pmf, (centers - mean) ** 2), 0.0)))
+        return cls(
+            evidence=dict(evidence),
+            edges=discretizer.edges(response),
+            pmf=pmf,
+            mean=mean,
+            std=std,
+        )
+
 
 class PAccel:
     """Acceleration-impact projection on a built KERT-BN."""
@@ -88,46 +105,24 @@ class PAccel:
         names, mean, cov = joint_gaussian(network)
         m, v = conditional_of(names, mean, cov, response,
                               {k: float(x) for k, x in predicted_means.items()})
-        std = float(np.sqrt(max(v, 1e-18)))
-        lo, hi = m - 5 * std, m + 5 * std
-        edges = np.linspace(lo, hi, 81)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = np.exp(-0.5 * ((centers - m) / std) ** 2)
-        pmf = dens / dens.sum()
-        return PAccelResult(
-            evidence=dict(predicted_means), edges=edges, pmf=pmf, mean=m, std=std
-        )
+        return _from_normal(dict(predicted_means), m, float(np.sqrt(max(v, 1e-18))))
 
     def baseline(self, n_samples: int = 40_000, rng=None) -> PAccelResult:
         """The current (no-action) response-time distribution, for
         benefit = projected − baseline comparisons."""
         network = self.model.network
+        response = self.model.response
         if isinstance(network, DiscreteBayesianNetwork):
-            disc = self.model.discretizer
-            assert disc is not None
-            response = self.model.response
+            assert self.model.discretizer is not None
             pmf = network.compiled().prior(response).values
-            edges = disc.edges(response)
-            centers = disc.centers(response)
-            mean = float(np.dot(pmf, centers))
-            std = float(np.sqrt(max(np.dot(pmf, (centers - mean) ** 2), 0.0)))
-            return PAccelResult(evidence={}, edges=edges, pmf=pmf, mean=mean, std=std)
+            return PAccelResult.from_pmf({}, pmf, self.model.discretizer, response)
         if isinstance(network, GaussianBayesianNetwork):
             from repro.bn.inference.gaussian import joint_gaussian, marginal_gaussian
 
             names, mean, cov = joint_gaussian(network)
-            _, m, v = marginal_gaussian(names, mean, cov, [self.model.response])
-            mu, std = float(m[0]), float(np.sqrt(max(v[0, 0], 1e-18)))
-            edges = np.linspace(mu - 5 * std, mu + 5 * std, 81)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            dens = np.exp(-0.5 * ((centers - mu) / std) ** 2)
-            return PAccelResult(
-                evidence={}, edges=edges, pmf=dens / dens.sum(), mean=mu, std=std
-            )
-        assert isinstance(network, HybridResponseNetwork)
-        rng = ensure_rng(rng)
-        samples = network.response_distribution(n_samples=n_samples, rng=rng)
-        return _from_samples({}, samples)
+            _, m, v = marginal_gaussian(names, mean, cov, [response])
+            return _from_normal({}, float(m[0]), float(np.sqrt(max(v[0, 0], 1e-18))))
+        return self._hybrid({}, n_samples, rng)
 
     # ------------------------------------------------------------------ #
 
@@ -142,13 +137,7 @@ class PAccel:
         }
         # Compiled engine: repeated what-if projections share one plan.
         pmf = network.compiled().query([response], evidence).values
-        centers = disc.centers(response)
-        edges = disc.edges(response)
-        mean = float(np.dot(pmf, centers))
-        std = float(np.sqrt(max(np.dot(pmf, (centers - mean) ** 2), 0.0)))
-        return PAccelResult(
-            evidence=dict(predicted_means), edges=edges, pmf=pmf, mean=mean, std=std
-        )
+        return PAccelResult.from_pmf(predicted_means, pmf, disc, response)
 
     def _hybrid(
         self, predicted_means: Mapping[str, float], n_samples: int, rng
@@ -161,6 +150,16 @@ class PAccel:
             n_samples=n_samples, rng=rng, evidence=evidence
         )
         return _from_samples(dict(predicted_means), samples)
+
+
+def _from_normal(evidence: dict, mean: float, std: float) -> PAccelResult:
+    """A normal response on 80 bins spanning ``mean ± 5 std``."""
+    edges = np.linspace(mean - 5 * std, mean + 5 * std, 81)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    dens = np.exp(-0.5 * ((centers - mean) / std) ** 2)
+    return PAccelResult(
+        evidence=evidence, edges=edges, pmf=dens / dens.sum(), mean=mean, std=std
+    )
 
 
 def _from_samples(evidence: dict, samples: np.ndarray) -> PAccelResult:

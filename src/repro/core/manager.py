@@ -455,25 +455,17 @@ class AutonomicManager:
         if budget_breaches:
             budget_breaches.sort(key=lambda b: -float(b.burn_rate))
             target = budget_breaches[0].service
-        chosen = None
+        current_mean = float(np.mean(data[target]))
+        # Mildest first; when even the strongest (last) candidate is
+        # insufficient, take it anyway (best effort) and record the
+        # residual risk.
         for speedup in sorted(self.policy.candidate_speedups, reverse=True):
-            current_mean = float(np.mean(data[target]))
             projected = assessor.violation_probability(
                 self.policy.threshold, {target: speedup * current_mean}
             )
             if projected <= self.policy.max_violation_prob:
-                chosen = (speedup, projected)
                 break
-        if chosen is None:
-            # Even the strongest candidate is insufficient; take it
-            # anyway (best effort) and record the residual risk.
-            speedup = min(self.policy.candidate_speedups)
-            projected = assessor.violation_probability(
-                self.policy.threshold,
-                {target: speedup * float(np.mean(data[target]))},
-            )
-            chosen = (speedup, projected)
-        return target, chosen
+        return target, (speedup, projected)
 
     def run(self, n_cycles: int) -> list[CycleReport]:
         if n_cycles < 1:

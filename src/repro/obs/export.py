@@ -31,6 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional
 
 from repro.obs import runtime
+from repro.obs.attribution import BUDGET_GAUGE_FAMILIES
 from repro.obs.runtime import OBS
 
 __all__ = [
@@ -99,13 +100,6 @@ def _labels(const_labels: "Mapping[str, str] | None", extra: str = "") -> str:
 #: ``repro_slo_budget_<family>{service="..."}``.  The registry has no
 #: label concept, so the service rides in the dotted name until export.
 _BUDGET_GAUGE_PREFIX = "slo.budget."
-_BUDGET_GAUGE_FAMILIES = (
-    "allocated",
-    "consumed",
-    "burn_rate",
-    "blame",
-    "breached",
-)
 
 
 def _budget_gauge_service(name: str) -> "tuple[str, str] | None":
@@ -113,7 +107,7 @@ def _budget_gauge_service(name: str) -> "tuple[str, str] | None":
     if not name.startswith(_BUDGET_GAUGE_PREFIX):
         return None
     family, _, service = name[len(_BUDGET_GAUGE_PREFIX):].partition(".")
-    if family in _BUDGET_GAUGE_FAMILIES and service:
+    if family in BUDGET_GAUGE_FAMILIES and service:
         return family, service
     return None
 
@@ -152,7 +146,7 @@ def render_prometheus(
         lines.append(f"# HELP {prom} repro gauge {_escape_help(name)}")
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom}{_labels(const_labels)} {_fmt(value)}")
-    for family in _BUDGET_GAUGE_FAMILIES:
+    for family in BUDGET_GAUGE_FAMILIES:
         if family not in budget_series:
             continue
         prom = sanitize_metric_name(_BUDGET_GAUGE_PREFIX + family, prefix)

@@ -312,23 +312,24 @@ class SLOMonitor:
                     detail=detail,
                 )
                 breaches.append(breach)
-                m.counter("slo.breaches").inc()
-                m.counter(f"slo.{obj.name}.breaches").inc()
-                runtime.emit_event("slo_breach", breach.to_dict())
-                for callback in self._subscribers:
-                    callback(breach)
+                self._publish(breach)
         tracker = self.budget_tracker
         if tracker is not None and tracker.allocation is not None:
             for record in tracker.observe(m):
                 breach = SLOBreach.from_dict(record)
                 breaches.append(breach)
-                m.counter("slo.breaches").inc()
-                m.counter(f"slo.{breach.objective}.breaches").inc()
-                runtime.emit_event("slo_breach", breach.to_dict())
-                for callback in self._subscribers:
-                    callback(breach)
+                self._publish(breach)
         self.publish_gauges()
         return breaches
+
+    def _publish(self, breach: SLOBreach) -> None:
+        """Count one breach, emit its event and tell every subscriber."""
+        m = self.registry
+        m.counter("slo.breaches").inc()
+        m.counter(f"slo.{breach.objective}.breaches").inc()
+        runtime.emit_event("slo_breach", breach.to_dict())
+        for callback in self._subscribers:
+            callback(breach)
 
     def publish_gauges(self) -> None:
         """(Re)write the ``slo.*`` gauges from the last evaluation —

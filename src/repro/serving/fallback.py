@@ -43,6 +43,28 @@ TIER_PRIOR = "cached-prior"
 CHAIN = (TIER_COMPILED, TIER_SWEEP, TIER_SAMPLING, TIER_PRIOR)
 
 
+def try_tier(tier: str, breaker, deadline, errors: dict, kernel, *args):
+    """Try one tier: the deadline first, then the tier's breaker (if
+    any), then ``kernel(*args)``.  Returns the kernel's result, or
+    ``None`` after recording in ``errors`` why the tier gave no answer."""
+    if deadline is not None and time.monotonic() > deadline:
+        errors[tier] = "deadline exceeded"
+        return None
+    if breaker is not None and not breaker.allow():
+        errors[tier] = "circuit open"
+        return None
+    try:
+        result = kernel(*args)
+    except Exception as exc:
+        errors[tier] = f"{type(exc).__name__}: {exc}"
+        if breaker is not None:
+            breaker.record_failure()
+        return None
+    if breaker is not None:
+        breaker.record_success()
+    return result
+
+
 @dataclass
 class TierAnswer:
     """One answered query plus its provenance through the chain."""
@@ -143,14 +165,18 @@ class FallbackChain:
             raise InferenceError("all importance weights are zero")
         return pmf / total
 
-    def _attempt(self, tier: str, variables: tuple, evidence: dict) -> np.ndarray:
-        if tier == TIER_COMPILED:
-            return self.engine.query(variables, evidence).values
-        if tier == TIER_SWEEP:
-            return self._sweep_pmf(variables, evidence)
-        if tier == TIER_SAMPLING:
-            return self._sampling_pmf(variables, evidence)
-        raise ServingError(f"unknown tier {tier!r}")  # pragma: no cover
+    def _compiled_pmf(self, variables: tuple, evidence: Mapping) -> np.ndarray:
+        return self.engine.query(variables, evidence).values
+
+    def _variables(self, variables: Sequence[str]) -> tuple:
+        """Unknown variables are a *caller* bug, not a backend fault."""
+        variables = tuple(map(str, variables))
+        unknown = [v for v in variables if v not in self._cards]
+        if not variables or unknown:
+            raise InferenceError(
+                f"bad query variables {list(variables)} (unknown: {unknown})"
+            )
+        return variables
 
     def answer(
         self,
@@ -163,47 +189,72 @@ class FallbackChain:
         ``evidence`` maps variable → bin state (already validated by the
         guard layer); ``deadline`` is a ``time.monotonic()`` timestamp —
         once passed, remaining non-terminal tiers are skipped and the
-        cached prior answers immediately.
-
-        Unknown variables are a *caller* bug, not a backend fault, and
-        raise :class:`InferenceError` outright.
+        cached prior answers immediately.  Unknown variables raise
+        :class:`InferenceError` outright.
         """
-        variables = tuple(str(v) for v in variables)
-        unknown = [v for v in variables if v not in self._cards]
-        if not variables or unknown:
-            raise InferenceError(
-                f"bad query variables {list(variables)} (unknown: {unknown})"
-            )
+        variables = self._variables(variables)
         evidence = {str(k): int(v) for k, v in (evidence or {}).items()}
         errors: dict[str, str] = {}
-        for tier in (TIER_COMPILED, TIER_SWEEP, TIER_SAMPLING):
-            if deadline is not None and time.monotonic() > deadline:
-                errors[tier] = "deadline exceeded"
-                continue
-            breaker = self.breakers.get(tier)
-            if breaker is not None and not breaker.allow():
-                errors[tier] = "circuit open"
-                continue
-            try:
-                values = self._attempt(tier, variables, evidence)
-            except Exception as exc:
-                errors[tier] = f"{type(exc).__name__}: {exc}"
-                if breaker is not None:
-                    breaker.record_failure()
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            return TierAnswer(
-                variables=variables,
-                values=values,
-                tier=tier,
-                tier_errors=errors,
-                approximate=tier == TIER_SAMPLING,
+        for tier, kernel in (
+            (TIER_COMPILED, self._compiled_pmf),
+            (TIER_SWEEP, self._sweep_pmf),
+            (TIER_SAMPLING, self._sampling_pmf),
+        ):
+            values = try_tier(
+                tier, self.breakers.get(tier), deadline, errors,
+                kernel, variables, evidence,
             )
+            if values is not None:
+                return TierAnswer(
+                    variables=variables,
+                    values=values,
+                    tier=tier,
+                    tier_errors=errors,
+                    approximate=tier == TIER_SAMPLING,
+                )
         return TierAnswer(
             variables=variables,
             values=self.prior(variables),
             tier=TIER_PRIOR,
             tier_errors=errors,
             approximate=True,
+        )
+
+    def answer_batch(
+        self,
+        variables: Sequence[str],
+        columns: "Mapping[str, np.ndarray]",
+        deadline: "float | None" = None,
+    ) -> TierAnswer:
+        """Answer N rows of bin-state evidence columns (all the same
+        length, already validated); ``values[j]`` answers row ``j``.
+
+        The batch kernel is tier 1.  When it gives no answer, each row
+        walks :meth:`answer` on its own and the kernel is not retried;
+        ``tier`` is then the first row's and ``tier_errors`` adds, per
+        tier, the first error a row met, so a deadline that passed
+        during the rows shows there.
+        """
+        variables = self._variables(variables)
+        errors: dict[str, str] = {}
+        pmfs = try_tier(
+            TIER_COMPILED, self.breakers.get(TIER_COMPILED), deadline, errors,
+            self.engine.query_batch, variables, columns,
+        )
+        if pmfs is not None:
+            return TierAnswer(variables, pmfs, TIER_COMPILED, errors)
+        names = list(columns)
+        answers = [
+            self.answer(variables, dict(zip(names, map(int, row))), deadline)
+            for row in zip(*columns.values())
+        ]
+        for a in answers:
+            for tier, error in a.tier_errors.items():
+                errors.setdefault(tier, error)
+        return TierAnswer(
+            variables=variables,
+            values=np.stack([a.values for a in answers]),
+            tier=answers[0].tier,
+            tier_errors=errors,
+            approximate=any(a.approximate for a in answers),
         )

@@ -26,6 +26,7 @@ assignment; every entry point reads it once, so a concurrent
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -33,17 +34,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.apps.assessment import RapidAssessor
+from repro.apps.paccel import PAccel, PAccelResult
 from repro.apps.violation import tail_probability_from_pmf
 from repro.bn.network import DiscreteBayesianNetwork, HybridResponseNetwork
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
 from repro.serving.breaker import AdmissionController, CircuitBreaker
-from repro.serving.fallback import (
-    CHAIN,
-    TIER_COMPILED,
-    TIER_PRIOR,
-    FallbackChain,
-)
+from repro.serving.fallback import CHAIN, FallbackChain, TierAnswer, try_tier
 from repro.serving.guards import check_row
 from repro.serving.registry import ModelRegistry
 from repro.utils.rng import ensure_rng
@@ -55,6 +53,8 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
 STATUS_SHED = "shed"
 STATUS_FAILED = "failed"
+
+_OVERLOADED = ("admission control: server overloaded",)
 
 
 @dataclass
@@ -119,75 +119,60 @@ class ServerStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def _count(self, result: QueryResult) -> None:
-        tier = result.tier
+    def _count(self, result: "QueryResult | ColumnarBatchResult") -> None:
+        """Count one outcome, here and in the process metrics registry.
+
+        A :class:`QueryResult` is one row; a :class:`ColumnarBatchResult`
+        is ``n_rows`` rows, each counted like one :meth:`ModelServer.query`
+        call: its masked-out rows as rejected (and in ``n_rows_rejected``)
+        and, when the batch was refused, every row with the batch.
+        """
+        if isinstance(result, ColumnarBatchResult):
+            n, n_answered = result.n_rows, result.n_valid
+        else:
+            n = n_answered = 1
+        status, tier = result.status, result.tier
+        ok = status == STATUS_OK
+        n_masked = n - n_answered if ok else 0
         # No call inside the lock: one would let the interpreter switch
         # threads while it is held, and concurrent queries would queue.
         with self._lock:
-            self.n_queries += 1
-            if result.status == STATUS_OK:
-                self.n_ok += 1
+            self.n_queries += n
+            if ok:
+                self.n_ok += n_answered
+                self.n_rejected += n_masked
+                self.n_rows_rejected += n_masked
                 if tier is not None:
                     if tier in self.tier_counts:
-                        self.tier_counts[tier] += 1
+                        self.tier_counts[tier] += n_answered
                     else:
-                        self.tier_counts[tier] = 1
-            elif result.status == STATUS_REJECTED:
-                self.n_rejected += 1
-            elif result.status == STATUS_SHED:
-                self.n_shed += 1
-            else:
-                self.n_failed += 1
-            if result.deadline_exceeded:
-                self.n_deadline_exceeded += 1
-        if _OBS.enabled:
-            self._record_obs(result)
-
-    def _count_columnar(self, result: ColumnarBatchResult) -> None:
-        """Bulk accounting for one columnar batch: each input row counts
-        exactly like one :meth:`ModelServer.query` call."""
-        n = result.n_rows
-        n_invalid = n - result.n_valid if result.status == STATUS_OK else 0
-        with self._lock:
-            self.n_queries += n
-            if result.status == STATUS_OK:
-                self.n_ok += result.n_valid
-                self.n_rejected += n_invalid
-                self.n_rows_rejected += n_invalid
-                if result.tier is not None and result.n_valid:
-                    self.tier_counts[result.tier] = (
-                        self.tier_counts.get(result.tier, 0) + result.n_valid
-                    )
-            elif result.status == STATUS_REJECTED:
+                        self.tier_counts[tier] = n_answered
+            elif status == STATUS_REJECTED:
                 self.n_rejected += n
-            elif result.status == STATUS_SHED:
+            elif status == STATUS_SHED:
                 self.n_shed += n
             else:
                 self.n_failed += n
             if result.deadline_exceeded:
                 self.n_deadline_exceeded += n
-        if _OBS.enabled:
-            m = _OBS.metrics
-            m.counter("serving.queries").inc(n)
-            if result.status == STATUS_OK:
-                m.counter(f"serving.status.{STATUS_OK}").inc(result.n_valid)
-                if n_invalid:
-                    m.counter(f"serving.status.{STATUS_REJECTED}").inc(
-                        n_invalid
-                    )
-                    m.counter("serving.rows_rejected").inc(n_invalid)
-                if result.tier is not None and result.n_valid:
-                    m.counter(f"serving.tier.{result.tier}").inc(
-                        result.n_valid
-                    )
-            else:
-                m.counter(f"serving.status.{result.status}").inc(n)
-            if result.deadline_exceeded:
-                m.counter("serving.deadline_misses").inc(n)
-            if result.elapsed_seconds:
-                m.histogram("serving.query.seconds").observe(
-                    result.elapsed_seconds
-                )
+        if not _OBS.enabled:
+            return
+        m = _OBS.metrics
+        m.counter("serving.queries").inc(n)
+        m.counter(f"serving.status.{status}").inc(n_answered if ok else n)
+        if n_masked:
+            m.counter(f"serving.status.{STATUS_REJECTED}").inc(n_masked)
+            m.counter("serving.rows_rejected").inc(n_masked)
+        if ok and tier is not None:
+            m.counter(f"serving.tier.{tier}").inc(n_answered)
+            if result.tier_errors:
+                m.counter("serving.degraded_answers").inc(n_answered)
+        if status == STATUS_REJECTED:
+            m.counter("serving.rejection_reasons").inc(len(result.reasons))
+        if result.deadline_exceeded:
+            m.counter("serving.deadline_misses").inc(n)
+        if result.elapsed_seconds:
+            m.histogram("serving.query.seconds").observe(result.elapsed_seconds)
 
     def as_dict(self) -> dict:
         """Consistent point-in-time snapshot of every counter."""
@@ -202,25 +187,6 @@ class ServerStats:
                 "n_rows_rejected": self.n_rows_rejected,
                 "tier_counts": dict(self.tier_counts),
             }
-
-    def _record_obs(self, result: QueryResult) -> None:
-        """Mirror one outcome into the process metrics registry — the
-        single choke point every ModelServer entry path flows through."""
-        m = _OBS.metrics
-        m.counter("serving.queries").inc()
-        m.counter(f"serving.status.{result.status}").inc()
-        if result.status == STATUS_OK and result.tier is not None:
-            m.counter(f"serving.tier.{result.tier}").inc()
-            if result.tier_errors:
-                m.counter("serving.degraded_answers").inc()
-        if result.deadline_exceeded:
-            m.counter("serving.deadline_misses").inc()
-        if result.status == STATUS_REJECTED:
-            m.counter("serving.rejection_reasons").inc(len(result.reasons))
-        if result.elapsed_seconds:
-            m.histogram("serving.query.seconds").observe(
-                result.elapsed_seconds
-            )
 
 
 @dataclass
@@ -330,7 +296,7 @@ class ModelServer:
         return self._served.chain
 
     # ------------------------------------------------------------------ #
-    # Internals
+    # The guarded call
     # ------------------------------------------------------------------ #
 
     def _deadline(self) -> "float | None":
@@ -338,7 +304,12 @@ class ModelServer:
             return None
         return time.monotonic() + self.deadline_seconds
 
-    def _finish(self, result: QueryResult, started: float) -> QueryResult:
+    def _shed(self) -> bool:
+        return self.admission is not None and not self.admission.admit()
+
+    def _finish(self, result, started: float):
+        """Time, count and report one outcome to admission control (a
+        shed call was never admitted, so it reports nothing)."""
         result.elapsed_seconds = time.monotonic() - started
         self.stats._count(result)
         if self.admission is not None and result.status != STATUS_SHED:
@@ -347,46 +318,86 @@ class ModelServer:
             )
         return result
 
-    def _admit(self, started: float) -> "QueryResult | None":
-        if self.admission is not None and not self.admission.admit():
+    def _call(
+        self,
+        what: str,
+        variables: "Sequence[str] | None",
+        evidence: "Mapping | None",
+        value=None,
+        analytic=None,
+        *,
+        binned: bool = False,
+        reasons: "tuple[str, ...]" = (),
+    ) -> QueryResult:
+        """The guarded call behind :meth:`query`, :meth:`violation_prob`
+        and :meth:`project`.
+
+        Admission first, then one read of the served snapshot, then
+        validation (``reasons`` are the caller's own), then compute and
+        :meth:`_finish`.  A discrete model answers ``variables`` (the
+        response when ``None``) through the fallback chain and
+        ``value(served, pmf)`` makes the result's value; a continuous
+        model runs ``analytic(served)`` behind its breaker, or rejects
+        the call when there is none.
+        """
+        started = time.monotonic()
+        if self._shed():
             return self._finish(
-                QueryResult(
-                    status=STATUS_SHED,
-                    reasons=("admission control: server overloaded",),
-                ),
-                started,
+                QueryResult(status=STATUS_SHED, reasons=_OVERLOADED), started
             )
-        return None
-
-    @staticmethod
-    def _to_states(served: _Served, row: Mapping, binned: bool) -> dict:
-        """Clean raw-mean or binned row → bin-state evidence."""
-        if binned:
-            return {str(k): int(v) for k, v in row.items()}
-        disc = served.model.discretizer
-        return {
-            str(k): disc.state_of(str(k), float(v)) for k, v in row.items()
-        }
-
-    def _reject(self, reasons, started) -> QueryResult:
-        return self._finish(
-            QueryResult(status=STATUS_REJECTED, reasons=tuple(reasons)), started
-        )
-
-    @staticmethod
-    def _discrete_only(
-        served: _Served, what: str, binned: bool
-    ) -> "tuple[str, ...]":
-        if served.chain is None:
-            return (
-                f"{what} requires a discrete model; the active model is "
-                f"{served.model.report.model_kind!r}",
+        served = self._served
+        evidence = dict(evidence or {})
+        if variables is None:
+            variables = (served.model.response,)
+        else:
+            variables = tuple(map(str, variables))
+        known = served.known
+        reasons = reasons or _unsupported(served, what, binned, analytic is not None)
+        if not reasons:
+            reasons = check_row(
+                evidence,
+                known=known,
+                cards=served.cards,
+                forbid=variables,
+                binned=binned,
+                require_nonempty=False,
             )
-        if not binned and not binnable(served.model):
-            return (
-                f"{what} requires the model's discretizer for raw evidence",
+            if not known.issuperset(variables):
+                reasons += tuple(
+                    f"unknown query variable {v!r}"
+                    for v in variables
+                    if v not in known
+                )
+            if not variables:
+                reasons += ("need at least one query variable",)
+        if reasons:
+            result = QueryResult(status=STATUS_REJECTED, reasons=reasons)
+        elif served.chain is None:
+            result = self._analytic(analytic, served)
+        else:
+            if not binned:
+                disc = served.model.discretizer
+                evidence = {
+                    k: disc.state_of(str(k), float(v)) for k, v in evidence.items()
+                }
+            answer = served.chain.answer(
+                variables, evidence, deadline=self._deadline()
             )
-        return ()
+            result = QueryResult(
+                status=STATUS_OK,
+                value=answer.values if value is None else value(served, answer.values),
+                **_provenance(answer),
+            )
+        return self._finish(result, started)
+
+    def _analytic(self, compute, served: _Served) -> QueryResult:
+        """Breaker-guarded single-backend (continuous) evaluation."""
+        errors: dict = {}
+        breaker = self.breakers[TIER_ANALYTIC]
+        value = try_tier(TIER_ANALYTIC, breaker, None, errors, compute, served)
+        if value is None:
+            return QueryResult(status=STATUS_FAILED, tier_errors=errors)
+        return QueryResult(status=STATUS_OK, value=value, tier=TIER_ANALYTIC)
 
     # ------------------------------------------------------------------ #
     # Query surface
@@ -405,45 +416,7 @@ class ModelServer:
         ``binned=True``.  Malformed evidence → ``status="rejected"`` with
         reasons; engine faults walk the fallback chain.
         """
-        started = time.monotonic()
-        shed = self._admit(started)
-        if shed is not None:
-            return shed
-        served = self._served
-        unsupported = self._discrete_only(served, "query", binned)
-        if unsupported:
-            return self._reject(unsupported, started)
-        reasons = check_row(
-            dict(evidence or {}),
-            known=served.known,
-            cards=served.cards,
-            forbid=set(map(str, variables)),
-            binned=binned,
-            require_nonempty=False,
-        )
-        bad_vars = [str(v) for v in variables if str(v) not in served.known]
-        if bad_vars:
-            reasons = reasons + tuple(
-                f"unknown query variable {v!r}" for v in bad_vars
-            )
-        if not variables:
-            reasons = reasons + ("need at least one query variable",)
-        if reasons:
-            return self._reject(reasons, started)
-        deadline = self._deadline()
-        states = self._to_states(served, dict(evidence or {}), binned)
-        answer = served.chain.answer(variables, states, deadline=deadline)
-        return self._finish(
-            QueryResult(
-                status=STATUS_OK,
-                value=answer.values,
-                tier=answer.tier,
-                tier_errors=answer.tier_errors,
-                deadline_exceeded=_missed_deadline(answer.tier_errors),
-                approximate=answer.approximate,
-            ),
-            started,
-        )
+        return self._call("query", variables, evidence, binned=binned)
 
     def query_batch_columns(
         self,
@@ -462,17 +435,16 @@ class ModelServer:
         binned by the caller (``model.discretizer.state_of``) first.
 
         Rows with out-of-range states are rejected via the ``valid``
-        mask while the clean rows still answer.  When the batch kernel
-        fails, its breaker is open or the deadline has passed, each
-        valid row walks the fallback chain on its own, exactly like a
-        :meth:`query` call; the batch kernel is not retried.
-        Accounting is bulk but row-equivalent: each input row counts as
-        one query in :class:`ServerStats`; admission is one decision
-        and one recorded outcome per *call* (the whole batch is admitted
-        or shed as a unit).
+        mask while the clean rows still answer.  The clean rows go to
+        :meth:`FallbackChain.answer_batch`: one batch kernel call, or,
+        when it fails, its breaker is open or the deadline has passed,
+        one :meth:`FallbackChain.answer` walk per row, exactly like a
+        :meth:`query` call.  Accounting is bulk but row-equivalent: each
+        input row counts as one query in :class:`ServerStats`; admission
+        is one decision and one recorded outcome per *call* (the whole
+        batch is admitted or shed as a unit).
         """
         started = time.monotonic()
-        served = self._served
         cols: dict[str, np.ndarray] = {}
         sizes: dict[str, int] = {}
         bad_cols: list[str] = []
@@ -480,120 +452,65 @@ class ModelServer:
             v = str(v)
             arr = np.asarray(col).reshape(-1)
             sizes[v] = arr.size
-            if arr.dtype.kind not in "iu":
-                bad_cols.append(f"column {v!r} is not integer-typed")
-                continue
-            cols[v] = arr
-        n_rows = max(sizes.values(), default=0)
-        if self.admission is not None and not self.admission.admit():
-            result = ColumnarBatchResult(
-                status=STATUS_SHED,
-                n_rows=n_rows,
-                reasons=("admission control: server overloaded",),
-                elapsed_seconds=time.monotonic() - started,
-            )
-            self.stats._count_columnar(result)
-            return result
-
-        def _rejected(reasons: tuple) -> ColumnarBatchResult:
-            result = ColumnarBatchResult(
-                status=STATUS_REJECTED,
-                n_rows=n_rows,
-                reasons=reasons,
-                elapsed_seconds=time.monotonic() - started,
-            )
-            self.stats._count_columnar(result)
-            if self.admission is not None:
-                self.admission.record(False)
-            return result
-
-        unsupported = self._discrete_only(
-            served, "query_batch_columns", binned=True
-        )
-        if unsupported:
-            return _rejected(unsupported)
-        reasons = list(bad_cols)
-        variables = tuple(map(str, variables))
-        known = served.known
-        for v in variables:
-            if v not in known:
-                reasons.append(f"unknown query variable {v!r}")
-            elif v in cols:
-                reasons.append(f"variable {v!r} may not appear in evidence")
-        for v in cols:
-            if v not in known:
-                reasons.append(f"unknown variable {v!r}")
-        if not variables:
-            reasons.append("need at least one query variable")
-        if not cols and not reasons:
-            reasons.append("empty evidence columns")
-        if any(size != n_rows for size in sizes.values()):
-            reasons.append(f"evidence columns have mismatched lengths {sizes}")
-        if reasons:
-            return _rejected(tuple(reasons))
-        # Vectorized per-row domain check — the columnar analogue of
-        # check_row's bin-range validation.
-        valid = np.ones(n_rows, dtype=bool)
-        for v, col in cols.items():
-            valid &= (col >= 0) & (col < served.cards[v])
-        n_valid = int(np.count_nonzero(valid))
-        if n_valid == 0:
-            return _rejected(("every row has out-of-range bin states",))
-        if n_valid < n_rows:
-            run_cols = {v: np.ascontiguousarray(c[valid]) for v, c in cols.items()}
-        else:
-            run_cols = cols
-        deadline = self._deadline()
-        breaker = self.breakers[TIER_COMPILED]
-        result: "ColumnarBatchResult | None" = None
-        if deadline is not None and time.monotonic() > deadline:
-            tier_errors = {TIER_COMPILED: "deadline exceeded"}
-        elif not breaker.allow():
-            tier_errors = {TIER_COMPILED: "circuit open"}
-        else:
-            try:
-                pmfs = served.chain.engine.query_batch(variables, run_cols)
-            except Exception as exc:
-                breaker.record_failure()
-                tier_errors = {TIER_COMPILED: f"{type(exc).__name__}: {exc}"}
+            if arr.dtype.kind in "iu":
+                cols[v] = arr
             else:
-                breaker.record_success()
-                result = ColumnarBatchResult(
-                    status=STATUS_OK,
-                    n_rows=n_rows,
-                    pmfs=pmfs,
-                    valid=None if n_valid == n_rows else valid,
-                    n_valid=n_valid,
-                    tier=TIER_COMPILED,
-                )
-        if result is None:
-            # Degraded: each valid row walks the chain on its own, so
-            # engine faults and zero-probability rows resolve per row.
-            answers = [
-                served.chain.answer(
-                    variables,
-                    {v: int(c[j]) for v, c in run_cols.items()},
-                    deadline=deadline,
-                )
-                for j in range(n_valid)
-            ]
-            result = ColumnarBatchResult(
+                bad_cols.append(f"column {v!r} is not integer-typed")
+        n_rows = max(sizes.values(), default=0)
+        if self._shed():
+            return self._finish(
+                ColumnarBatchResult(STATUS_SHED, n_rows, reasons=_OVERLOADED),
+                started,
+            )
+        served = self._served
+        known = served.known
+        variables = tuple(map(str, variables))
+        reasons = _unsupported(served, "query_batch_columns", True, False)
+        if not reasons:
+            reasons = bad_cols
+            for v in variables:
+                if v not in known:
+                    reasons.append(f"unknown query variable {v!r}")
+                elif v in cols:
+                    reasons.append(f"variable {v!r} may not appear in evidence")
+            reasons += [f"unknown variable {v!r}" for v in cols if v not in known]
+            if not variables:
+                reasons.append("need at least one query variable")
+            if not cols and not reasons:
+                reasons.append("empty evidence columns")
+            if any(size != n_rows for size in sizes.values()):
+                reasons.append(f"evidence columns have mismatched lengths {sizes}")
+        if not reasons:
+            # Vectorized per-row domain check — the columnar analogue of
+            # check_row's bin-range validation.
+            valid = np.ones(n_rows, dtype=bool)
+            for v, col in cols.items():
+                valid &= (col >= 0) & (col < served.cards[v])
+            n_valid = int(np.count_nonzero(valid))
+            if n_valid == 0:
+                reasons = ("every row has out-of-range bin states",)
+        if reasons:
+            reasons = tuple(reasons)
+            return self._finish(
+                ColumnarBatchResult(STATUS_REJECTED, n_rows, reasons=reasons),
+                started,
+            )
+        if n_valid < n_rows:
+            cols = {v: np.ascontiguousarray(c[valid]) for v, c in cols.items()}
+        answer = served.chain.answer_batch(
+            variables, cols, deadline=self._deadline()
+        )
+        return self._finish(
+            ColumnarBatchResult(
                 status=STATUS_OK,
                 n_rows=n_rows,
-                pmfs=np.stack([a.values for a in answers]),
+                pmfs=answer.values,
                 valid=None if n_valid == n_rows else valid,
                 n_valid=n_valid,
-                tier=answers[0].tier,
-                tier_errors=tier_errors,
-                deadline_exceeded=_missed_deadline(tier_errors)
-                or any(_missed_deadline(a.tier_errors) for a in answers),
-                approximate=any(a.approximate for a in answers),
-            )
-        result.elapsed_seconds = time.monotonic() - started
-        self.stats._count_columnar(result)
-        if self.admission is not None:
-            self.admission.record(result.deadline_exceeded)
-        return result
+                **_provenance(answer),
+            ),
+            started,
+        )
 
     # ------------------------------------------------------------------ #
     # Assessment surface (all model families)
@@ -611,168 +528,78 @@ class ModelServer:
         pmf tail); continuous models through the analytic assessor,
         breaker-guarded.
         """
-        started = time.monotonic()
-        shed = self._admit(started)
-        if shed is not None:
-            return shed
-        if not np.isfinite(threshold):
-            return self._reject(
-                (f"threshold {threshold!r} is not finite",), started
-            )
-        served = self._served
-        response = served.model.response
         means = dict(predicted_means or {})
-        reasons = check_row(
-            means,
-            known=served.known,
-            forbid={response},
-            binned=False,
-            require_nonempty=False,
+        reasons = (
+            () if math.isfinite(threshold)
+            else (f"threshold {threshold!r} is not finite",)
         )
-        if reasons:
-            return self._reject(reasons, started)
-        if served.chain is not None:
-            disc = served.model.discretizer
-            if disc is None:
-                return self._reject(
-                    ("discrete model has no discretizer",), started
-                )
-            states = self._to_states(served, means, binned=False)
-            answer = served.chain.answer(
-                [response], states, deadline=self._deadline()
-            )
-            prob = tail_probability_from_pmf(
-                answer.values, disc.edges(response), float(threshold)
-            )
-            return self._finish(
-                QueryResult(
-                    status=STATUS_OK,
-                    value=prob,
-                    tier=answer.tier,
-                    tier_errors=answer.tier_errors,
-                    deadline_exceeded=_missed_deadline(answer.tier_errors),
-                    approximate=answer.approximate,
-                ),
-                started,
-            )
-        return self._analytic(
-            lambda: self._violation_analytic(served, float(threshold), means),
-            started,
+        threshold = float(threshold)
+
+        def tail(served: _Served, pmf: np.ndarray) -> float:
+            edges = served.model.discretizer.edges(served.model.response)
+            return tail_probability_from_pmf(pmf, edges, threshold)
+
+        return self._call(
+            "violation_prob",
+            None,
+            means,
+            tail,
+            lambda served: self._violation_analytic(served, threshold, means),
+            reasons=reasons,
         )
 
     def project(self, predicted_means: Mapping) -> QueryResult:
         """Guarded pAccel projection (``value`` is a ``PAccelResult``)."""
-        started = time.monotonic()
-        shed = self._admit(started)
-        if shed is not None:
-            return shed
-        served = self._served
         means = dict(predicted_means or {})
-        reasons = check_row(
+        return self._call(
+            "project",
+            None,
             means,
-            known=served.known,
-            forbid={served.model.response},
-            binned=False,
+            lambda served, pmf: PAccelResult.from_pmf(
+                means, pmf, served.model.discretizer, served.model.response
+            ),
+            lambda served: PAccel(served.model).project(means, rng=self.rng),
+            reasons=() if means else ("empty evidence row",),
         )
-        if reasons:
-            return self._reject(reasons, started)
-        from repro.apps.paccel import PAccel
-
-        if served.chain is not None:
-            # Route the discrete projection's posterior through the chain
-            # so engine faults degrade instead of raising.
-            disc = served.model.discretizer
-            response = served.model.response
-            states = self._to_states(served, means, binned=False)
-            answer = served.chain.answer(
-                [response], states, deadline=self._deadline()
-            )
-            from repro.apps.paccel import PAccelResult
-
-            centers = disc.centers(response)
-            mean = float(np.dot(answer.values, centers))
-            std = float(
-                np.sqrt(max(np.dot(answer.values, (centers - mean) ** 2), 0.0))
-            )
-            result = PAccelResult(
-                evidence=means,
-                edges=disc.edges(response),
-                pmf=answer.values,
-                mean=mean,
-                std=std,
-            )
-            return self._finish(
-                QueryResult(
-                    status=STATUS_OK,
-                    value=result,
-                    tier=answer.tier,
-                    tier_errors=answer.tier_errors,
-                    deadline_exceeded=_missed_deadline(answer.tier_errors),
-                    approximate=answer.approximate,
-                ),
-                started,
-            )
-        return self._analytic(
-            lambda: PAccel(served.model).project(means, rng=self.rng), started
-        )
-
-    # ------------------------------------------------------------------ #
 
     def _violation_analytic(
         self, served: _Served, threshold: float, means: dict
     ) -> float:
         if isinstance(served.model.network, HybridResponseNetwork):
             if served.assessor is None:
-                from repro.apps.assessment import RapidAssessor
-
                 served.assessor = RapidAssessor(served.model)
             return float(
                 served.assessor.violation_probability(threshold, means or None)
             )
-        from repro.apps.paccel import PAccel
-
         pa = PAccel(served.model)
         result = pa.project(means, rng=self.rng) if means else pa.baseline(
             rng=self.rng
         )
         return float(result.violation_probability(threshold))
 
-    def _analytic(self, compute, started: float) -> QueryResult:
-        """Breaker-guarded single-backend (continuous) evaluation."""
-        breaker = self.breakers[TIER_ANALYTIC]
-        if not breaker.allow():
-            return self._finish(
-                QueryResult(
-                    status=STATUS_FAILED,
-                    tier_errors={TIER_ANALYTIC: "circuit open"},
-                ),
-                started,
-            )
-        try:
-            value = compute()
-        except Exception as exc:
-            breaker.record_failure()
-            return self._finish(
-                QueryResult(
-                    status=STATUS_FAILED,
-                    tier_errors={
-                        TIER_ANALYTIC: f"{type(exc).__name__}: {exc}"
-                    },
-                ),
-                started,
-            )
-        breaker.record_success()
-        return self._finish(
-            QueryResult(status=STATUS_OK, value=value, tier=TIER_ANALYTIC),
-            started,
+
+def _provenance(answer: TierAnswer) -> dict:
+    """How the chain answered, as result fields; the deadline counts as
+    missed when a tier gave up on it."""
+    return {
+        "tier": answer.tier,
+        "tier_errors": answer.tier_errors,
+        "deadline_exceeded": "deadline exceeded" in answer.tier_errors.values(),
+        "approximate": answer.approximate,
+    }
+
+
+def _unsupported(served: _Served, what: str, binned: bool, analytic: bool) -> tuple:
+    """Why the served model cannot answer ``what`` at all: a continuous
+    model without an analytic path, or raw evidence for a discrete model
+    that has no discretizer to bin it."""
+    if served.chain is None:
+        if analytic:
+            return ()
+        return (
+            f"{what} requires a discrete model; the active model is "
+            f"{served.model.report.model_kind!r}",
         )
-
-
-def _missed_deadline(tier_errors: Mapping) -> bool:
-    """Whether a tier gave up because the call's deadline had passed."""
-    return any("deadline" in e for e in tier_errors.values())
-
-
-def binnable(model) -> bool:
-    """Can raw-mean evidence be discretized for this model?"""
-    return model.discretizer is not None
+    if not binned and served.model.discretizer is None:
+        return (f"{what} requires the model's discretizer for raw evidence",)
+    return ()

@@ -329,3 +329,32 @@ def test_knowledge_is_rederived_only_for_a_new_workflow():
     assert second.model.f is mgr._knowledge.f
     dag = second.model.network.dag
     assert all(dag.has_edge(u, v) for u, v in zip(names, names[1:]))
+
+
+def test_insufficient_plan_projects_each_candidate_once(monkeypatch):
+    """When no candidate speedup meets the SLA, the plan takes the
+    strongest one with the projection its last try already computed:
+    one evidence projection per candidate, none repeated."""
+    from repro.apps.assessment import RapidAssessor
+
+    projections = []
+    real = RapidAssessor.violation_probability
+
+    def counting(self, threshold, evidence=None):
+        p = real(self, threshold, evidence)
+        if evidence:
+            projections.append((dict(evidence), p))
+        return p
+
+    monkeypatch.setattr(RapidAssessor, "violation_probability", counting)
+    policy = SLAPolicy(threshold=1.0, max_violation_prob=0.01)
+    mgr = AutonomicManager(ediamond_scenario(), policy, window_points=250, rng=0)
+    report = mgr.run_cycle()
+    assert report.acted
+    assert len(projections) == len(policy.candidate_speedups)
+    service, factor = report.action
+    assert factor == min(policy.candidate_speedups)
+    # The recorded risk is the last projection, i.e. the strongest one.
+    evidence, p = projections[-1]
+    assert set(evidence) == {service}
+    assert report.projected_violation_prob == p > policy.max_violation_prob

@@ -134,6 +134,42 @@ def test_localize_is_one_batched_sweep():
     assert secs < 0.03
 
 
+def test_localize_runs_the_moment_plan_once(monkeypatch):
+    """The counted twin of the timed bound above, on the same mixed80
+    cell: one ``localize`` is one ``_MomentPlan.run`` sweep over every
+    service at once and never a per-service ``RapidAssessor.assess``."""
+    from collections import Counter
+
+    from repro.apps import assessment
+    from repro.apps.localization import ProblemLocalizer
+    from repro.core.kertbn import build_continuous_kertbn
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    env = build_scenario(ScenarioSpec("mixed", 80, "gg1")).env
+    window = env.simulate(120, rng=0)
+    localizer = ProblemLocalizer(build_continuous_kertbn(env.workflow, window))
+    observed = {s: 1.5 * float(np.mean(window[s])) for s in env.service_names}
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (assessment._MomentPlan, "run"),
+        (assessment.RapidAssessor, "assess"),
+    ]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for n in range(1, 3):
+        suspects = localizer.localize(observed)
+        assert len(suspects) == len(env.service_names)
+        assert calls == {"run": n}
+
+
 def test_simulate_window_is_compiled():
     """One 120-point window on the mixed80 bench env runs the compiled engine.
 

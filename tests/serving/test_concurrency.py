@@ -10,7 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bn.inference.engine import CompiledDiscreteModel
+from repro.obs import runtime
 from repro.serving.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -18,6 +20,7 @@ from repro.serving.breaker import (
     AdmissionController,
     CircuitBreaker,
 )
+from repro.serving.fallback import TIER_COMPILED, TIER_SWEEP
 from repro.serving.server import (
     STATUS_REJECTED,
     ColumnarBatchResult,
@@ -40,36 +43,89 @@ def _mean(data, name):
 # --------------------------------------------------------------------- #
 
 
-def test_batch_and_single_paths_tally_identically(fresh_discrete_model):
+def _serving_counters():
+    """The non-zero ``serving.*`` counters, minus the breakers' own (a
+    batch kernel fault is one more breaker failure than the rows see)."""
+    counters = obs.snapshot()["metrics"]["counters"]
+    return {
+        k: v
+        for k, v in counters.items()
+        if v and k.startswith("serving.") and not k.startswith("serving.breaker.")
+    }
+
+
+@pytest.fixture
+def obs_on():
+    was_enabled = runtime.OBS.enabled
+    obs.enable()
+    obs.reset()
+    yield
+    obs.reset()
+    runtime.OBS.enabled = was_enabled
+
+
+def test_batch_and_single_paths_tally_identically(fresh_discrete_model, obs_on):
     """The accounting-equivalence contract: N rows sent as one columnar
-    batch produce the same ServerStats as N binned single queries."""
+    batch produce the same ServerStats and serving metrics as N binned
+    single queries, on a healthy engine and on one whose kernels fail."""
     model = fresh_discrete_model
     svc = _svc(model)
     card = model.network.cardinalities[svc]
     states = np.array([0, card, 1, -1, 2])  # rows 1 and 3 out of range
 
-    batch_srv = ModelServer(model, rng=0)
-    single_srv = ModelServer(model, rng=0)
-    cr = batch_srv.query_batch_columns([model.response], {svc: states})
-    single_results = [
-        single_srv.query([model.response], {svc: int(s)}, binned=True)
-        for s in states
-    ]
+    def boom(*args):
+        raise RuntimeError("injected")
 
-    assert cr.ok
-    np.testing.assert_array_equal(cr.valid, [r.ok for r in single_results])
-    answered = [r.value for r in single_results if r.ok]
-    np.testing.assert_allclose(cr.pmfs, answered)
-    for r in single_results:
-        if not r.ok:
-            assert r.status == STATUS_REJECTED
+    for hook, tier in ((None, TIER_COMPILED), (boom, TIER_SWEEP)):
+        batch_srv = ModelServer(model, rng=0)
+        single_srv = ModelServer(model, rng=0)
+        batch_srv.chain.engine.failure_hook = hook
+        single_srv.chain.engine.failure_hook = hook
+        obs.reset()
+        cr = batch_srv.query_batch_columns([model.response], {svc: states})
+        batch_counters = _serving_counters()
+        obs.reset()
+        single_results = [
+            single_srv.query([model.response], {svc: int(s)}, binned=True)
+            for s in states
+        ]
+        single_counters = _serving_counters()
 
-    b, s = batch_srv.stats.as_dict(), single_srv.stats.as_dict()
-    # n_rows_rejected is the one deliberate asymmetry: it counts rows
-    # rejected *inside batches* and has no single-query analogue.
-    assert b.pop("n_rows_rejected") == 2
-    assert s.pop("n_rows_rejected") == 0
-    assert b == s
+        assert cr.ok and cr.tier == tier
+        assert bool(cr.tier_errors) == (hook is not None)
+        np.testing.assert_array_equal(cr.valid, [r.ok for r in single_results])
+        answered = [r.value for r in single_results if r.ok]
+        np.testing.assert_allclose(cr.pmfs, answered)
+        for r in single_results:
+            if not r.ok:
+                assert r.status == STATUS_REJECTED
+
+        b, s = batch_srv.stats.as_dict(), single_srv.stats.as_dict()
+        # n_rows_rejected is the one deliberate asymmetry: it counts rows
+        # rejected *inside batches* and has no single-query analogue.
+        assert b.pop("n_rows_rejected") == 2
+        assert s.pop("n_rows_rejected") == 0
+        assert b == s
+        # Its metric twin is the same asymmetry, and a masked batch row
+        # carries no reasons of its own, where a rejected single does.
+        assert batch_counters.pop("serving.rows_rejected") == 2
+        assert single_counters.pop("serving.rejection_reasons") == 2
+        assert batch_counters == single_counters
+        degraded = single_counters.get("serving.degraded_answers", 0)
+        assert degraded == (3 if hook is not None else 0)
+
+
+def test_rejected_batch_counts_its_reasons(fresh_discrete_model, obs_on):
+    """A refused batch adds its reasons to ``serving.rejection_reasons``
+    like a refused single query does."""
+    model = fresh_discrete_model
+    srv = ModelServer(model, rng=0)
+    floats = {_svc(model): np.zeros(4), "martian": np.zeros(4, dtype=int)}
+    cr = srv.query_batch_columns([model.response], floats)
+    assert cr.status == STATUS_REJECTED and len(cr.reasons) == 2
+    counters = _serving_counters()
+    assert counters["serving.status.rejected"] == 4
+    assert counters["serving.rejection_reasons"] == 2
 
 
 # --------------------------------------------------------------------- #
@@ -146,7 +202,7 @@ def test_server_stats_lose_no_counts_under_threads():
                 QueryResult(status="failed", deadline_exceeded=True)
             )
         # One columnar batch: 3 rows answered, 7 masked out.
-        stats._count_columnar(
+        stats._count(
             ColumnarBatchResult(
                 status="ok", n_rows=10, n_valid=3, tier="compiled-einsum"
             )

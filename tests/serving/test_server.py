@@ -269,6 +269,31 @@ def test_columns_kernel_failure_runs_the_batch_kernel_once(
     assert srv.breakers[TIER_COMPILED].state == CLOSED
 
 
+def test_deadline_passing_during_a_degraded_batch_is_counted(
+    fresh_discrete_model,
+):
+    """The batch kernel fails after the deadline has passed, so every
+    row answers from the prior: the batch reports the kernel's error and
+    the deadline the rows met, and counts each row as an overrun."""
+    import time
+
+    model = fresh_discrete_model
+    srv = ModelServer(model, deadline_seconds=0.02, rng=0)
+
+    def slow_batch(kind, *args):
+        if kind == "batch":
+            time.sleep(0.05)
+            raise RuntimeError("injected batch fault")
+
+    srv.chain.engine.failure_hook = slow_batch
+    cr = srv.query_batch_columns([model.response], _columns(model, 4))
+    assert cr.ok and cr.n_valid == 4 and cr.tier == TIER_PRIOR
+    assert "injected batch fault" in cr.tier_errors[TIER_COMPILED]
+    assert cr.tier_errors[TIER_SWEEP] == "deadline exceeded"
+    assert cr.deadline_exceeded
+    assert srv.stats.n_deadline_exceeded == 4
+
+
 def test_columns_admission_shed_counts_every_row(fresh_discrete_model):
     model = fresh_discrete_model
     ac = AdmissionController(
@@ -334,6 +359,32 @@ def test_project_discrete(fresh_discrete_model, ediamond_data):
 
     expected = PAccel(model).project({svc: _mean(train, svc) * 0.5})
     assert r.value.mean == pytest.approx(expected.mean)
+
+
+def test_every_entry_point_rejects_raw_evidence_without_a_discretizer(
+    fresh_discrete_model, ediamond_data
+):
+    """A discrete model without a discretizer cannot bin raw means:
+    ``project`` refuses the call like ``query`` and ``violation_prob``,
+    and each refusal is counted."""
+    import dataclasses
+
+    train, _ = ediamond_data
+    model = dataclasses.replace(fresh_discrete_model, discretizer=None)
+    srv = ModelServer(model, rng=0)
+    svc = _svc(model)
+    ev = {svc: _mean(train, svc)}
+    results = [
+        srv.query([model.response], ev),
+        srv.violation_prob(float(np.mean(train[model.response])), ev),
+        srv.project(ev),
+    ]
+    for r in results:
+        assert r.status == STATUS_REJECTED
+        assert any("discretizer" in reason for reason in r.reasons)
+    assert srv.stats.n_rejected == srv.stats.n_queries == 3
+    # Binned evidence needs no discretizer.
+    assert srv.query([model.response], {svc: 1}, binned=True).ok
 
 
 # --------------------------------------------------------------------- #
