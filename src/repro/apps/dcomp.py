@@ -25,6 +25,7 @@ from repro.bn.network import (
     GaussianBayesianNetwork,
     HybridResponseNetwork,
 )
+from repro.bn.inference.gaussian import conditional_of, joint_gaussian
 from repro.bn.inference.sampling import likelihood_weighting, weighted_mean
 from repro.core.kertbn import KERTBN
 from repro.exceptions import InferenceError
@@ -84,7 +85,7 @@ class DComp:
         if isinstance(network, HybridResponseNetwork):
             return self._hybrid(variable, observed_means, n_samples, rng)
         if isinstance(network, GaussianBayesianNetwork):
-            return self._gaussian(variable, observed_means)
+            return _conditioned(network, variable, observed_means)
         raise InferenceError(
             f"dComp does not support networks of type {type(network).__name__}"
         )
@@ -127,72 +128,60 @@ class DComp:
     ) -> DCompResult:
         network = self.model.network
         assert isinstance(network, HybridResponseNetwork)
-        response = self.model.response
-        evidence = {k: float(v) for k, v in observed_means.items()}
-        if response in evidence:
-            # Response evidence needs the full hybrid net: use LW.
-            samples, weights = likelihood_weighting(
-                network, evidence, n=n_samples, rng=rng
-            )
-            values = np.asarray(samples[variable], dtype=float)
-            qm = weighted_mean(values, weights)
-            qv = weighted_mean((values - qm) ** 2, weights)
-            qs = float(np.sqrt(max(qv, 0.0)))
-        else:
-            sub = network.service_subnetwork()
-            names, mean, cov = sub.condition(evidence)
-            i = names.index(variable)
-            qm, qs = float(mean[i]), float(np.sqrt(max(cov[i, i], 0.0)))
-        # Prior marginal from the service subnetwork.
         sub = network.service_subnetwork()
-        names, mean, cov = sub.to_joint_gaussian()
+        if self.model.response not in observed_means:
+            return _conditioned(sub, variable, observed_means)
+        # Response evidence needs the full hybrid net: use LW.
+        evidence = {k: float(v) for k, v in observed_means.items()}
+        samples, weights = likelihood_weighting(
+            network, evidence, n=n_samples, rng=rng
+        )
+        values = np.asarray(samples[variable], dtype=float)
+        qm = weighted_mean(values, weights)
+        qv = weighted_mean((values - qm) ** 2, weights)
+        # Prior marginal from the service subnetwork.
+        names, mean, cov = joint_gaussian(sub)
         j = names.index(variable)
-        pm, ps = float(mean[j]), float(np.sqrt(max(cov[j, j], 0.0)))
-        # Represent both as Gaussian pmfs on a shared grid for plotting.
-        lo = min(pm - 4 * ps, qm - 4 * max(qs, 1e-9))
-        hi = max(pm + 4 * ps, qm + 4 * max(qs, 1e-9))
-        centers = np.linspace(lo, hi, 101)
-        prior = _gaussian_pmf(centers, pm, ps)
-        posterior = _gaussian_pmf(centers, qm, qs)
-        return DCompResult(
-            variable=variable,
-            centers=centers,
-            prior=prior,
-            posterior=posterior,
-            prior_mean=pm,
-            posterior_mean=qm,
-            prior_std=ps,
-            posterior_std=qs,
-        )
+        return _normal_result(variable, mean[j], cov[j, j], qm, qv)
 
 
-    def _gaussian(self, variable: str, observed_means: Mapping[str, float]) -> DCompResult:
-        """Exact conditioning on a pure linear-Gaussian (NRT-BN) network."""
-        network = self.model.network
-        assert isinstance(network, GaussianBayesianNetwork)
-        from repro.bn.inference.gaussian import conditional_of, joint_gaussian
+def _conditioned(
+    network: GaussianBayesianNetwork,
+    variable: str,
+    observed_means: Mapping[str, float],
+) -> DCompResult:
+    """Exact prior and posterior of ``variable`` in a linear-Gaussian
+    network: a pure NRT-BN, or a hybrid model's service subnetwork."""
+    names, mean, cov = joint_gaussian(network)
+    qm, qv = conditional_of(
+        names, mean, cov, variable,
+        {k: float(v) for k, v in observed_means.items()},
+    )
+    j = names.index(variable)
+    return _normal_result(variable, mean[j], cov[j, j], qm, qv)
 
-        names, mean, cov = joint_gaussian(network)
-        qm, qv = conditional_of(
-            names, mean, cov, variable,
-            {k: float(v) for k, v in observed_means.items()},
-        )
-        qs = float(np.sqrt(max(qv, 0.0)))
-        j = names.index(variable)
-        pm, ps = float(mean[j]), float(np.sqrt(max(cov[j, j], 0.0)))
-        lo = min(pm - 4 * ps, qm - 4 * max(qs, 1e-9))
-        hi = max(pm + 4 * ps, qm + 4 * max(qs, 1e-9))
-        centers = np.linspace(lo, hi, 101)
-        return DCompResult(
-            variable=variable,
-            centers=centers,
-            prior=_gaussian_pmf(centers, pm, ps),
-            posterior=_gaussian_pmf(centers, qm, qs),
-            prior_mean=pm,
-            posterior_mean=qm,
-            prior_std=ps,
-            posterior_std=qs,
-        )
+
+def _normal_result(
+    variable: str, pm: float, pv: float, qm: float, qv: float
+) -> DCompResult:
+    """Prior ``N(pm, pv)`` and posterior ``N(qm, qv)`` as pmfs on one
+    shared grid (for plotting), with their moments."""
+    pm, qm = float(pm), float(qm)
+    ps = float(np.sqrt(max(pv, 0.0)))
+    qs = float(np.sqrt(max(qv, 0.0)))
+    lo = min(pm - 4 * ps, qm - 4 * max(qs, 1e-9))
+    hi = max(pm + 4 * ps, qm + 4 * max(qs, 1e-9))
+    centers = np.linspace(lo, hi, 101)
+    return DCompResult(
+        variable=variable,
+        centers=centers,
+        prior=_gaussian_pmf(centers, pm, ps),
+        posterior=_gaussian_pmf(centers, qm, qs),
+        prior_mean=pm,
+        posterior_mean=qm,
+        prior_std=ps,
+        posterior_std=qs,
+    )
 
 
 def _gaussian_pmf(centers: np.ndarray, mean: float, std: float) -> np.ndarray:

@@ -6,7 +6,7 @@ after the parents ship their elapsed-time columns over (piggybacked on
 application requests in the paper's SOAP suggestion).  The central
 server keeps only the structure and the finished CPDs.
 
-Three layers:
+Four layers:
 
 - :mod:`repro.decentralized.messaging` — channels with payload-size
   accounting between agents;
@@ -14,9 +14,8 @@ Three layers:
   — the agent-side learning step and the server-side assembly, with the
   Section-4.3 timing accounting (decentralized time = max per-agent
   time; centralized = sum);
-- :mod:`repro.decentralized.parallel` — an optional true-concurrency
-  executor on :mod:`multiprocessing`, for demonstration on multi-core
-  machines;
+- :mod:`repro.decentralized.piggyback` — parent columns shipped on
+  application requests instead of dedicated messages;
 - :mod:`repro.decentralized.resilience` — retry/backoff/timeout policy
   and the last-known-good CPD store that lets a round complete
   *partially* (stale CPDs substituted, fresh/stale/failed reported)
@@ -26,7 +25,6 @@ Three layers:
 from repro.decentralized.messaging import Message, Channel, ChannelFaults, Network
 from repro.decentralized.agent import LearningAgent
 from repro.decentralized.coordinator import Coordinator, DecentralizedResult
-from repro.decentralized.parallel import parallel_parameter_learning
 from repro.decentralized.piggyback import PiggybackDistributor, PiggybackResult
 from repro.decentralized.resilience import (
     FAILED,
@@ -45,7 +43,6 @@ __all__ = [
     "LearningAgent",
     "Coordinator",
     "DecentralizedResult",
-    "parallel_parameter_learning",
     "PiggybackDistributor",
     "PiggybackResult",
     "RetryPolicy",

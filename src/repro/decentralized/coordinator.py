@@ -213,10 +213,8 @@ class Coordinator:
         no earlier round ever produced one).
 
         When observability is on, the whole round runs inside a
-        ``decentralized.round`` span — open *before* distribution, so
-        every channel transfer piggybacks the round's
-        :class:`~repro.obs.propagation.TraceContext` and a remote
-        agent's spans can reattach under this exact round.
+        ``decentralized.round`` span that holds one ``agent:<node>``
+        span per agent and carries the Sec.-3.4 accounted round time.
         """
         if not _OBS.enabled:
             return self._learn_round(data)

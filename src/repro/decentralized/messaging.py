@@ -31,7 +31,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.exceptions import CommunicationError
-from repro.obs.runtime import OBS as _OBS
 from repro.utils.rng import ensure_rng
 
 
@@ -40,11 +39,7 @@ class Message:
     """One batch of elapsed-time data from a parent agent to a child agent.
 
     ``latency`` is the simulated delivery delay (seconds) the message
-    suffered in transit — zero on a healthy channel.  ``trace`` is the
-    optional piggybacked :class:`~repro.obs.propagation.TraceContext`
-    wire dict — the observability equivalent of the paper's "extra SOAP
-    segment": it rides the data payload so the receiving agent can
-    parent its spans under the sender's open span.
+    suffered in transit — zero on a healthy channel.
     """
 
     sender: str
@@ -52,7 +47,6 @@ class Message:
     column: str
     payload: np.ndarray
     latency: float = 0.0
-    trace: "dict | None" = None
 
     @property
     def n_values(self) -> int:
@@ -115,9 +109,7 @@ class Channel:
         self.bytes_delivered += msg.n_bytes
         return msg
 
-    def send(
-        self, column: str, payload: np.ndarray, trace: "dict | None" = None
-    ) -> Message:
+    def send(self, column: str, payload: np.ndarray) -> Message:
         """Fault-free transfer: always delivers exactly one message."""
         self.n_sent += 1
         return self._deliver(
@@ -126,7 +118,6 @@ class Channel:
                 recipient=self.recipient,
                 column=column,
                 payload=np.asarray(payload, dtype=float),
-                trace=trace,
             )
         )
 
@@ -136,7 +127,6 @@ class Channel:
         payload: np.ndarray,
         rng=None,
         faults: "ChannelFaults | None" = None,
-        trace: "dict | None" = None,
     ) -> list:
         """Transfer through a fault model (``faults`` overrides the
         channel's own — the network passes its current config so chaos
@@ -147,7 +137,7 @@ class Channel:
         """
         faults = faults if faults is not None else self.faults
         if faults is None or not faults.any:
-            return [self.send(column, payload, trace=trace)]
+            return [self.send(column, payload)]
         rng = ensure_rng(rng)
         self.n_sent += 1
         if rng.random() < faults.drop:
@@ -158,7 +148,6 @@ class Channel:
             recipient=self.recipient,
             column=column,
             payload=np.asarray(payload, dtype=float),
-            trace=trace,
         )
         if rng.random() < faults.delay:
             self.n_delayed += 1
@@ -213,22 +202,9 @@ class Network:
 
     def transmit(self, sender: str, recipient: str, column: str, payload) -> list:
         """Send through the (auto-created) channel with the network's RNG
-        and its *current* fault config (so chaos toggles mid-deployment).
-
-        When observability is enabled and a span is open, the sender's
-        :class:`~repro.obs.propagation.TraceContext` is piggybacked on
-        every delivered copy, so a receiving process can reattach its
-        spans under the span that was open at transmit time.
-        """
-        trace = None
-        if _OBS.enabled:
-            from repro.obs.propagation import current_context
-
-            ctx = current_context()
-            if ctx is not None:
-                trace = ctx.to_wire()
+        and its *current* fault config (so chaos toggles mid-deployment)."""
         return self.channel(sender, recipient).transmit(
-            column, payload, self.rng, faults=self.faults, trace=trace
+            column, payload, self.rng, faults=self.faults
         )
 
     def __iter__(self) -> Iterator[Channel]:

@@ -20,8 +20,6 @@ Built on those, the egress/consumption layer:
 - :mod:`repro.obs.export` — Prometheus text exposition (HTTP
   ``/metrics`` via a stdlib daemon-thread server) and a rotating JSONL
   event sink with per-category sampling;
-- :mod:`repro.obs.propagation` — ``TraceContext`` carried across
-  process boundaries so remote spans reattach to the local tree;
 - :mod:`repro.obs.slo` — windowed p95/p99 + error-rate objectives with
   burn-rate alerting, feeding ``SLOBreach`` events to the autonomic
   manager;
@@ -67,7 +65,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.propagation import TraceContext, current_context
 from repro.obs.runtime import (
     OBS,
     attach_sink,
@@ -107,10 +104,8 @@ __all__ = [
     "SLOBreach",
     "SLOMonitor",
     "Span",
-    "TraceContext",
     "Tracer",
     "attach_sink",
-    "current_context",
     "detach_sink",
     "disable",
     "emit_event",

@@ -13,9 +13,8 @@ Design constraints, in order:
 - **cheap** — an increment is a dict lookup, a lock, and an integer
   add; the histogram is fixed-bucket so ``observe`` never allocates,
   and ``observe_many`` bins a whole array outside the lock;
-- **thread-safe** — :func:`repro.decentralized.parallel.
-  parallel_parameter_learning` reports fits from whatever thread drains
-  the pool, and the chaos suites hammer the serving counters;
+- **thread-safe** — the model server counts concurrent queries and the
+  chaos suites hammer the serving counters from many threads;
 - **reset-in-place** — call sites may cache instrument handles, so
   :meth:`MetricsRegistry.reset` zeroes values without invalidating the
   objects.

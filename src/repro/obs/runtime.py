@@ -110,7 +110,7 @@ def attach_sink(sink) -> None:
     ``trace`` category, and subsystems (SLO monitor, manager) emit their
     own categories via :func:`emit_event`."""
     OBS.sink = sink
-    OBS.tracer.on_close = lambda sp: sink.emit("trace", sp.to_wire())
+    OBS.tracer.on_close = lambda sp: sink.emit("trace", sp.to_dict())
 
 
 def detach_sink() -> None:

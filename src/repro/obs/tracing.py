@@ -3,8 +3,9 @@
 The tracing half of :mod:`repro.obs`.  A :class:`Tracer` maintains a
 per-thread stack of open :class:`Span` objects; ``with tracer.span(...)``
 nests automatically, exceptions unwind cleanly (the span is marked
-``error`` and still closed), and finished trees export as JSON or as a
-flame-style indented text tree.
+``error`` and still closed), and finished trees export through one
+serializer, :meth:`Span.to_dict` (also what an attached event sink
+streams), as JSON, or as a flame-style indented text tree.
 
 Two features exist specifically for this codebase:
 
@@ -24,9 +25,7 @@ deterministic.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import threading
 import time
 import tracemalloc
@@ -34,15 +33,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = ["Span", "Tracer"]
-
-#: Process-unique span-id sequence.  ``itertools.count`` steps atomically
-#: under the GIL and the pid prefix keeps ids distinct across the
-#: multiprocessing workers that ship spans back to the coordinator.
-_ID_SEQ = itertools.count(1)
-
-
-def _next_id() -> str:
-    return f"{os.getpid():x}-{next(_ID_SEQ):x}"
 
 
 class Span:
@@ -58,19 +48,10 @@ class Span:
         "error",
         "peak_memory_bytes",
         "extra",
-        "span_id",
-        "trace_id",
         "_duration_override",
     )
 
-    def __init__(
-        self,
-        name: str,
-        parent: Optional["Span"],
-        start: float,
-        span_id: Optional[str] = None,
-        trace_id: Optional[str] = None,
-    ):
+    def __init__(self, name: str, parent: Optional["Span"], start: float):
         self.name = name
         self.parent = parent
         self.children: List[Span] = []
@@ -80,13 +61,6 @@ class Span:
         self.error: Optional[str] = None
         self.peak_memory_bytes: Optional[int] = None
         self.extra: Dict[str, Any] = {}
-        self.span_id = span_id if span_id is not None else _next_id()
-        if trace_id is not None:
-            self.trace_id = trace_id
-        elif parent is not None:
-            self.trace_id = parent.trace_id
-        else:
-            self.trace_id = self.span_id
         self._duration_override: Optional[float] = None
         if parent is not None:
             parent.children.append(self)
@@ -130,32 +104,6 @@ class Span:
             out["extra"] = dict(self.extra)
         if self.children:
             out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    def to_wire(self) -> dict:
-        """Pickle/JSON-safe payload for cross-process reattachment.
-
-        Unlike :meth:`to_dict` (a human-facing export), the wire form
-        carries the span/trace ids so :meth:`Tracer.adopt` on the
-        receiving side can graft the subtree under the exact span that
-        was open when the :class:`~repro.obs.propagation.TraceContext`
-        crossed the process boundary.
-        """
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "span_id": self.span_id,
-            "trace_id": self.trace_id,
-            "duration_seconds": self.duration,
-            "status": self.status,
-        }
-        if self.parent is not None:
-            out["parent_span_id"] = self.parent.span_id
-        if self.error is not None:
-            out["error"] = self.error
-        if self.extra:
-            out["extra"] = dict(self.extra)
-        if self.children:
-            out["children"] = [c.to_wire() for c in self.children]
         return out
 
 
@@ -260,62 +208,6 @@ class Tracer:
                 return sp
             pending = sp.children + pending
         return None
-
-    def find_by_id(self, span_id: str) -> Optional[Span]:
-        """Depth-first search by span id (open spans included)."""
-        pending = self.roots
-        while pending:
-            sp = pending.pop(0)
-            if sp.span_id == span_id:
-                return sp
-            pending = sp.children + pending
-        return None
-
-    def adopt(
-        self,
-        payload: dict,
-        parent: Optional[Span] = None,
-    ) -> Span:
-        """Graft a finished remote span subtree into this tracer.
-
-        ``payload`` is a :meth:`Span.to_wire` dict produced in another
-        process (a multiprocessing fit worker, a remote agent).  The
-        parent is resolved in order: the explicit ``parent`` argument,
-        the local span whose id matches the payload's
-        ``parent_span_id`` (the context that crossed the boundary),
-        else the current open span.  Remote ids are preserved so a
-        second hop reattaches consistently.
-        """
-        if parent is None:
-            parent_id = payload.get("parent_span_id")
-            if parent_id is not None:
-                parent = self.find_by_id(str(parent_id))
-            if parent is None:
-                parent = self.current
-        return self._adopt_one(payload, parent)
-
-    def _adopt_one(self, payload: dict, parent: Optional[Span]) -> Span:
-        now = self.clock()
-        sp = Span(
-            str(payload.get("name", "remote")),
-            parent,
-            now,
-            span_id=payload.get("span_id"),
-            trace_id=payload.get("trace_id")
-            or (parent.trace_id if parent is not None else None),
-        )
-        sp.end = now
-        sp.override_duration(float(payload.get("duration_seconds", 0.0)))
-        sp.status = str(payload.get("status", "ok"))
-        if payload.get("error") is not None:
-            sp.error = str(payload["error"])
-        sp.extra.update(payload.get("extra") or {})
-        for child in payload.get("children") or ():
-            self._adopt_one(child, sp)
-        if parent is None:
-            with self._lock:
-                self._roots.append(sp)
-        return sp
 
     def clear(self) -> None:
         with self._lock:

@@ -74,6 +74,7 @@ class TierAnswer:
     tier: str                    # which tier answered
     tier_errors: dict = field(default_factory=dict)  # tier -> error string
     approximate: bool = False    # sampling / prior answers are approximate
+    tier_rows: "dict | None" = None  # batch rows per tier; None == all `tier`
 
     @property
     def degraded(self) -> bool:
@@ -231,9 +232,10 @@ class FallbackChain:
 
         The batch kernel is tier 1.  When it gives no answer, each row
         walks :meth:`answer` on its own and the kernel is not retried;
-        ``tier`` is then the first row's and ``tier_errors`` adds, per
-        tier, the first error a row met, so a deadline that passed
-        during the rows shows there.
+        ``tier`` is then the first row's, ``tier_rows`` counts the rows
+        each tier answered, and ``tier_errors`` adds, per tier, the
+        first error a row met, so a deadline that passed during the
+        rows shows there.
         """
         variables = self._variables(variables)
         errors: dict[str, str] = {}
@@ -248,7 +250,9 @@ class FallbackChain:
             self.answer(variables, dict(zip(names, map(int, row))), deadline)
             for row in zip(*columns.values())
         ]
+        rows: dict[str, int] = {}
         for a in answers:
+            rows[a.tier] = rows.get(a.tier, 0) + 1
             for tier, error in a.tier_errors.items():
                 errors.setdefault(tier, error)
         return TierAnswer(
@@ -257,4 +261,5 @@ class FallbackChain:
             tier=answers[0].tier,
             tier_errors=errors,
             approximate=any(a.approximate for a in answers),
+            tier_rows=rows,
         )

@@ -84,6 +84,8 @@ class ColumnarBatchResult:
     single batch-level record instead of N :class:`QueryResult`\\ s:
     ``pmfs[j]`` answers the j-th *valid* row; ``valid`` is a boolean
     mask over the input rows (``None`` means every row was valid).
+    A degraded batch's rows may answer from different tiers: ``tier`` is
+    then the first row's and ``tier_rows`` counts the rows per tier.
     """
 
     status: str
@@ -97,6 +99,7 @@ class ColumnarBatchResult:
     elapsed_seconds: float = 0.0
     deadline_exceeded: bool = False
     approximate: bool = False
+    tier_rows: "dict | None" = None       # None == every row from `tier`
 
     @property
     def ok(self) -> bool:
@@ -124,25 +127,32 @@ class ServerStats:
 
         A :class:`QueryResult` is one row; a :class:`ColumnarBatchResult`
         is ``n_rows`` rows, each counted like one :meth:`ModelServer.query`
-        call: its masked-out rows as rejected (and in ``n_rows_rejected``)
-        and, when the batch was refused, every row with the batch.
+        call: its masked-out rows as rejected (and in ``n_rows_rejected``),
+        each answered row under the tier that answered it and, when the
+        batch was refused, every row with the batch.
         """
+        tier_rows = None
         if isinstance(result, ColumnarBatchResult):
             n, n_answered = result.n_rows, result.n_valid
+            tier_rows = result.tier_rows
         else:
             n = n_answered = 1
         status, tier = result.status, result.tier
         ok = status == STATUS_OK
         n_masked = n - n_answered if ok else 0
-        # No call inside the lock: one would let the interpreter switch
-        # threads while it is held, and concurrent queries would queue.
+        # No call inside the lock (a degraded batch's per-tier loop
+        # aside): one would let the interpreter switch threads while it
+        # is held, and concurrent queries would queue.
         with self._lock:
             self.n_queries += n
             if ok:
                 self.n_ok += n_answered
                 self.n_rejected += n_masked
                 self.n_rows_rejected += n_masked
-                if tier is not None:
+                if tier_rows is not None:
+                    for t, k in tier_rows.items():
+                        self.tier_counts[t] = self.tier_counts.get(t, 0) + k
+                elif tier is not None:
                     if tier in self.tier_counts:
                         self.tier_counts[tier] += n_answered
                     else:
@@ -164,7 +174,11 @@ class ServerStats:
             m.counter(f"serving.status.{STATUS_REJECTED}").inc(n_masked)
             m.counter("serving.rows_rejected").inc(n_masked)
         if ok and tier is not None:
-            m.counter(f"serving.tier.{tier}").inc(n_answered)
+            if tier_rows is None:
+                m.counter(f"serving.tier.{tier}").inc(n_answered)
+            else:
+                for t, k in tier_rows.items():
+                    m.counter(f"serving.tier.{t}").inc(k)
             if result.tier_errors:
                 m.counter("serving.degraded_answers").inc(n_answered)
         if status == STATUS_REJECTED:
@@ -507,6 +521,7 @@ class ModelServer:
                 pmfs=answer.values,
                 valid=None if n_valid == n_rows else valid,
                 n_valid=n_valid,
+                tier_rows=answer.tier_rows,
                 **_provenance(answer),
             ),
             started,

@@ -97,3 +97,31 @@ def test_dcomp_requires_supported_network(ediamond_data):
     dc = DComp(FakeModel())
     with pytest.raises(InferenceError):
         dc.posterior("X4", {"X1": 1.0})
+
+
+def test_gaussian_posterior_is_exact_conditioning(ediamond_data):
+    """A continuous NRT-BN is one linear-Gaussian network, so dComp's
+    prior and posterior are the marginal and the Schur-complement
+    conditional of its joint Gaussian."""
+    from repro.bn.inference.gaussian import condition_gaussian, joint_gaussian
+    from repro.bn.network import GaussianBayesianNetwork
+    from repro.core.nrtbn import build_continuous_nrtbn
+
+    train, test = ediamond_data
+    model = build_continuous_nrtbn(train, rng=0)
+    assert type(model.network) is GaussianBayesianNetwork
+    observed = observed_means(test, "X4")
+    res = DComp(model).posterior("X4", observed)
+
+    names, mean, cov = joint_gaussian(model.network)
+    post_names, post_mean, post_cov = condition_gaussian(
+        names, mean, cov, observed
+    )
+    i, j = post_names.index("X4"), names.index("X4")
+    assert res.posterior_mean == pytest.approx(post_mean[i], abs=1e-12)
+    assert res.posterior_std == pytest.approx(np.sqrt(post_cov[i, i]), abs=1e-12)
+    assert res.prior_mean == pytest.approx(mean[j], abs=1e-12)
+    assert res.prior_std == pytest.approx(np.sqrt(cov[j, j]), abs=1e-12)
+    assert res.posterior_std < res.prior_std
+    assert res.posterior.sum() == pytest.approx(1.0)
+    assert res.prior.sum() == pytest.approx(1.0)

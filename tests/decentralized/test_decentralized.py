@@ -1,4 +1,4 @@
-"""Decentralized learning: messaging, agents, coordinator, parallel path."""
+"""Decentralized learning: messaging, agents, coordinator."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.decentralized.agent import (
 )
 from repro.decentralized.coordinator import Coordinator
 from repro.decentralized.messaging import Channel, Network
-from repro.decentralized.parallel import parallel_parameter_learning
 from repro.exceptions import LearningError, SimulationError
 
 
@@ -163,45 +162,3 @@ def test_coordinator_unknown_response():
 
     with pytest.raises(LearningError):
         Coordinator(DAG(nodes=["a"]), linear_gaussian_fitter(), response="Z")
-
-
-# --------------------------------------------------------------------- #
-# Parallel executor
-# --------------------------------------------------------------------- #
-
-
-def test_parallel_matches_sequential(ediamond_env, ediamond_data):
-    train, _ = ediamond_data
-    dag = ediamond_env.knowledge_structure()
-    service_dag = dag.subgraph([n for n in dag.nodes if n != "D"])
-    seq = parallel_parameter_learning(service_dag, train, processes=1)
-    par = parallel_parameter_learning(service_dag, train, processes=2)
-    assert set(seq) == set(par)
-    for k in seq:
-        assert seq[k] == par[k]
-
-
-def test_parallel_unknown_node_rejected(ediamond_env, ediamond_data):
-    train, _ = ediamond_data
-    dag = ediamond_env.knowledge_structure()
-    with pytest.raises(LearningError):
-        parallel_parameter_learning(dag, train, nodes=["nope"])
-
-
-def test_parallel_empty_nodes_rejected(ediamond_env, ediamond_data):
-    train, _ = ediamond_data
-    dag = ediamond_env.knowledge_structure()
-    with pytest.raises(LearningError):
-        parallel_parameter_learning(dag, train, nodes=[])
-
-
-def test_parallel_nonpositive_processes_rejected(ediamond_env, ediamond_data):
-    # processes=0 must surface as a LearningError, not multiprocessing's
-    # raw ValueError from Pool construction.
-    train, _ = ediamond_data
-    dag = ediamond_env.knowledge_structure()
-    service_dag = dag.subgraph([n for n in dag.nodes if n != "D"])
-    with pytest.raises(LearningError):
-        parallel_parameter_learning(service_dag, train, processes=0)
-    with pytest.raises(LearningError):
-        parallel_parameter_learning(service_dag, train, processes=-2)

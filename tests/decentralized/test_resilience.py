@@ -337,3 +337,51 @@ def test_round_state_bookkeeping():
     assert state.rounds_completed == 2
     state.record_fresh("x", "cpd-2")
     assert state.fallback("x") == "cpd-2"
+
+
+def test_seeded_chaos_round_is_pinned():
+    """A chaos round's fault pattern is a function of the seed alone.
+
+    The per-channel tallies below must hold under every
+    ``PYTHONHASHSEED`` (CI runs this directory under two), so no fault
+    draw may follow set or hash order over node names.
+    """
+    from repro.bn.dag import DAG
+
+    nodes = ["root", "a", "b", "c", "d", "e"]
+    dag = DAG(
+        nodes=nodes,
+        edges=[("root", "a"), ("root", "b"), ("a", "c"), ("b", "c"),
+               ("c", "d"), ("a", "e"), ("d", "e")],
+    )
+    r = np.random.default_rng(5)
+    data = Dataset({n: r.normal(1.0, 0.1, size=50) for n in nodes})
+    coord = Coordinator(
+        dag,
+        linear_gaussian_fitter(),
+        retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
+        faults=ChannelFaults(drop=0.5, duplicate=0.3, delay=0.3),
+        rng=CHAOS_SEED,
+    )
+    result = coord.learn_round(data)
+    # (sent, dropped, duplicated, delayed) per channel
+    assert {
+        (c.sender, c.recipient): (c.n_sent, c.n_dropped, c.n_duplicated, c.n_delayed)
+        for c in coord.network
+    } == {
+        ("root", "a"): (1, 0, 0, 0),
+        ("root", "b"): (1, 0, 0, 1),
+        ("a", "c"): (1, 0, 1, 0),
+        ("b", "c"): (2, 2, 0, 0),
+        ("c", "d"): (2, 1, 0, 1),
+        ("a", "e"): (1, 0, 0, 0),
+        ("d", "e"): (2, 1, 0, 0),
+    }
+    assert {n: (o.status, o.attempts) for n, o in result.outcomes.items()} == {
+        "root": (FRESH, 1),
+        "a": (FRESH, 1),
+        "b": (FRESH, 1),
+        "c": (FAILED, 2),
+        "d": (FRESH, 2),
+        "e": (FRESH, 2),
+    }

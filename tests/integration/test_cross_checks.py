@@ -159,14 +159,11 @@ def test_kert_structure_valid_for_any_workflow(n, seed):
     assert dag.children("D") == ()
 
 
-def test_decentralized_equals_centralized_equals_multiprocessing(
-    ediamond_env, ediamond_data
-):
-    """Three learning paths, identical parameters."""
+def test_centralized_equals_decentralized(ediamond_env, ediamond_data):
+    """Both learning paths, identical parameters."""
     from repro.bn.learning.mle import fit_linear_gaussian
     from repro.decentralized.agent import linear_gaussian_fitter
     from repro.decentralized.coordinator import Coordinator
-    from repro.decentralized.parallel import parallel_parameter_learning
 
     train, _ = ediamond_data
     dag = ediamond_env.knowledge_structure()
@@ -181,6 +178,6 @@ def test_decentralized_equals_centralized_equals_multiprocessing(
     decentralized = Coordinator(service_dag, linear_gaussian_fitter()).learn_round(
         train
     ).cpds
-    parallel = parallel_parameter_learning(service_dag, train, processes=2)
+    assert set(decentralized) == set(central)
     for node in central:
-        assert central[node] == decentralized[node] == parallel[node]
+        assert central[node] == decentralized[node]

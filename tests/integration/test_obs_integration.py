@@ -113,56 +113,51 @@ def test_cli_trace_out_writes_snapshot(obs_active, tmp_path, capsys):
     assert "cli.obs" in span_names
 
 
-def test_multiprocessing_round_with_live_exporter(obs_active, ediamond_env,
-                                                  ediamond_data):
-    """PR 5 acceptance, part 1: a decentralized learn round through the
-    *multiprocessing* path with the exporter live.  The merged trace
-    tree must show worker-side fit spans under ``decentralized.round``
-    (one trace id), and ``/metrics`` must serve valid Prometheus text
-    containing the round's instruments.
+def test_coordinator_round_with_live_exporter(obs_active, ediamond_env,
+                                             ediamond_data):
+    """A decentralized learn round with the exporter live.  The trace
+    tree must show one ``agent:<node>`` span per agent under
+    ``decentralized.round``, the round must last as long as its slowest
+    agent, and ``/metrics`` must serve valid Prometheus text containing
+    the round's instruments.
     """
     import urllib.request
 
-    from repro.decentralized.parallel import parallel_parameter_learning
     from repro.obs.export import ExportServer
 
     train, _ = ediamond_data
-    dag = ediamond_env.knowledge_structure()
-    service_nodes = [n for n in dag.nodes if n != "D"]
-    service_dag = dag.subgraph(service_nodes)
-
     with ExportServer() as srv:
-        fitted = parallel_parameter_learning(
-            service_dag, train, processes=2
-        )
+        result = _learn_round(ediamond_env, train)
         with urllib.request.urlopen(srv.url + "/metrics", timeout=5.0) as r:
             assert r.status == 200
             assert r.headers.get("Content-Type").startswith("text/plain")
             scrape = r.read().decode()
 
-    assert set(fitted) == set(map(str, service_nodes))
-
-    # Worker fit spans reattached under the coordinator-side round span.
+    # Agent spans sit under the round span, which carries the max agent cost.
     round_span = obs.OBS.tracer.find("decentralized.round")
     assert round_span is not None
     agent_spans = [
         c for c in round_span.children if c.name.startswith("agent:")
     ]
     assert {sp.name for sp in agent_spans} == {
-        f"agent:{n}" for n in fitted
+        f"agent:{n}" for n in result.per_agent_seconds
     }
-    assert all(sp.trace_id == round_span.trace_id for sp in agent_spans)
     assert round_span.duration == max(sp.duration for sp in agent_spans)
+    assert round_span.duration == result.decentralized_seconds
 
     # The scrape is parseable exposition text with the round's counters.
     from tests.obs.test_obs_export import parse_prometheus
 
     samples = parse_prometheus(scrape)
-    assert samples["repro_decentralized_parallel_fits_total"] == len(fitted)
-    inf_key = 'repro_decentralized_parallel_fit_seconds_bucket{le="+Inf"}'
+    n_fresh = len(result.fresh)
+    assert n_fresh == len(result.per_agent_seconds) > 0
+    assert samples["repro_decentralized_rounds_total"] == 1
+    assert samples["repro_decentralized_agents_fresh_total"] == n_fresh
+    assert samples["repro_decentralized_agents_failed_total"] == 0
+    inf_key = 'repro_decentralized_agent_fit_seconds_bucket{le="+Inf"}'
     assert samples[inf_key] == samples[
-        "repro_decentralized_parallel_fit_seconds_count"
-    ] == len(fitted)
+        "repro_decentralized_agent_fit_seconds_count"
+    ] == n_fresh
 
 
 def test_degraded_service_trips_slo_into_action(obs_active, tmp_path):

@@ -307,4 +307,10 @@ def test_attached_sink_streams_finished_root_spans(obs_active, tmp_path):
     events = _read_events(path)
     assert [e["name"] for e in events] == ["outer", "second"]
     assert events[0]["children"][0]["name"] == "inner"
+    # Each event is the sink's envelope around the span's one
+    # serialization, and nothing else.
+    roots = runtime.OBS.tracer.roots
+    assert [e.pop("category") for e in events] == ["trace", "trace"]
+    assert [e.pop("seq") for e in events] == [0, 1]
+    assert events == [json.loads(json.dumps(sp.to_dict())) for sp in roots]
     assert runtime.OBS.tracer.on_close is None

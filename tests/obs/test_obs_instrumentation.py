@@ -123,20 +123,6 @@ def test_coordinator_round_metrics_and_span(
     assert len(round_span.children) == len(result.per_agent_seconds)
 
 
-def test_parallel_learning_parent_side_counters(
-    obs_active, ediamond_env, ediamond_data
-):
-    from repro.decentralized.parallel import parallel_parameter_learning
-
-    train, _ = ediamond_data
-    dag = ediamond_env.knowledge_structure()
-    service_dag = dag.subgraph([n for n in dag.nodes if n != "D"])
-    fitted = parallel_parameter_learning(service_dag, train, processes=1)
-    c = _counters(obs_active)
-    assert c["decentralized.parallel.batches"] == 1
-    assert c["decentralized.parallel.fits"] == len(fitted)
-
-
 # --------------------------------------------------------------------- #
 # Disabled mode
 # --------------------------------------------------------------------- #

@@ -33,7 +33,7 @@ def test_counter_increments_and_rejects_negatives():
 
 def test_counter_concurrent_increments_lose_nothing():
     """8 threads x 1000 increments must land exactly 8000 — this is the
-    thread-safety contract parallel_parameter_learning's drain relies on."""
+    thread-safety contract the concurrent serving counters rely on."""
     c = Counter("hammered")
     n_threads, n_incs = 8, 1000
 

@@ -8,6 +8,20 @@ KERT-BN is milliseconds, so this costs nothing.
 
 import pytest
 
+from repro import obs
+from repro.obs import runtime
+
+
+@pytest.fixture
+def obs_on():
+    """Observability enabled and empty for one test, then restored."""
+    was_enabled = runtime.OBS.enabled
+    obs.enable()
+    obs.reset()
+    yield
+    obs.reset()
+    runtime.OBS.enabled = was_enabled
+
 
 @pytest.fixture
 def fresh_discrete_model(ediamond_env, ediamond_data):

@@ -12,7 +12,6 @@ import pytest
 
 from repro import obs
 from repro.bn.inference.engine import CompiledDiscreteModel
-from repro.obs import runtime
 from repro.serving.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -52,16 +51,6 @@ def _serving_counters():
         for k, v in counters.items()
         if v and k.startswith("serving.") and not k.startswith("serving.breaker.")
     }
-
-
-@pytest.fixture
-def obs_on():
-    was_enabled = runtime.OBS.enabled
-    obs.enable()
-    obs.reset()
-    yield
-    obs.reset()
-    runtime.OBS.enabled = was_enabled
 
 
 def test_batch_and_single_paths_tally_identically(fresh_discrete_model, obs_on):

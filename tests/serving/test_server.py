@@ -294,6 +294,39 @@ def test_deadline_passing_during_a_degraded_batch_is_counted(
     assert srv.stats.n_deadline_exceeded == 4
 
 
+def test_degraded_batch_counts_each_row_under_its_own_tier(
+    fresh_discrete_model, obs_on
+):
+    """The batch kernel fails and the first row's compiled query runs
+    past the deadline: that row still answers from the compiled tier,
+    the other three from the prior, and each is counted where it
+    answered, in ServerStats and in the ``serving.tier.*`` counters."""
+    import time
+
+    from repro import obs
+
+    model = fresh_discrete_model
+    srv = ModelServer(model, deadline_seconds=0.05, rng=0)
+    row_queries = []
+
+    def fail_batch_slow_first_row(kind, *args):
+        if kind == "batch":
+            raise RuntimeError("injected batch fault")
+        row_queries.append(args)
+        if len(row_queries) == 1:
+            time.sleep(0.06)
+
+    srv.chain.engine.failure_hook = fail_batch_slow_first_row
+    cr = srv.query_batch_columns([model.response], _columns(model, 4))
+    assert cr.ok and cr.n_valid == 4 and cr.tier == TIER_COMPILED
+    assert len(row_queries) == 1  # the deadline skipped the other rows
+    assert srv.stats.tier_counts == {TIER_COMPILED: 1, TIER_PRIOR: 3}
+    counters = obs.snapshot()["metrics"]["counters"]
+    assert counters[f"serving.tier.{TIER_COMPILED}"] == 1
+    assert counters[f"serving.tier.{TIER_PRIOR}"] == 3
+    assert cr.tier_rows == {TIER_COMPILED: 1, TIER_PRIOR: 3}
+
+
 def test_columns_admission_shed_counts_every_row(fresh_discrete_model):
     model = fresh_discrete_model
     ac = AdmissionController(
