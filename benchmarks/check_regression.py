@@ -5,7 +5,9 @@ Three benchmark payloads are guarded:
 - ``--suite inference`` (default) —
   ``benchmarks/test_inference_throughput.py`` persists its numbers to
   ``BENCH_inference.json``; the gate keeps PR 1's compile-once (10.5x)
-  and batched (22x) speedups from silently eroding.
+  and batched (22x) speedups from silently eroding and, once the
+  baseline carries the ``serving`` section, the speed of a guarded
+  raw-evidence query relative to the same query on bin states.
 - ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` persists
   ``benchmarks/results/BENCH_obs.json`` (enabled-vs-disabled instrumentation overhead and
   ``/metrics`` scrape latency); the gate keeps the observability layer's
@@ -74,6 +76,11 @@ OPTIONAL_RATIO_METRICS: Tuple[Tuple[str, str, str], ...] = (
         "batched.float32",
         "speedup_vs_float64",
         "float32 batch vs float64 batch",
+    ),
+    (
+        "serving",
+        "raw_call_speed_vs_binned",
+        "guarded raw-evidence query vs binned query",
     ),
 )
 

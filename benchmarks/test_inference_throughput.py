@@ -8,7 +8,9 @@ it measures queries/sec for
   products per call) vs the compiled engine answering the same repeated
   single-evidence query, and
 - a per-row loop of compiled queries vs one vectorized
-  ``query_batch`` pass over 1k evidence rows,
+  ``query_batch`` pass over 1k evidence rows, and
+- a guarded ``ModelServer.query`` with raw service means as evidence vs
+  the same call on their bin states (the raw call also bins each value),
 
 asserts the compiled/batched posteriors match scratch VE to 1e-9, and
 persists the numbers to ``BENCH_inference.json`` (repo root and
@@ -27,18 +29,26 @@ from _util import RESULTS_DIR, emit_series
 from repro.bn.inference.engine import FLOAT32_MAX_DEVIATION
 from repro.bn.inference.variable_elimination import query as ve_query
 from repro.core.kertbn import build_discrete_kertbn
+from repro.serving.server import ModelServer
 from repro.simulator.scenarios.ediamond import ediamond_scenario
 
 N_BATCH_ROWS = 1_000
 N_BATCH_REPS = 50
+N_SERVING_ROUNDS = 5
+N_SERVING_CALLS = 200  # per round and side
 EVIDENCE_VARS = ("X1", "X2", "D")
 TARGET = "X3"
 
 
 @pytest.fixture(scope="module")
-def discrete_model():
+def training_data():
     env = ediamond_scenario()
-    train = env.simulate(1000, rng=95_000)
+    return env, env.simulate(1000, rng=95_000)
+
+
+@pytest.fixture(scope="module")
+def discrete_model(training_data):
+    env, train = training_data
     return build_discrete_kertbn(env.workflow, train, n_bins=5)
 
 
@@ -46,7 +56,42 @@ def _qps(seconds: float, n: int) -> float:
     return n / seconds if seconds > 0 else float("inf")
 
 
-def test_inference_throughput(discrete_model, benchmark):
+def _guarded_query_seconds(discrete_model, train) -> dict:
+    """Per-call seconds of a guarded raw-evidence query and of the same
+    query on pre-binned states, rounds alternated so drift hits both."""
+    server = ModelServer(discrete_model, rng=0)
+    raw = {
+        str(n): float(np.mean(train[n]))
+        for n in discrete_model.network.nodes
+        if n != TARGET
+    }
+    disc = discrete_model.discretizer
+    states = {k: disc.state_of(k, v) for k, v in raw.items()}
+    raw_answer = server.query([TARGET], raw)
+    binned_answer = server.query([TARGET], states, binned=True)
+    assert raw_answer.ok and binned_answer.ok
+    np.testing.assert_array_equal(raw_answer.value, binned_answer.value)
+    raw_s = binned_s = 0.0
+    for _ in range(N_SERVING_ROUNDS):
+        t0 = time.perf_counter()
+        for _ in range(N_SERVING_CALLS):
+            server.query([TARGET], raw)
+        raw_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for _ in range(N_SERVING_CALLS):
+            server.query([TARGET], states, binned=True)
+        binned_s += time.perf_counter() - t0
+    n_calls = N_SERVING_ROUNDS * N_SERVING_CALLS
+    return {
+        "n_calls": n_calls,
+        "evidence_vars": sorted(raw),
+        "raw_query_seconds": raw_s / n_calls,
+        "binned_query_seconds": binned_s / n_calls,
+        "raw_call_speed_vs_binned": binned_s / raw_s,
+    }
+
+
+def test_inference_throughput(discrete_model, training_data, benchmark):
     net = discrete_model.network
     engine = net.compiled()
     cards = net.cardinalities
@@ -103,6 +148,9 @@ def test_inference_throughput(discrete_model, benchmark):
         batched_f32 = engine.query_batch([TARGET], columns, dtype=np.float32)
     batch_f32_s = (time.perf_counter() - t0) / N_BATCH_REPS
     f32_dev = float(np.max(np.abs(batched_f32.astype(np.float64) - batched)))
+
+    # --- guarded serving call: raw vs binned evidence ------------------ #
+    serving = _guarded_query_seconds(discrete_model, training_data[1])
 
     # --- acceptance criteria ------------------------------------------- #
     assert compiled_speedup >= 5.0, f"compile-once speedup {compiled_speedup:.1f}x < 5x"
@@ -162,6 +210,7 @@ def test_inference_throughput(discrete_model, benchmark):
                 "documented_bound": FLOAT32_MAX_DEVIATION,
             },
         },
+        "serving": serving,
     }
     _merge_payload(payload)
 

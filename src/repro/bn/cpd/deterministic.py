@@ -130,8 +130,7 @@ class DeterministicCPD(CPD):
             for p in self.parents
         }
         fx = np.asarray(self.function(values), dtype=float)
-        bins = np.digitize(fx, self.child_edges[1:-1])
-        return np.clip(bins, 0, self.cardinality - 1)
+        return np.digitize(fx, self.child_edges[1:-1])
 
     def prob_vector(self, parent_states: Mapping[str, int]) -> np.ndarray:
         """Full conditional pmf of the child at one parent configuration."""

@@ -9,6 +9,7 @@ edges and centers, and can map posteriors back to original units.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +29,10 @@ class Discretizer:
         self.n_bins = int(n_bins)
         self.strategy = strategy
         self._edges: dict[str, np.ndarray] = {}
+        #: Interior edges (``edges[1:-1]``) as Python floats, rebuilt with
+        #: every ``_edges`` entry, so :meth:`state_of` bins one value
+        #: without touching numpy.
+        self._inner: dict[str, list[float]] = {}
         self._centers: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
@@ -47,7 +52,7 @@ class Discretizer:
         legal here even though :meth:`fit` always produces two or more);
         ``centers`` defaults to bin midpoints.
         """
-        edge_map = {str(c): np.asarray(v, dtype=float) for c, v in edges.items()}
+        edge_map = {str(c): np.array(v, dtype=float) for c, v in edges.items()}
         if not edge_map:
             raise DataError("from_edges needs at least one column")
         for col, e in edge_map.items():
@@ -79,7 +84,8 @@ class Discretizer:
             n_bins=max(2, max(e.size - 1 for e in edge_map.values())),
             strategy=strategy,
         )
-        disc._edges = edge_map
+        for col, e in edge_map.items():
+            disc._set_edges(col, e)
         disc._centers = center_map
         return disc
 
@@ -107,6 +113,12 @@ class Discretizer:
 
     def cardinalities(self) -> dict[str, int]:
         return {c: self.cardinality(c) for c in self._edges}
+
+    def _set_edges(self, column: str, edges: np.ndarray) -> None:
+        """Store ``edges`` read-only, with their interior as a list."""
+        edges.setflags(write=False)
+        self._edges[column] = edges
+        self._inner[column] = edges[1:-1].tolist()
 
     def _check_fitted(self, column: str) -> None:
         if column not in self._edges:
@@ -137,7 +149,7 @@ class Discretizer:
                 edges = np.array([lo - span, (lo + hi) / 2.0, hi + span])
             # Widen the outer edges so unseen test extremes still bin.
             edges = edges.astype(float)
-            self._edges[col] = edges
+            self._set_edges(col, edges)
             idx = self._bin(x, edges)
             centers = np.empty(edges.size - 1)
             for b in range(edges.size - 1):
@@ -148,8 +160,8 @@ class Discretizer:
 
     @staticmethod
     def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        idx = np.digitize(x, edges[1:-1])
-        return np.clip(idx, 0, edges.size - 2)
+        # Over the interior edges digitize already returns 0..n_bins-1.
+        return np.digitize(x, edges[1:-1])
 
     def transform(self, data: Dataset, columns: "Iterable[str] | None" = None) -> Dataset:
         """Map continuous columns to bin indices (ints)."""
@@ -181,6 +193,12 @@ class Discretizer:
         return float(np.dot(pmf, centers))
 
     def state_of(self, column: str, value: float) -> int:
-        """Continuous value → bin index (clipped to the support)."""
+        """Continuous value → bin index.
+
+        The bin is ``bisect_right(edges[1:-1], value)``: the number of
+        interior edges at or below ``value``.  Values beyond the outer
+        edges land in the end bins, ±inf likewise, and NaN in the last
+        bin — exactly what :meth:`transform` gives for the same value.
+        """
         self._check_fitted(column)
-        return int(self._bin(np.asarray([value], dtype=float), self._edges[column])[0])
+        return bisect.bisect_right(self._inner[column], float(value))

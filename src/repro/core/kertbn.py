@@ -205,7 +205,7 @@ def _predicted_vs_actual_bins(
     centers = {s: discretizer.centers(s)[np.asarray(binned[s], dtype=int)] for s in services}
     fx = f(centers)
     edges = discretizer.edges(response)
-    predicted = np.clip(np.digitize(fx, edges[1:-1]), 0, edges.size - 2)
+    predicted = np.digitize(fx, edges[1:-1])
     actual = np.asarray(binned[response], dtype=int)
     return predicted, actual
 

@@ -232,10 +232,11 @@ class FallbackChain:
 
         The batch kernel is tier 1.  When it gives no answer, each row
         walks :meth:`answer` on its own and the kernel is not retried;
-        ``tier`` is then the first row's, ``tier_rows`` counts the rows
-        each tier answered, and ``tier_errors`` adds, per tier, the
-        first error a row met, so a deadline that passed during the
-        rows shows there.
+        ``tier`` is then the deepest tier (in :data:`CHAIN` order) that
+        answered any row, so it never claims a better tier than some row
+        got; ``tier_rows`` counts the rows each tier answered, and
+        ``tier_errors`` adds, per tier, the first error a row met, so a
+        deadline that passed during the rows shows there.
         """
         variables = self._variables(variables)
         errors: dict[str, str] = {}
@@ -258,7 +259,7 @@ class FallbackChain:
         return TierAnswer(
             variables=variables,
             values=np.stack([a.values for a in answers]),
-            tier=answers[0].tier,
+            tier=max(rows, key=CHAIN.index),
             tier_errors=errors,
             approximate=any(a.approximate for a in answers),
             tier_rows=rows,

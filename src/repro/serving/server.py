@@ -85,7 +85,8 @@ class ColumnarBatchResult:
     ``pmfs[j]`` answers the j-th *valid* row; ``valid`` is a boolean
     mask over the input rows (``None`` means every row was valid).
     A degraded batch's rows may answer from different tiers: ``tier`` is
-    then the first row's and ``tier_rows`` counts the rows per tier.
+    then the deepest tier that answered any row (compiled → sweep →
+    sampling → prior) and ``tier_rows`` counts the rows per tier.
     """
 
     status: str
@@ -445,8 +446,8 @@ class ModelServer:
         :class:`ColumnarBatchResult` instead of N ``QueryResult``\\ s,
         so the guarded overhead stays within a small constant factor of
         the raw engine kernel — this is the bulk lane for callers that
-        hold many evidence rows at once.  Raw measurement means are
-        binned by the caller (``model.discretizer.state_of``) first.
+        hold many evidence rows at once.  Raw measurement columns are
+        binned by the caller (``model.discretizer.transform``) first.
 
         Rows with out-of-range states are rejected via the ``valid``
         mask while the clean rows still answer.  The clean rows go to

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bn.data import Dataset
 from repro.bn.discretize import Discretizer
+from repro.core.persistence import discretizer_from_dict, discretizer_to_dict
 from repro.exceptions import DataError
 
 
@@ -87,6 +88,83 @@ def test_state_of_matches_transform(rng):
     t = d.transform(Dataset({"x": x}))["x"]
     for i in [0, 100, 499]:
         assert d.state_of("x", float(x[i])) == t[i]
+
+
+_SPECIAL = [float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 0.0, -0.0]
+
+
+@st.composite
+def _edges_and_values(draw):
+    """Strictly increasing edges plus probe values: exact edges, values
+    beyond the outer edges, ±inf, NaN, ±1e300 and arbitrary floats."""
+    edges = sorted(
+        draw(
+            st.sets(
+                st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+                min_size=2,
+                max_size=8,
+            )
+        )
+    )
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(edges),
+                st.sampled_from([edges[0] - 1.0, edges[-1] + 1.0]),
+                st.sampled_from(_SPECIAL),
+                st.floats(),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return edges, values
+
+
+@given(_edges_and_values(), st.integers(min_value=2, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_state_of_is_transform_of_one_value(case, n_bins):
+    """The scalar lookup agrees with the vectorized bin for every float,
+    whether the edges came from fit, from_edges or a persisted bundle."""
+    edges, values = case
+    fitted = Discretizer(n_bins=n_bins).fit(Dataset({"x": np.asarray(edges)}))
+    given_edges = Discretizer.from_edges({"x": edges})
+    for d in (
+        fitted,
+        given_edges,
+        discretizer_from_dict(discretizer_to_dict(fitted)),
+        discretizer_from_dict(discretizer_to_dict(given_edges)),
+    ):
+        for v in values + d.edges("x").tolist():
+            expected = d.transform(Dataset({"x": np.asarray([v])}))["x"][0]
+            assert d.state_of("x", v) == expected, (v, d.edges("x"))
+
+
+def test_refit_rebins_against_new_edges():
+    d = Discretizer(n_bins=2).fit(Dataset({"x": np.array([0.0, 1.0, 2.0])}))
+    assert d.state_of("x", 1.5) == 1
+    d.fit(Dataset({"x": np.array([10.0, 11.0, 12.0])}))
+    assert d.state_of("x", 1.5) == 0
+    assert d.state_of("x", 11.5) == 1
+
+
+def test_state_of_unfitted_column_raises():
+    with pytest.raises(DataError):
+        Discretizer().state_of("x", 1.0)
+    d = Discretizer().fit(Dataset({"x": np.arange(10.0)}))
+    with pytest.raises(DataError):
+        d.state_of("y", 1.0)
+
+
+def test_stored_edges_are_read_only():
+    caller_edges = np.array([0.0, 1.0, 2.0])
+    given_edges = Discretizer.from_edges({"x": caller_edges})
+    fitted = Discretizer().fit(Dataset({"x": np.arange(10.0)}))
+    for d in (given_edges, fitted):
+        with pytest.raises(ValueError):
+            d.edges("x")[1] = 0.5
+    caller_edges[1] = 0.5  # from_edges stored a copy
+    assert given_edges.edges("x")[1] == 1.0
 
 
 @given(

@@ -114,6 +114,42 @@ def test_discretizer_transform_vectorized(rng):
     assert secs < 0.3
 
 
+def test_raw_evidence_query_bins_without_numpy(
+    monkeypatch, ediamond_discrete_model, ediamond_data
+):
+    """A guarded raw-evidence query bins each value with a scalar lookup:
+    no ``np.digitize`` / ``np.clip`` on one-element arrays, counted
+    rather than timed, and the same answer as the pre-binned call."""
+    from repro.serving.server import ModelServer
+
+    model = ediamond_discrete_model
+    train, _ = ediamond_data
+    target = "X4"
+    raw = {
+        str(n): float(np.mean(train[n]))
+        for n in model.network.nodes
+        if n != target
+    }
+    srv = ModelServer(model, rng=0)
+    srv.query([target], raw)  # compile outside the count
+    calls = {"digitize": 0, "clip": 0}
+    for name in calls:
+        fn = getattr(np, name)
+
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    result = srv.query([target], raw)
+    assert result.ok and len(raw) == 6
+    assert calls == {"digitize": 0, "clip": 0}
+    disc = model.discretizer
+    states = {k: disc.state_of(k, v) for k, v in raw.items()}
+    binned = srv.query([target], states, binned=True)
+    np.testing.assert_array_equal(result.value, binned.value)
+
+
 def test_localize_is_one_batched_sweep():
     """One localize over 80 services runs the moment plan once, batched.
 

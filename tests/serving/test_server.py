@@ -294,18 +294,12 @@ def test_deadline_passing_during_a_degraded_batch_is_counted(
     assert srv.stats.n_deadline_exceeded == 4
 
 
-def test_degraded_batch_counts_each_row_under_its_own_tier(
-    fresh_discrete_model, obs_on
-):
-    """The batch kernel fails and the first row's compiled query runs
-    past the deadline: that row still answers from the compiled tier,
-    the other three from the prior, and each is counted where it
-    answered, in ServerStats and in the ``serving.tier.*`` counters."""
+def _slow_first_row_batch(model):
+    """A 4-row batch whose kernel fails and whose first row's compiled
+    query runs past the 0.05 s deadline: that row answers from the
+    compiled tier, the other three from the prior."""
     import time
 
-    from repro import obs
-
-    model = fresh_discrete_model
     srv = ModelServer(model, deadline_seconds=0.05, rng=0)
     row_queries = []
 
@@ -318,12 +312,31 @@ def test_degraded_batch_counts_each_row_under_its_own_tier(
 
     srv.chain.engine.failure_hook = fail_batch_slow_first_row
     cr = srv.query_batch_columns([model.response], _columns(model, 4))
-    assert cr.ok and cr.n_valid == 4 and cr.tier == TIER_COMPILED
+    assert cr.ok and cr.n_valid == 4
     assert len(row_queries) == 1  # the deadline skipped the other rows
+    return srv, cr
+
+
+def test_degraded_batch_counts_each_row_under_its_own_tier(
+    fresh_discrete_model, obs_on
+):
+    """Each row of a degraded batch is counted where it answered, in
+    ServerStats and in the ``serving.tier.*`` counters."""
+    from repro import obs
+
+    srv, cr = _slow_first_row_batch(fresh_discrete_model)
     assert srv.stats.tier_counts == {TIER_COMPILED: 1, TIER_PRIOR: 3}
     counters = obs.snapshot()["metrics"]["counters"]
     assert counters[f"serving.tier.{TIER_COMPILED}"] == 1
     assert counters[f"serving.tier.{TIER_PRIOR}"] == 3
+    assert cr.tier_rows == {TIER_COMPILED: 1, TIER_PRIOR: 3}
+
+
+def test_degraded_batch_tier_is_the_deepest_row_tier(fresh_discrete_model):
+    """``tier`` names the deepest tier any row fell to, never the first
+    row's better one."""
+    _, cr = _slow_first_row_batch(fresh_discrete_model)
+    assert cr.tier == TIER_PRIOR and cr.approximate
     assert cr.tier_rows == {TIER_COMPILED: 1, TIER_PRIOR: 3}
 
 

@@ -159,6 +159,26 @@ def test_optional_metric_only_gated_when_baseline_has_it():
     assert len(report) == 2
 
 
+def test_serving_ratio_gates_on_a_floor():
+    """A guarded raw-evidence query that falls back to binning through
+    numpy (~0.3 of the binned call's speed) fails against a baseline
+    recording the scalar lookup (~0.9); a baseline without the
+    ``serving`` section does not gate it."""
+    base = copy.deepcopy(BASELINE)
+    base["serving"] = {"raw_call_speed_vs_binned": 0.9}
+    ok = copy.deepcopy(base)
+    ok["serving"]["raw_call_speed_vs_binned"] = 0.8
+    failures, report = gate.compare(base, ok)
+    assert failures == [] and len(report) == 3
+    slow = copy.deepcopy(base)
+    slow["serving"]["raw_call_speed_vs_binned"] = 0.3
+    failures, _ = gate.compare(base, slow)
+    assert len(failures) == 1
+    assert "serving.raw_call_speed_vs_binned" in failures[0]
+    failures, report = gate.compare(BASELINE, slow)
+    assert failures == [] and len(report) == 2
+
+
 def test_matrix_cells_gate_per_cell():
     base = copy.deepcopy(BASELINE)
     base["matrix"] = {
