@@ -73,11 +73,6 @@ ABSOLUTE_METRICS: Tuple[Tuple[str, str, str], ...] = (
 #: dotted paths (``matrix.bins3_width6``).
 OPTIONAL_RATIO_METRICS: Tuple[Tuple[str, str, str], ...] = (
     (
-        "batched.float32",
-        "speedup_vs_float64",
-        "float32 batch vs float64 batch",
-    ),
-    (
         "serving",
         "raw_call_speed_vs_binned",
         "guarded raw-evidence query vs binned query",

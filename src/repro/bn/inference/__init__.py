@@ -12,7 +12,6 @@
 - :mod:`repro.bn.inference.sampling` — forward sampling and likelihood
   weighting for networks whose CPDs are not jointly tractable (hybrid
   nets with the nonlinear ``max`` response CPD).
-- :mod:`repro.bn.inference.likelihood` — dataset scoring helpers.
 """
 
 from repro.bn.inference.gaussian import (
@@ -23,7 +22,6 @@ from repro.bn.inference.gaussian import (
 from repro.bn.inference.variable_elimination import query
 from repro.bn.inference.engine import CompiledDiscreteModel
 from repro.bn.inference.sampling import forward_sample, likelihood_weighting
-from repro.bn.inference.likelihood import log10_likelihood, mean_log_likelihood
 
 __all__ = [
     "joint_gaussian",
@@ -33,6 +31,4 @@ __all__ = [
     "CompiledDiscreteModel",
     "forward_sample",
     "likelihood_weighting",
-    "log10_likelihood",
-    "mean_log_likelihood",
 ]

@@ -32,10 +32,9 @@ on the evidence *values*:
   signature the planner cannot schedule at all raises
   :class:`~repro.exceptions.InferenceError`; the serving fallback chain
   answers it exactly with variable elimination;
-- :meth:`query_batch` accepts columnar integer evidence directly and
-  never copies columns that already are 1-D integer arrays; an optional
-  ``dtype=np.float32`` runs the batch in single precision (documented
-  deviation bound :data:`FLOAT32_MAX_DEVIATION`);
+- :meth:`query_batch` takes one form of evidence, a ``{variable:
+  integer column}`` mapping, and never copies columns that already are
+  1-D ``intp`` arrays; it answers in float64, like :meth:`query`;
 - evidence-free marginals (the dComp/pAccel priors) are cached per
   variable by :meth:`prior`.
 
@@ -77,12 +76,6 @@ DEFAULT_PLAN_CACHE_SIZE = 256
 #: the ceiling use the evidence-sliced contraction path instead.
 DEFAULT_MAX_JOINT_ENTRIES = 1 << 20
 
-#: Documented bound on ``query_batch(..., dtype=np.float32)`` deviation
-#: from the float64 path for normalized posteriors.  Gathering from a
-#: float32 joint table rounds each entry once (2**-24 relative) and the
-#: normalization adds a few ulps; benchmarks and tests assert it.
-FLOAT32_MAX_DEVIATION = 5e-6
-
 #: Synthetic variable name for the batch axis in sliced-path schedules.
 #: NUL is not a legal network variable name, so it can never collide.
 _BATCH_VAR = "\x00batch"
@@ -104,9 +97,7 @@ class _QueryPlan:
         "out_shape",
         "out_size",
         "joint",              # (n_ev_states, out_size) float64 or None
-        "joint_f32",          # lazily cast float32 twin of ``joint``
         "operands",           # list[(values, ev_vars, free_vars)]
-        "operands_f32",       # lazily cast float32 operand tables
         "schedule_single",    # sliced-path schedule (joint too big)
         "schedule_batch",
     )
@@ -124,9 +115,7 @@ class _QueryPlan:
         self.out_shape = out_shape
         self.out_size = int(np.prod(out_shape)) if out_shape else 1
         self.joint = None
-        self.joint_f32 = None
         self.operands = None
-        self.operands_f32 = None
         self.schedule_single = None
         self.schedule_batch = None
 
@@ -182,20 +171,6 @@ class CompiledDiscreteModel:
     @property
     def cardinalities(self) -> dict[str, int]:
         return dict(self._cards)
-
-    @property
-    def n_cached_plans(self) -> int:
-        return len(self._plans)
-
-    @property
-    def plan_cache_capacity(self) -> int:
-        return self._plan_cache_size
-
-    def cardinality(self, variable: str) -> int:
-        try:
-            return self._cards[str(variable)]
-        except KeyError:
-            raise InferenceError(f"unknown variable {variable!r}") from None
 
     def cache_stats(self) -> dict:
         """Plan-cache tiers at a glance (for serving status surfaces)."""
@@ -391,37 +366,20 @@ class CompiledDiscreteModel:
     def query_batch(
         self,
         variables: Iterable[str],
-        evidence_rows: "Mapping[str, Sequence[int]] | Sequence[Mapping[str, int]]",
-        dtype: "np.dtype | type | None" = None,
+        columns: Mapping[str, Sequence[int]],
     ) -> np.ndarray:
         """Answer N evidence rows in one vectorized pass.
 
-        ``evidence_rows`` is either a mapping ``{variable: column of N
-        state indices}`` or a sequence of N ``{variable: state}`` rows
-        (all rows must observe the same variable set — that *is* the
-        compiled signature).  Columnar 1-D integer arrays are used
-        as-is, zero-copy.  Returns an ``(N, card(V1), ...)`` array whose
-        row ``i`` is the normalized posterior
-        ``P(variables | evidence_rows[i])``, identical (up to float
-        error) to calling :meth:`query` row by row.
-
-        ``dtype=np.float32`` runs the gather/normalization in single
-        precision: roughly half the memory traffic, with posterior
-        deviation from the float64 path bounded by
-        :data:`FLOAT32_MAX_DEVIATION` (asserted by the benchmark suite).
+        ``columns`` maps each evidence variable to a column of N state
+        indices (one signature per batch); 1-D ``intp`` arrays are used
+        as-is, zero-copy.  Returns a float64 ``(N, card(V1), ...)`` array
+        whose row ``i`` is the normalized posterior ``P(variables |
+        row i)``, identical (up to float error) to calling :meth:`query`
+        row by row.
         """
         _t0 = _OBS.clock() if _OBS.enabled else None
-        if dtype is None:
-            use_f32 = False
-        else:
-            dtype = np.dtype(dtype)
-            if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-                raise InferenceError(
-                    f"query_batch dtype must be float32 or float64, got {dtype}"
-                )
-            use_f32 = dtype == np.dtype(np.float32)
         variables = tuple(map(str, variables))
-        columns = _evidence_columns(evidence_rows)
+        columns = _evidence_columns(columns)
         key = (variables, frozenset(columns))
         plan = self._lookup(key)
         if plan is None:
@@ -455,23 +413,23 @@ class CompiledDiscreteModel:
         if self.failure_hook is not None:
             self.failure_hook("batch", variables, columns)
         if plan.joint is not None:
-            table = plan.joint
-            if use_f32:
-                if plan.joint_f32 is None:
-                    plan.joint_f32 = plan.joint.astype(np.float32)
-                table = plan.joint_f32
-            out = table.take(flat, axis=0)
-            totals = out.sum(axis=1)
-            bad = np.flatnonzero(totals <= 0)
-            if bad.size:
-                raise InferenceError(
-                    "evidence has zero probability under the model at rows "
-                    f"{bad[:5].tolist()}"
-                )
-            out = out / totals[:, None]
-            out = out.reshape((n,) + plan.out_shape)
+            out = plan.joint.take(flat, axis=0)
         else:
-            out = self._batch_sliced(plan, columns, n, use_f32)
+            out = execute_schedule(
+                plan.schedule_batch,
+                [
+                    values[tuple(columns[v] for v in ev_vars)] if ev_vars else values
+                    for values, ev_vars, _ in plan.operands
+                ],
+            ).reshape(n, plan.out_size)
+        totals = out.sum(axis=1)
+        bad = np.flatnonzero(totals <= 0)
+        if bad.size:
+            raise InferenceError(
+                "evidence has zero probability under the model at rows "
+                f"{bad[:5].tolist()}"
+            )
+        out = (out / totals[:, None]).reshape((n,) + plan.out_shape)
         if _t0 is not None:
             _OBS.metrics.counter("engine.query_batch.calls").inc()
             _OBS.metrics.counter("engine.query_batch.rows").inc(n)
@@ -479,36 +437,6 @@ class CompiledDiscreteModel:
                 _OBS.clock() - _t0
             )
         return out
-
-    def _batch_sliced(
-        self,
-        plan: _QueryPlan,
-        columns: Mapping[str, np.ndarray],
-        n: int,
-        use_f32: bool,
-    ) -> np.ndarray:
-        """Batch answer for plans whose joint table was over budget."""
-        operands = plan.operands
-        if use_f32:
-            if plan.operands_f32 is None:
-                plan.operands_f32 = [
-                    (values.astype(np.float32), ev, free)
-                    for values, ev, free in plan.operands
-                ]
-            operands = plan.operands_f32
-        arrays = [
-            values[tuple(columns[v] for v in ev_vars)] if ev_vars else values
-            for values, ev_vars, _ in operands
-        ]
-        out = execute_schedule(plan.schedule_batch, arrays)
-        totals = out.reshape(n, -1).sum(axis=1)
-        bad = np.flatnonzero(totals <= 0)
-        if bad.size:
-            raise InferenceError(
-                "evidence has zero probability under the model at rows "
-                f"{bad[:5].tolist()}"
-            )
-        return out / totals.reshape((n,) + (1,) * len(plan.out_shape))
 
     def prior(self, variable: str) -> DiscreteFactor:
         """Cached evidence-free marginal ``P(variable)``."""
@@ -519,60 +447,33 @@ class CompiledDiscreteModel:
             self._priors[variable] = cached
         return cached
 
-    def posterior_mean_batch(
-        self,
-        variable: str,
-        centers: np.ndarray,
-        evidence_rows: "Mapping[str, Sequence[int]] | Sequence[Mapping[str, int]]",
-    ) -> np.ndarray:
-        """Vectorized counterpart of ``network.posterior_mean`` — one mean
-        per evidence row, in the original (bin-center) units."""
-        centers = np.asarray(centers, dtype=float)
-        pmfs = self.query_batch([variable], evidence_rows)
-        if centers.shape != pmfs.shape[1:]:
-            raise InferenceError("centers do not match the variable's cardinality")
-        return pmfs @ centers
-
 
 # --------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------- #
 
 
-def _evidence_columns(evidence_rows) -> dict[str, np.ndarray]:
-    """Normalize either batch-evidence form into integer index columns.
+def _evidence_columns(columns) -> dict[str, np.ndarray]:
+    """``{variable: column}`` → 1-D ``intp`` index columns.
 
-    Columnar input that already holds 1-D integer arrays passes through
+    Columns that already are 1-D ``intp`` arrays pass through
     **zero-copy** (``np.shares_memory`` with the caller's arrays); only
-    dtype/shape mismatches pay a conversion.  The row-mapping form fills
-    one preallocated column per variable in a single pass.
+    dtype/shape mismatches pay a conversion.
     """
-    if isinstance(evidence_rows, Mapping):
-        columns: dict[str, np.ndarray] = {}
-        for v, col in evidence_rows.items():
-            arr = np.asarray(col)
-            if arr.dtype != np.intp:
-                if arr.dtype.kind in "iu":
-                    arr = arr.astype(np.intp, copy=False)
-                else:
-                    arr = np.asarray(col, dtype=np.intp)
-            if arr.ndim != 1:
-                arr = arr.reshape(-1)
-            columns[str(v)] = arr
-        return columns
-    rows = list(evidence_rows)
-    if not rows:
-        raise InferenceError("query_batch needs at least one evidence row")
-    keys = tuple(map(str, rows[0]))
-    key_set = set(keys)
-    out = {k: np.empty(len(rows), dtype=np.intp) for k in keys}
-    for i, row in enumerate(rows):
-        row = {str(k): int(v) for k, v in row.items()}
-        if set(row) != key_set:
-            raise InferenceError(
-                f"evidence row {i} observes {sorted(row)}, "
-                f"expected {sorted(key_set)} (one signature per batch)"
-            )
-        for k in keys:
-            out[k][i] = row[k]
+    if not isinstance(columns, Mapping):
+        raise InferenceError(
+            "query_batch takes a {variable: integer column} mapping, got "
+            f"{type(columns).__name__}"
+        )
+    out: dict[str, np.ndarray] = {}
+    for v, col in columns.items():
+        arr = np.asarray(col)
+        if arr.dtype != np.intp:
+            if arr.dtype.kind in "iu":
+                arr = arr.astype(np.intp, copy=False)
+            else:
+                arr = np.asarray(col, dtype=np.intp)
+        if arr.ndim != 1:
+            arr = arr.reshape(-1)
+        out[str(v)] = arr
     return out

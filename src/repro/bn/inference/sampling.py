@@ -80,26 +80,3 @@ def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     if total <= 0:
         raise InferenceError("weights sum to zero")
     return float(np.dot(values, weights) / total)
-
-
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Importance-weighted posterior quantile (linear interpolation)."""
-    if not 0.0 <= q <= 1.0:
-        raise InferenceError(f"quantile must be in [0, 1], got {q}")
-    order = np.argsort(values)
-    v = np.asarray(values, dtype=float)[order]
-    w = np.asarray(weights, dtype=float)[order]
-    total = w.sum()
-    if total <= 0:
-        raise InferenceError("weights sum to zero")
-    cdf = np.cumsum(w) / total
-    return float(np.interp(q, cdf, v))
-
-
-def effective_sample_size(weights: np.ndarray) -> float:
-    """Kish effective sample size — a health check for weighted posteriors."""
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        return 0.0
-    return float(total * total / np.sum(w * w))

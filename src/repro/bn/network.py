@@ -169,28 +169,16 @@ class DiscreteBayesianNetwork(BayesianNetwork):
         """
         return self.compiled().query(variables, evidence or {})
 
-    def query_batch(self, variables: Iterable[str], evidence_rows, dtype=None):
+    def query_batch(
+        self, variables: Iterable[str], columns: Mapping[str, Iterable[int]]
+    ):
         """Vectorized posterior over ``variables`` for N evidence rows.
 
-        See :meth:`repro.bn.inference.engine.CompiledDiscreteModel.query_batch`;
-        returns an ``(N, ...)`` array of normalized posteriors.
-        ``dtype=np.float32`` selects the single-precision gather path
-        (≤5e-6 absolute deviation).
+        ``columns`` maps each evidence variable to N integer states; see
+        :meth:`repro.bn.inference.engine.CompiledDiscreteModel.query_batch`.
+        Returns a float64 ``(N, ...)`` array of normalized posteriors.
         """
-        return self.compiled().query_batch(variables, evidence_rows, dtype=dtype)
-
-    def posterior_mean(
-        self,
-        variable: str,
-        centers: np.ndarray,
-        evidence: "Mapping[str, int] | None" = None,
-    ) -> float:
-        """Mean of a discretized variable's posterior, in original units."""
-        factor = self.query([variable], evidence).normalize()
-        centers = np.asarray(centers, dtype=float)
-        if centers.shape != factor.values.shape:
-            raise InferenceError("centers do not match the variable's cardinality")
-        return float(np.dot(factor.values, centers))
+        return self.compiled().query_batch(variables, columns)
 
 
 class GaussianBayesianNetwork(BayesianNetwork):
@@ -216,13 +204,6 @@ class GaussianBayesianNetwork(BayesianNetwork):
 
         names, mean, cov = self.to_joint_gaussian()
         return condition_gaussian(names, mean, cov, evidence)
-
-    def marginal(self, variables: Iterable[str]):
-        """Exact marginal ``(names, mean, cov)`` over ``variables``."""
-        from repro.bn.inference.gaussian import marginal_gaussian
-
-        names, mean, cov = self.to_joint_gaussian()
-        return marginal_gaussian(names, mean, cov, variables)
 
 
 class HybridResponseNetwork(BayesianNetwork):

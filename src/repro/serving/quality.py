@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.exceptions import ServingError
+from repro.exceptions import DataError, ServingError
 
 
 @dataclass
@@ -202,11 +202,20 @@ class AccuracyTripwire:
 
         The incumbent is loaded *before* publishing (publishing moves
         the active pointer).  Scores are per-row log10-likelihood so the
-        tolerance is window-size independent.
+        tolerance is window-size independent.  An incumbent that cannot
+        be loaded or scored is no rollback target: the new model stays
+        active, and a bundle that failed to load is marked unhealthy so
+        no later rollback lands on it.
         """
         previous = None
-        if self.registry.active_version is not None:
-            previous = self.registry.load()
+        unusable = None
+        old_version = self.registry.active_version
+        if old_version is not None:
+            try:
+                previous = self.registry.load()
+            except (DataError, OSError) as exc:
+                unusable = f"previous model v{old_version} failed to load: {exc}"
+                self.registry.mark_unhealthy(old_version, unusable)
         version = self.registry.publish(
             model, activate=True, metadata=dict(metadata or {})
         )
@@ -217,14 +226,16 @@ class AccuracyTripwire:
             try:
                 prev_score = float(previous.log10_likelihood(window)) / n
             except Exception as exc:  # incumbent can't score: keep new model
-                return PublishOutcome(
-                    version=version,
-                    active_version=version,
-                    rolled_back=False,
-                    new_score=new_score,
-                    previous_score=None,
-                    detail=f"previous model unscoreable: {exc}",
-                )
+                unusable = f"previous model unscoreable: {exc}"
+        if unusable is not None:
+            return PublishOutcome(
+                version=version,
+                active_version=version,
+                rolled_back=False,
+                new_score=new_score,
+                previous_score=None,
+                detail=unusable,
+            )
         if (
             prev_score is not None
             and np.isfinite(prev_score)

@@ -71,13 +71,16 @@ def test_query_batch_matches_per_row_queries():
         np.testing.assert_allclose(batch[i], ref.values, atol=1e-9)
 
 
-def test_query_batch_accepts_row_mappings():
+def test_query_batch_rejects_row_mappings():
+    """The batch contract is columns only; the same rows as columns answer."""
     rng = np.random.default_rng(9)
     net = random_discrete_net(rng, n_nodes=5)
     engine = CompiledDiscreteModel(net)
     nodes = [str(n) for n in net.nodes]
     rows = [{nodes[0]: 0}, {nodes[0]: 1}]
-    batch = engine.query_batch([nodes[-1]], rows)
+    with pytest.raises(InferenceError, match="mapping"):
+        engine.query_batch([nodes[-1]], rows)
+    batch = engine.query_batch([nodes[-1]], {nodes[0]: [0, 1]})
     for i, row in enumerate(rows):
         np.testing.assert_allclose(
             batch[i], ve_query(net, [nodes[-1]], row).values, atol=1e-9
@@ -91,9 +94,9 @@ def test_plans_and_priors_are_cached():
     nodes = [str(n) for n in net.nodes]
     engine.query([nodes[1]], {nodes[0]: 0})
     engine.query([nodes[1]], {nodes[0]: 1})  # same signature, new values
-    assert engine.n_cached_plans == 1
+    assert engine.cache_stats()["plans"] == 1
     engine.query([nodes[2]], {nodes[0]: 0})
-    assert engine.n_cached_plans == 2
+    assert engine.cache_stats()["plans"] == 2
     p1 = engine.prior(nodes[1])
     p2 = engine.prior(nodes[1])
     assert p1 is p2
@@ -110,22 +113,6 @@ def test_network_query_fast_path_uses_cached_engine():
     np.testing.assert_allclose(got.values, ref.values, atol=1e-9)
     batch = net.query_batch([nodes[1]], {nodes[0]: [0, 1]})
     np.testing.assert_allclose(batch[0], got.values, atol=1e-9)
-
-
-def test_posterior_mean_batch():
-    rng = np.random.default_rng(12)
-    net = random_discrete_net(rng, n_nodes=5)
-    engine = CompiledDiscreteModel(net)
-    nodes = [str(n) for n in net.nodes]
-    card = net.cardinalities[nodes[1]]
-    centers = np.linspace(1.0, 2.0, card)
-    cols = {nodes[0]: rng.integers(0, net.cardinalities[nodes[0]], size=7)}
-    means = engine.posterior_mean_batch(nodes[1], centers, cols)
-    for i in range(7):
-        expected = net.posterior_mean(
-            nodes[1], centers, {nodes[0]: int(cols[nodes[0]][i])}
-        )
-        assert means[i] == pytest.approx(expected, abs=1e-12)
 
 
 # --------------------------------------------------------------------- #
@@ -184,14 +171,14 @@ def test_plan_cache_lru_cap_holds():
     rng = np.random.default_rng(12)
     net = random_discrete_net(rng, n_nodes=6)
     engine = CompiledDiscreteModel(net, plan_cache_size=4)
-    assert engine.plan_cache_capacity == 4
+    assert engine.cache_stats()["capacity"] == 4
     nodes = [str(n) for n in net.nodes]
     # 6 distinct signatures: vary the query variable with fixed evidence.
     for q in nodes[1:]:
         engine.query([q], {nodes[0]: 0})
     engine.query([nodes[0]], {nodes[1]: 0})
     stats = engine.cache_stats()
-    assert engine.n_cached_plans <= 4
+    assert engine.cache_stats()["plans"] <= 4
     assert stats["evictions"] >= 2
     assert stats["compiles"] == 6
     # Evicted signatures recompile — and still answer correctly.
@@ -199,7 +186,7 @@ def test_plan_cache_lru_cap_holds():
     np.testing.assert_allclose(
         got.values, ve_query(net, [nodes[1]], {nodes[0]: 0}).values, atol=1e-9
     )
-    assert engine.n_cached_plans <= 4
+    assert engine.cache_stats()["plans"] <= 4
 
 
 def test_evidence_columns_intp_arrays_are_not_copied():
@@ -218,25 +205,3 @@ def test_evidence_columns_intp_arrays_are_not_copied():
     outf = _evidence_columns({"A": colf})
     assert outf["A"].dtype == np.intp
     assert not np.shares_memory(outf["A"], colf)
-
-
-def test_query_batch_float32_path():
-    """Single-precision batches stay within the documented deviation."""
-    from repro.bn.inference.engine import FLOAT32_MAX_DEVIATION
-
-    rng = np.random.default_rng(13)
-    net = random_discrete_net(rng, n_nodes=6)
-    engine = CompiledDiscreteModel(net)
-    nodes = [str(n) for n in net.nodes]
-    cards = net.cardinalities
-    ev_vars = [nodes[0], nodes[-1]]
-    n = 64
-    columns = {
-        v: rng.integers(0, cards[v], size=n).astype(np.intp) for v in ev_vars
-    }
-    exact = engine.query_batch([nodes[2]], columns)
-    fast = engine.query_batch([nodes[2]], columns, dtype=np.float32)
-    assert fast.dtype == np.float32
-    assert np.max(np.abs(fast.astype(np.float64) - exact)) <= FLOAT32_MAX_DEVIATION
-    with pytest.raises(InferenceError, match="dtype"):
-        engine.query_batch([nodes[2]], columns, dtype=np.int32)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bn.inference.sampling import (
-    effective_sample_size,
     forward_sample,
     likelihood_weighting,
     weighted_mean,
-    weighted_quantile,
 )
 from repro.exceptions import InferenceError
 
@@ -52,20 +50,9 @@ def test_lw_posterior_matches_exact(chain_gaussian_net):
     assert v == pytest.approx(exact_v, rel=0.1)
 
 
-def test_weighted_mean_and_quantile():
+def test_weighted_mean():
     values = np.array([1.0, 2.0, 3.0])
     weights = np.array([1.0, 0.0, 1.0])
     assert weighted_mean(values, weights) == pytest.approx(2.0)
-    assert weighted_quantile(values, weights, 0.5) == pytest.approx(2.0, abs=1.0)
     with pytest.raises(InferenceError):
         weighted_mean(values, np.zeros(3))
-    with pytest.raises(InferenceError):
-        weighted_quantile(values, weights, 1.5)
-
-
-def test_effective_sample_size():
-    assert effective_sample_size(np.ones(100)) == pytest.approx(100.0)
-    degenerate = np.zeros(100)
-    degenerate[0] = 1.0
-    assert effective_sample_size(degenerate) == pytest.approx(1.0)
-    assert effective_sample_size(np.zeros(10)) == 0.0

@@ -108,14 +108,6 @@ def test_discrete_network_cardinality_mismatch():
         )
 
 
-def test_discrete_posterior_mean():
-    dag = DAG(nodes=["a"])
-    net = DiscreteBayesianNetwork(dag, [TabularCPD("a", 2, np.array([0.25, 0.75]))])
-    assert net.posterior_mean("a", np.array([0.0, 1.0])) == pytest.approx(0.75)
-    with pytest.raises(InferenceError):
-        net.posterior_mean("a", np.array([0.0, 1.0, 2.0]))
-
-
 def hybrid_net():
     dag = DAG(nodes=["a", "b", "D"], edges=[("a", "b"), ("a", "D"), ("b", "D")])
     f = Sum([Var("a"), Var("b")])

@@ -358,3 +358,27 @@ def test_insufficient_plan_projects_each_candidate_once(monkeypatch):
     evidence, p = projections[-1]
     assert set(evidence) == {service}
     assert report.projected_violation_prob == p > policy.max_violation_prob
+
+
+def test_corrupt_incumbent_bundle_does_not_crash_the_loop(tmp_path):
+    """A registry whose active bundle no longer loads gets the new model:
+    the cycle publishes, does not roll back, and the broken version is
+    marked unhealthy so no later rollback targets it."""
+    import os
+
+    from repro.serving.registry import ModelRegistry
+
+    env = ediamond_scenario()
+    policy = SLAPolicy(threshold=6.0, max_violation_prob=0.3)
+    reg = ModelRegistry(str(tmp_path / "reg"))
+    mgr = AutonomicManager(env, policy, window_points=150, rng=11, registry=reg)
+    assert mgr.run_cycle().published_version == 1
+    with open(os.path.join(reg.root, reg.info(1).file), "w") as fh:
+        fh.write("{not json")
+
+    second = mgr.run_cycle()
+    assert second.published_version == 2 and not second.rolled_back
+    assert reg.active_version == 2
+    assert not reg.info(1).healthy
+    assert "failed to load" in reg.info(1).reason
+    assert reg.previous_healthy() is None

@@ -44,8 +44,7 @@ def test_engine_query_batch_counts_rows(obs_active, ediamond_discrete_model):
     from repro.bn.inference.engine import CompiledDiscreteModel
 
     engine = CompiledDiscreteModel(ediamond_discrete_model.network)
-    rows = [{"X1": 0}, {"X1": 1}, {"X1": 2}]
-    engine.query_batch([ediamond_discrete_model.response], rows)
+    engine.query_batch([ediamond_discrete_model.response], {"X1": [0, 1, 2]})
     c = _counters(obs_active)
     assert c["engine.query_batch.calls"] == 1
     assert c["engine.query_batch.rows"] == 3

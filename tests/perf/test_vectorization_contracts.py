@@ -6,6 +6,8 @@ vectorized NumPy implementation can meet on a single core — a per-row
 Python loop would blow through it by an order of magnitude.
 """
 
+import importlib.util
+import os
 import time
 
 import numpy as np
@@ -18,6 +20,17 @@ def timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - t0
+
+
+def _host_reference():
+    """The benchmark's host-speed reference job (``perfbench/reference.py``)."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "perfbench", "reference.py"
+    )
+    spec = importlib.util.spec_from_file_location("_perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 N_ROWS = 200_000
@@ -154,7 +167,10 @@ def test_localize_is_one_batched_sweep():
     """One localize over 80 services runs the moment plan once, batched.
 
     A per-service loop of full assessments takes ~0.6 s here; the
-    batched sweep takes 7-13 ms on a shared 2-core x86 host.
+    batched sweep takes 7-13 ms on a shared 2-core x86 host.  The 30 ms
+    bound holds on the benchmark's nominal host and scales with the
+    reference job timed five times on each side of the measurement, so
+    a loaded host raises it instead of failing the test.
     """
     from repro.apps.localization import ProblemLocalizer
     from repro.core.kertbn import build_continuous_kertbn
@@ -166,8 +182,12 @@ def test_localize_is_one_batched_sweep():
     localizer = ProblemLocalizer(build_continuous_kertbn(env.workflow, window))
     observed = {s: 1.5 * float(np.mean(window[s])) for s in env.service_names}
     localizer.localize(observed)  # first call pays allocator growth
+    reference = _host_reference()
+    around = [reference.job_seconds() for _ in range(5)]
     secs = min(timed(localizer.localize, observed)[1] for _ in range(3))
-    assert secs < 0.03
+    around += [reference.job_seconds() for _ in range(5)]
+    bound = 0.03 * float(np.median(around)) / reference.NOMINAL_JOB_S
+    assert secs < bound, f"localize {secs * 1e3:.1f} ms >= {bound * 1e3:.1f} ms"
 
 
 def test_localize_runs_the_moment_plan_once(monkeypatch):

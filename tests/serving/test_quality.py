@@ -137,3 +137,25 @@ def test_tripwire_rolls_back_a_regressed_model(
     assert reg.load().log10_likelihood(test) == pytest.approx(
         fresh_discrete_model.log10_likelihood(test)
     )
+
+
+def test_tripwire_keeps_the_new_model_when_the_incumbent_is_missing(
+    tmp_path, fresh_discrete_model, ediamond_data
+):
+    import os
+
+    _, test = ediamond_data
+    reg = ModelRegistry(str(tmp_path / "reg"))
+    tw = AccuracyTripwire(reg, max_regression=0.5)
+    tw.publish_checked(fresh_discrete_model, test)
+    tw.publish_checked(fresh_discrete_model, test)
+    os.remove(os.path.join(reg.root, reg.info(2).file))
+
+    outcome = tw.publish_checked(fresh_discrete_model, test)
+    assert outcome.version == 3 and outcome.active_version == 3
+    assert not outcome.rolled_back and outcome.previous_score is None
+    assert "v2 failed to load" in outcome.detail
+    assert "missing" in outcome.detail
+    assert not reg.info(2).healthy
+    # A later rollback skips the broken bundle.
+    assert reg.previous_healthy() == 1

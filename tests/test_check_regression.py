@@ -145,20 +145,6 @@ def test_gate_accepts_the_committed_obs_baseline():
     assert failures == []
 
 
-def test_optional_metric_only_gated_when_baseline_has_it():
-    base = copy.deepcopy(BASELINE)
-    base["batched"]["float32"] = {"speedup_vs_float64": 2.0}
-    slow = copy.deepcopy(base)
-    slow["batched"]["float32"]["speedup_vs_float64"] = 0.8
-    failures, _ = gate.compare(base, slow)
-    assert len(failures) == 1
-    assert "float32" in failures[0]
-    # A baseline without the section ignores it entirely.
-    failures, report = gate.compare(BASELINE, slow)
-    assert failures == []
-    assert len(report) == 2
-
-
 def test_serving_ratio_gates_on_a_floor():
     """A guarded raw-evidence query that falls back to binning through
     numpy (~0.3 of the binned call's speed) fails against a baseline
