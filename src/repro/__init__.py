@@ -11,7 +11,7 @@ The package provides:
   response-time function ``f(X)``, and the workflow-to-BN structure
   derivation that makes a KERT-BN "knowledge enhanced".
 - :mod:`repro.simulator` — a discrete-event simulator of service-oriented
-  systems with monitoring agents, used to generate training/testing data.
+  systems; its monitored transactions are the training/testing data.
 - :mod:`repro.core` — the KERT-BN model of the paper and the NRT-BN
   baseline, plus the periodic model-(re)construction scheme of Section 2.
 - :mod:`repro.decentralized` — decentralized parameter learning

@@ -454,11 +454,12 @@ class CompiledDiscreteModel:
 
 
 def _evidence_columns(columns) -> dict[str, np.ndarray]:
-    """``{variable: column}`` → 1-D ``intp`` index columns.
+    """``{variable: integer column}`` → 1-D ``intp`` index columns.
 
     Columns that already are 1-D ``intp`` arrays pass through
-    **zero-copy** (``np.shares_memory`` with the caller's arrays); only
-    dtype/shape mismatches pay a conversion.
+    **zero-copy** (``np.shares_memory`` with the caller's arrays); other
+    integer dtypes and shapes pay a conversion.  A non-integer column
+    raises rather than being truncated to states.
     """
     if not isinstance(columns, Mapping):
         raise InferenceError(
@@ -468,11 +469,12 @@ def _evidence_columns(columns) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for v, col in columns.items():
         arr = np.asarray(col)
+        if arr.dtype.kind not in "iu":
+            raise InferenceError(
+                f"evidence column {v!r} is not integer-typed (dtype {arr.dtype})"
+            )
         if arr.dtype != np.intp:
-            if arr.dtype.kind in "iu":
-                arr = arr.astype(np.intp, copy=False)
-            else:
-                arr = np.asarray(col, dtype=np.intp)
+            arr = arr.astype(np.intp, copy=False)
         if arr.ndim != 1:
             arr = arr.reshape(-1)
         out[str(v)] = arr

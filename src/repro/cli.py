@@ -100,19 +100,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.bn.csvio import dataset_to_csv
     from repro.simulator.scenarios.ediamond import ediamond_scenario
     from repro.simulator.scenarios.random_env import random_environment
+    from repro.simulator.traces import inject_missing
     from repro.workflow.parser import workflow_to_json
 
     if args.scenario == "ediamond":
         env = ediamond_scenario()
     else:
         env = random_environment(args.n_services, rng=args.seed)
-    if args.via_agents:
-        data = env.simulate_via_agents(
-            args.points, rng=args.seed + 1,
-            reporting_loss=args.reporting_loss,
+    rng = np.random.default_rng(args.seed + 1)
+    data = env.simulate(args.points, rng=rng)
+    if args.reporting_loss is not None:
+        data = inject_missing(
+            data, env.service_names, fraction=args.reporting_loss, rng=rng
         )
-    else:
-        data = env.simulate(args.points, rng=args.seed + 1)
     dataset_to_csv(data, args.out)
     print(f"wrote {data.n_rows} points x {len(data.columns)} columns to {args.out}")
     if args.workflow_out:
@@ -508,13 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--workflow-out", help="also write the workflow JSON here")
-    p.add_argument("--via-agents", action="store_true",
-                   help="route measurements through the Fig.-1 monitoring "
-                        "pipeline (per-host agents + management server)")
-    p.add_argument("--reporting-loss", type=float, default=0.0,
-                   help="per-measurement drop probability on the agent "
-                        "path (implies NaNs in the dataset; needs "
-                        "--via-agents)")
+    p.add_argument("--reporting-loss", type=float, default=None,
+                   help="mask each service measurement with this "
+                        "probability in (0, 1] (Sec. 5.1 reporting "
+                        "failures; D is never masked)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("build", help="build a model from workflow + data")

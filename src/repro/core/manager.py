@@ -69,6 +69,9 @@ class CycleReport:
     error, all-NaN window): the manager fell back to the last healthy
     reference model — or, lacking one, to no model at all — recorded the
     ``incident``, and took no action.  The loop itself never crashes.
+    A tripwire rollback, or an incumbent that could not be loaded or
+    scored, is also named in ``incident`` without marking the cycle
+    degraded: a model was rebuilt and one is serving.
     """
 
     cycle: int
@@ -400,6 +403,8 @@ class AutonomicManager:
                     f"published v{outcome.version} rolled back: "
                     f"{outcome.detail}"
                 )
+            elif outcome.detail:  # incumbent unusable; the new model serves
+                report.incident = outcome.detail
         model_trigger = p_violation > self.policy.max_violation_prob
         if model_trigger or breaches:
             report.trigger = (

@@ -32,7 +32,6 @@ from repro.simulator.delays import (
 from repro.simulator.engine import Engine, TransactionRecord
 from repro.simulator.environment import SimulatedEnvironment
 from repro.simulator.faults import Degradation, FaultSchedule
-from repro.simulator.monitoring import ManagementServer, MonitoringAgent
 from repro.simulator.report import analyze_trace, format_report
 from repro.simulator.service import Host, ServiceSpec
 from repro.simulator.traces import inject_missing, trace_to_dataset
@@ -61,8 +60,6 @@ __all__ = [
     "SimulatedEnvironment",
     "Degradation",
     "FaultSchedule",
-    "ManagementServer",
-    "MonitoringAgent",
     "analyze_trace",
     "format_report",
     "Host",

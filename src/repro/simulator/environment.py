@@ -15,9 +15,7 @@ what the paper assumes is "readily available" to the modeler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from repro.bn.dag import DAG
 from repro.bn.data import Dataset
@@ -137,40 +135,23 @@ class SimulatedEnvironment:
         records = engine.run(arrivals)
         return warmup_filter(records, self.warmup) if self.warmup else records
 
-    def simulate(
-        self,
-        n_points: int,
-        rng=None,
-        aggregate: str = "transactions",
-        t_data: "float | None" = None,
-    ) -> Dataset:
-        """Generate a dataset of ``n_points`` monitored data points."""
+    def simulate(self, n_points: int, rng=None) -> Dataset:
+        """Generate a dataset of ``n_points`` monitored transactions.
+
+        One row per transaction, with measurement noise on the elapsed
+        times; reporting failures (Sec. 5.1) are
+        :func:`~repro.simulator.traces.inject_missing` applied to the
+        result.
+        """
         rng = ensure_rng(rng)
-        if aggregate == "transactions":
-            records = self.run_transactions(n_points, rng)
-            return trace_to_dataset(
-                records,
-                self.service_names,
-                response=self.response,
-                measurement_noise=self.measurement_noise,
-                rng=rng,
-            )
-        # Window aggregation: run enough transactions to fill the windows.
-        if t_data is None:
-            raise SimulationError("window aggregation needs t_data")
-        rate = getattr(self.workload, "rate", None)
-        per_window = max(int((rate or 1.0) * t_data), 1)
-        records = self.run_transactions(n_points * per_window + per_window, rng)
-        data = trace_to_dataset(
+        records = self.run_transactions(n_points, rng)
+        return trace_to_dataset(
             records,
             self.service_names,
             response=self.response,
             measurement_noise=self.measurement_noise,
-            aggregate="window",
-            t_data=t_data,
             rng=rng,
         )
-        return data.head(n_points) if data.n_rows >= n_points else data
 
     def train_test(
         self, n_train: int, n_test: int, rng=None
@@ -179,45 +160,3 @@ class SimulatedEnvironment:
         rng = ensure_rng(rng)
         data = self.simulate(n_train + n_test, rng)
         return data.split(n_train)
-
-    def simulate_via_agents(
-        self,
-        n_points: int,
-        rng=None,
-        t_data: float = 10.0,
-        reporting_loss: float = 0.0,
-        require_complete: bool = False,
-    ) -> Dataset:
-        """Generate data through the full monitoring pipeline of Fig. 1.
-
-        Unlike :meth:`simulate` (which reads the engine's records
-        directly), this routes every measurement through a per-host
-        :class:`~repro.simulator.monitoring.MonitoringAgent` (noise,
-        batching, optional reporting loss) and assembles rows at the
-        :class:`~repro.simulator.monitoring.ManagementServer`.  With
-        ``reporting_loss > 0`` the returned dataset contains NaNs —
-        dComp's and EM's raw material.
-        """
-        from repro.simulator.monitoring import ManagementServer, MonitoringAgent
-
-        rng = ensure_rng(rng)
-        records = self.run_transactions(n_points, rng)
-        by_host: dict[str, list[str]] = {}
-        for spec in self.services:
-            by_host.setdefault(spec.host, []).append(spec.name)
-        agents = [
-            MonitoringAgent(
-                host=host,
-                services=tuple(names),
-                t_data=t_data,
-                measurement_noise=self.measurement_noise,
-                reporting_loss=reporting_loss,
-            )
-            for host, names in by_host.items()
-        ]
-        server = ManagementServer(self.service_names, response=self.response)
-        for agent in agents:
-            agent.observe(records, rng)
-            server.collect(agent.report())
-        server.collect_responses(records)
-        return server.assemble(require_complete=require_complete)

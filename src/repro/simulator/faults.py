@@ -4,10 +4,10 @@ Autonomic managers exist because environments misbehave; the evaluation
 of any self-managing model should include faulty regimes.  A
 :class:`FaultSchedule` declares time-boxed degradations — a service slows
 by a factor during an outage window — and the engine consults it when a
-job begins service.  Combined with the monitoring layer's
-``reporting_loss`` and :func:`repro.simulator.traces.inject_missing`,
-this covers the three missing/again-degraded data sources Section 5.1
-lists.
+job begins service.  Combined with
+:func:`repro.simulator.traces.inject_missing` (absent instrumentation
+and failed reports), this covers the three missing/degraded data
+sources Section 5.1 lists.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Turning transaction records into learning datasets.
 
-One dataset row per monitored data point: either one row per transaction
-or one aggregated row per ``T_DATA`` reporting window (the paper's "a
-data point is reported" every ``T_DATA``).  Monitoring noise — the
+One dataset row per monitored transaction.  Monitoring noise — the
 physical source of Eq. 4's leak ``l`` — is applied here, on the
 *measured* elapsed times only; the response time is measured at the
-client and stays exact.
+client and stays exact.  Reporting failures (Sec. 5.1) are
+:func:`inject_missing` applied to the result: a complete trace with
+some entries masked out.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ def trace_to_dataset(
     services: Iterable[str],
     response: str = "D",
     measurement_noise: float = 0.0,
-    aggregate: str = "transactions",
-    t_data: "float | None" = None,
     rng=None,
 ) -> Dataset:
     """Convert transaction records to a ``(X_1..X_n, D)`` dataset.
@@ -42,11 +40,6 @@ def trace_to_dataset(
     measurement_noise:
         Relative std of multiplicative Gaussian noise on elapsed times
         (monitoring imprecision, Section 3.3's leak source).
-    aggregate:
-        ``"transactions"`` — one row per transaction;
-        ``"window"`` — one row per ``t_data`` interval holding the means
-        of the transactions completing in it (the per-``T_DATA`` data
-        point of Section 2).
     """
     if not records:
         raise DataError("no transaction records")
@@ -58,42 +51,18 @@ def trace_to_dataset(
     n = len(records)
     cols = {s: np.zeros(n) for s in services}
     resp = np.empty(n)
-    completion = np.empty(n)
     for i, r in enumerate(records):
         for s, v in r.elapsed.items():
             if s in cols:
                 cols[s][i] = v
         resp[i] = r.response_time
-        completion[i] = r.completion
     if measurement_noise:
         for s in services:
             cols[s] = cols[s] * (1.0 + rng.normal(0.0, measurement_noise, size=n))
             np.clip(cols[s], 0.0, None, out=cols[s])
 
-    if aggregate == "transactions":
-        data = dict(cols)
-        data[response] = resp
-        return Dataset(data)
-    if aggregate != "window":
-        raise DataError(
-            f"aggregate must be 'transactions' or 'window', got {aggregate!r}"
-        )
-    if t_data is None or not t_data > 0:
-        raise DataError("window aggregation needs t_data > 0")
-    order = np.argsort(completion)
-    windows = np.floor(completion[order] / t_data).astype(int)
-    unique, starts = np.unique(windows, return_index=True)
-    bounds = list(starts) + [n]
-    agg = {s: np.empty(len(unique)) for s in services}
-    agg_resp = np.empty(len(unique))
-    for w in range(len(unique)):
-        idx = order[bounds[w]:bounds[w + 1]]
-        for s in services:
-            agg[s][w] = cols[s][idx].mean()
-        agg_resp[w] = resp[idx].mean()
-    data = dict(agg)
-    data[response] = agg_resp
-    return Dataset(data)
+    cols[response] = resp
+    return Dataset(cols)
 
 
 def inject_missing(

@@ -200,8 +200,8 @@ def test_evidence_columns_intp_arrays_are_not_copied():
     if np.dtype(np.int64).itemsize == np.dtype(np.intp).itemsize:
         col64 = np.arange(16, dtype=np.int64)
         assert np.shares_memory(_evidence_columns({"A": col64})["A"], col64)
-    # Floats must be converted (and hence copied), never reinterpreted.
-    colf = np.zeros(4, dtype=np.float64)
-    outf = _evidence_columns({"A": colf})
-    assert outf["A"].dtype == np.intp
-    assert not np.shares_memory(outf["A"], colf)
+    # Non-integer columns raise: truncating 0.9 to state 0 would answer
+    # for evidence nobody gave.
+    for bad in (np.array([1.7, 2.2]), np.zeros(4), [0.9], np.array([True])):
+        with pytest.raises(InferenceError, match="not integer-typed"):
+            _evidence_columns({"A": bad})

@@ -362,8 +362,9 @@ def test_insufficient_plan_projects_each_candidate_once(monkeypatch):
 
 def test_corrupt_incumbent_bundle_does_not_crash_the_loop(tmp_path):
     """A registry whose active bundle no longer loads gets the new model:
-    the cycle publishes, does not roll back, and the broken version is
-    marked unhealthy so no later rollback targets it."""
+    the cycle publishes, does not roll back, names the failure in its
+    ``incident``, and the broken version is marked unhealthy so no later
+    rollback targets it."""
     import os
 
     from repro.serving.registry import ModelRegistry
@@ -378,6 +379,11 @@ def test_corrupt_incumbent_bundle_does_not_crash_the_loop(tmp_path):
 
     second = mgr.run_cycle()
     assert second.published_version == 2 and not second.rolled_back
+    # The operator's per-cycle record names the load failure; the cycle
+    # is not degraded because the rebuilt model is serving.
+    assert second.incident is not None
+    assert "v1 failed to load" in second.incident
+    assert not second.degraded
     assert reg.active_version == 2
     assert not reg.info(1).healthy
     assert "failed to load" in reg.info(1).reason

@@ -1,14 +1,16 @@
-"""End-to-end monitoring pipeline: agents → server → learners.
+"""End-to-end monitored data: complete trace → masked reports → learners.
 
-Exercises the full Fig.-1 path including reporting loss, then feeds the
-lossy dataset to EM and to dComp — the two missing-data consumers the
-paper describes.
+A simulated window is one complete per-transaction trace; Section 5.1's
+reporting failures are entries masked out of it with ``inject_missing``.
+The lossy dataset then feeds EM and dComp — the two missing-data
+consumers the paper describes.
 """
 
 import numpy as np
 import pytest
 
 from repro.simulator.scenarios.ediamond import ediamond_scenario
+from repro.simulator.traces import inject_missing
 
 
 @pytest.fixture(scope="module")
@@ -16,37 +18,34 @@ def env():
     return ediamond_scenario()
 
 
-def test_lossless_pipeline_matches_direct_simulation_scale(env):
-    direct = env.simulate(300, rng=10)
-    via_agents = env.simulate_via_agents(300, rng=10)
-    assert via_agents.n_rows == 300
-    assert set(via_agents.columns) == set(direct.columns)
-    # Same generative process: means agree within sampling noise.
-    for c in direct.columns:
-        assert float(np.mean(via_agents[c])) == pytest.approx(
-            float(np.mean(direct[c])), rel=0.25
-        )
-    assert not np.isnan(via_agents.to_array()).any()
+def test_complete_trace_zero_fills_untaken_branches():
+    """On a workflow with choices, a branch not taken is a 0, not a
+    missing value: the complete trace has no NaNs."""
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    env = build_scenario(ScenarioSpec("mixed", 10, "gg1"), seed=20260808).env
+    data = env.simulate(300, rng=1)
+    services = data.to_array(env.service_names)
+    assert not np.isnan(data.to_array()).any()
+    assert (services == 0.0).any()  # some branch went untaken
 
 
 def test_reporting_loss_creates_nans(env):
-    lossy = env.simulate_via_agents(300, rng=11, reporting_loss=0.2)
+    trace = env.simulate(300, rng=11)
+    lossy = inject_missing(trace, env.service_names, fraction=0.2, rng=11)
     nan_frac = float(np.isnan(lossy.to_array(env.service_names)).mean())
     assert 0.1 < nan_frac < 0.3
     # Response times are measured at the client and never lost.
     assert not np.isnan(lossy["D"]).any()
-
-
-def test_require_complete_drops_lossy_rows(env):
-    strict = env.simulate_via_agents(
-        300, rng=12, reporting_loss=0.1, require_complete=True
-    )
-    assert strict.n_rows < 300
-    assert not np.isnan(strict.to_array()).any()
+    # Masking only hides entries: every reported value is the trace's own.
+    kept = ~np.isnan(lossy.to_array())
+    np.testing.assert_array_equal(lossy.to_array()[kept], trace.to_array()[kept])
 
 
 def test_em_fits_lossy_pipeline_output(env):
-    lossy = env.simulate_via_agents(400, rng=13, reporting_loss=0.15)
+    window = env.simulate(400, rng=13)
+    lossy = inject_missing(window, env.service_names, fraction=0.15, rng=13)
     from repro.bn.learning.em import em_gaussian
 
     dag = env.knowledge_structure()
@@ -60,21 +59,23 @@ def test_em_fits_lossy_pipeline_output(env):
 
 
 def test_dcomp_compensates_pipeline_blackout(env):
-    """One host's agent goes completely dark; dComp estimates its service
-    from the remaining reports — Section 5.1's use case, end to end."""
+    """One service's reports go completely dark; dComp estimates it from
+    the remaining reports — Section 5.1's use case, end to end."""
     from repro.apps.dcomp import DComp
     from repro.core.kertbn import build_continuous_kertbn
 
-    train = env.simulate_via_agents(500, rng=15)
+    train = env.simulate(500, rng=15)
     model = build_continuous_kertbn(env.workflow, train)
 
-    current = env.simulate_via_agents(300, rng=16)
-    actual_x5 = float(np.mean(current["X5"]))
+    trace = env.simulate(300, rng=16)
+    current = inject_missing(trace, ["X5"])
+    actual_x5 = float(np.mean(trace["X5"]))
     observed = {
         c: float(np.mean(current[c]))
         for c in current.columns
-        if c not in ("X5",)
+        if not np.isnan(current[c]).any()
     }
+    assert "X5" not in observed
     result = DComp(model).posterior("X5", observed, rng=17)
     assert result.posterior_mean == pytest.approx(actual_x5, rel=0.25)
     assert result.posterior_std <= result.prior_std + 1e-9

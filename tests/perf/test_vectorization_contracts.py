@@ -234,9 +234,10 @@ def test_simulate_window_is_compiled():
     program that draws delays in per-service blocks and begins unqueued
     jobs inline; 35-44 ms quiet and 62-71 ms loaded with three scalar
     draws per G/G/1 delay and a zero-time arrive event per activity.
-    The bound keeps a 1.4x margin for the first under load; it rejects
-    the second on a loaded host (7 of 12 runs) but not on a quiet one,
-    as a tighter wall-clock bound would flake on the first.
+    The 50 ms bound holds on the benchmark's nominal host and scales
+    with the reference job timed five times on each side of the
+    measurement, so a loaded host raises it instead of failing the test;
+    the counted twin below pins the block draws themselves.
     """
     from repro.corpus.generate import build_scenario
     from repro.corpus.spec import ScenarioSpec
@@ -244,8 +245,49 @@ def test_simulate_window_is_compiled():
     spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
     env = build_scenario(spec, seed=20260808).env
     env.simulate(120, rng=0)  # warm imports and allocator
+    reference = _host_reference()
+    around = [reference.job_seconds() for _ in range(5)]
     secs = min(timed(env.simulate, 120, rng=seed)[1] for seed in range(1, 11))
-    assert secs < 0.05
+    around += [reference.job_seconds() for _ in range(5)]
+    bound = 0.05 * float(np.median(around)) / reference.NOMINAL_JOB_S
+    assert secs < bound, f"simulate {secs * 1e3:.1f} ms >= {bound * 1e3:.1f} ms"
+
+
+def test_simulate_window_draws_delays_in_blocks(monkeypatch):
+    """The counted twin of the timed bound above, on the same mixed80
+    cell: a 120-point window draws each service's delays in blocks of
+    32 to 1024, so the delay ``sample`` calls are O(services) and never
+    one per job."""
+    from collections import Counter
+
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
+    env = build_scenario(spec, seed=20260808).env
+    calls = Counter()
+    sizes = []
+
+    def counting(name, fn):
+        def wrapper(rng, size=None):
+            calls[name] += 1
+            sizes.append(size)
+            return fn(rng, size=size)
+
+        return wrapper
+
+    for service in env.services:
+        delay = service.delay
+        monkeypatch.setattr(delay, "sample", counting(service.name, delay.sample))
+    records = env.run_transactions(120, rng=1)
+    jobs = sum(sum(r.invocations.values()) for r in records)
+    # Blocks of 32, 64, ..., 1024 then 1024: ten blocks cover 6112 jobs
+    # of one service.  Here 156 calls (at most 3 per service) draw the
+    # delays of more than 5000 jobs.
+    assert min(sizes) >= 32
+    assert max(calls.values()) <= 10
+    assert sum(calls.values()) <= 4 * len(env.services)
+    assert sum(calls.values()) < jobs / 10
 
 
 def test_manager_cycle_cost_contract(monkeypatch):

@@ -37,12 +37,6 @@ def test_environment_train_test_disjoint_rows(ediamond_env):
     assert test.n_rows == 20
 
 
-def test_environment_window_aggregation(ediamond_env):
-    data = ediamond_env.simulate(10, rng=2, aggregate="window", t_data=10.0)
-    assert data.n_rows <= 10
-    assert data.n_rows >= 1
-
-
 def test_environment_knowledge_structure(ediamond_env):
     dag = ediamond_env.knowledge_structure()
     assert set(dag.parents("D")) == set(ediamond_env.service_names)

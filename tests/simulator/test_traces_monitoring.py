@@ -1,12 +1,11 @@
-"""Trace → dataset conversion, monitoring agents, management server."""
+"""Trace → dataset conversion, missing-data injection, warm-up filter."""
 
 import numpy as np
 import pytest
 
 from repro.bn.data import Dataset
-from repro.exceptions import DataError, SimulationError
+from repro.exceptions import DataError
 from repro.simulator.engine import TransactionRecord
-from repro.simulator.monitoring import ManagementServer, MonitoringAgent
 from repro.simulator.traces import inject_missing, trace_to_dataset, warmup_filter
 
 
@@ -41,24 +40,11 @@ def test_trace_to_dataset_noise_perturbs_services_not_response(rng):
     assert np.all(data["a"] >= 0)
 
 
-def test_trace_to_dataset_window_aggregation():
-    data = trace_to_dataset(
-        records(), ["a", "b"], aggregate="window", t_data=5.0
-    )
-    # completions at 2..11 -> windows [0,5), [5,10), [10,15)
-    assert data.n_rows == 3
-    np.testing.assert_allclose(data["b"], 0.5)
-
-
 def test_trace_to_dataset_validation():
     with pytest.raises(DataError):
         trace_to_dataset([], ["a"])
     with pytest.raises(DataError):
         trace_to_dataset(records(), ["a", "D"])
-    with pytest.raises(DataError):
-        trace_to_dataset(records(), ["a"], aggregate="bogus")
-    with pytest.raises(DataError):
-        trace_to_dataset(records(), ["a"], aggregate="window")
 
 
 def test_inject_missing_full_and_partial(rng):
@@ -82,136 +68,3 @@ def test_warmup_filter():
         warmup_filter(rs, 10)
     with pytest.raises(DataError):
         warmup_filter(rs, -1)
-
-
-# --------------------------------------------------------------------- #
-# Monitoring agents and the management server
-# --------------------------------------------------------------------- #
-
-
-def test_agent_batches_and_reports(rng):
-    agent = MonitoringAgent(host="h", services=("a",), t_data=10.0)
-    agent.observe(records(), rng)
-    assert agent.pending == 10
-    batch = agent.report()
-    assert len(batch) == 10
-    assert agent.pending == 0
-    assert batch[0].service == "a"
-
-
-def test_agent_reporting_loss(rng):
-    agent = MonitoringAgent(
-        host="h", services=("a",), reporting_loss=0.5
-    )
-    agent.observe(records(1000), rng)
-    assert 350 < agent.pending < 650
-
-
-def test_agent_validation():
-    with pytest.raises(SimulationError):
-        MonitoringAgent(host="h", services=())
-    with pytest.raises(SimulationError):
-        MonitoringAgent(host="h", services=("a",), t_data=0)
-    with pytest.raises(SimulationError):
-        MonitoringAgent(host="h", services=("a",), reporting_loss=1.0)
-    with pytest.raises(SimulationError):
-        MonitoringAgent(host="h", services=("a",), measurement_noise=-0.1)
-
-
-def test_management_server_assembles_complete_rows(rng):
-    rs = records()
-    agent_a = MonitoringAgent(host="h1", services=("a",))
-    agent_b = MonitoringAgent(host="h2", services=("b",))
-    agent_a.observe(rs, rng)
-    agent_b.observe(rs, rng)
-    server = ManagementServer(services=("a", "b"))
-    server.collect(agent_a.report())
-    server.collect(agent_b.report())
-    server.collect_responses(rs)
-    data = server.assemble()
-    assert data.n_rows == 10
-    assert not np.isnan(data.to_array()).any()
-
-
-def test_management_server_missing_reports_become_nan(rng):
-    rs = records()
-    agent_a = MonitoringAgent(host="h1", services=("a",))
-    agent_a.observe(rs, rng)
-    server = ManagementServer(services=("a", "b"))
-    server.collect(agent_a.report())
-    server.collect_responses(rs)
-    data = server.assemble()
-    assert np.isnan(data["b"]).all()
-    with pytest.raises(SimulationError):
-        server.assemble(require_complete=True)
-
-
-def test_assemble_require_complete_every_row_partial():
-    # Each transaction misses a *different* service, so no row is
-    # complete; require_complete must say so, not return zero rows.
-    rs = records(4)
-    server = ManagementServer(services=("a", "b"))
-    from repro.simulator.monitoring import Measurement
-
-    for i, r in enumerate(rs):
-        service = "a" if i % 2 == 0 else "b"
-        server.collect([Measurement(r.request_id, service, 1.0, r.completion)])
-    server.collect_responses(rs)
-    with pytest.raises(SimulationError):
-        server.assemble(require_complete=True)
-    # The permissive path still yields all rows, NaN-filled.
-    data = server.assemble()
-    assert data.n_rows == 4
-    assert np.isnan(data["a"]).sum() == 2
-    assert np.isnan(data["b"]).sum() == 2
-
-
-def test_management_server_validation(rng):
-    server = ManagementServer(services=("a",))
-    with pytest.raises(SimulationError):
-        ManagementServer(services=("a",), response="a")
-    with pytest.raises(SimulationError):
-        server.assemble()  # nothing collected
-    agent = MonitoringAgent(host="h", services=("a",))
-    agent.observe(records(), rng)
-    bad = agent.report()
-    bad[0] = type(bad[0])(0, "zzz", 1.0, 1.0)
-    with pytest.raises(SimulationError):
-        server.collect(bad)
-
-
-def test_monitoring_pipeline_feeds_obs_metrics(rng):
-    """With obs enabled the agents/server account their traffic: reports,
-    measurements, loss drops, and assembled rows all hit the registry."""
-    from repro import obs
-    from repro.obs import runtime
-
-    was_enabled = runtime.OBS.enabled
-    obs.enable()
-    obs.reset()
-    try:
-        agent = MonitoringAgent(
-            host="h", services=("a", "b"), reporting_loss=0.5
-        )
-        recs = records(100)
-        agent.observe(recs, rng=rng)
-        server = ManagementServer(services=("a", "b"))
-        server.collect(agent.report())
-        server.collect_responses(recs)
-        server.assemble()
-
-        counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["monitoring.reports"] == 1
-        assert counters["monitoring.measurements"] > 0
-        assert counters["monitoring.reporting_losses"] > 0
-        # every measurement either reported or dropped, nothing lost
-        assert (
-            counters["monitoring.measurements"]
-            + counters["monitoring.reporting_losses"]
-            == 2 * len(recs)
-        )
-        assert counters["monitoring.assembled_rows"] == len(recs)
-        assert counters["monitoring.dropped_rows"] == 0
-    finally:
-        obs.reset()
-        runtime.OBS.enabled = was_enabled

@@ -34,23 +34,25 @@ def test_simulate_and_inspect(workspace, capsys):
     assert "X2 -> X3" in out
 
 
-def test_simulate_via_agents_routes_the_monitoring_pipeline(
-    workspace, capsys
-):
+def test_simulate_reporting_loss_masks_service_columns(workspace, capsys):
     from repro.bn.csvio import dataset_from_csv
 
-    data_path = os.path.join(workspace, "agents.csv")
+    data_path = os.path.join(workspace, "lossy.csv")
     assert run(
-        "simulate", "--scenario", "ediamond", "--via-agents",
-        "--reporting-loss", "0.4", "--points", "80", "--seed", "3",
-        "--out", data_path,
+        "simulate", "--scenario", "ediamond", "--reporting-loss", "0.4",
+        "--points", "80", "--seed", "3", "--out", data_path,
     ) == 0
     assert "wrote 80 points" in capsys.readouterr().out
     data = dataset_from_csv(data_path)
-    # reporting loss on the agent path shows up as NaNs in service columns
+    # reporting loss shows up as NaNs in service columns
     services = np.column_stack([data[c] for c in data.columns if c != "D"])
     assert np.isnan(services).any()
     assert not np.isnan(data["D"]).any()  # responses are client-side
+    assert run(
+        "simulate", "--reporting-loss", "1.5", "--points", "20",
+        "--out", data_path,
+    ) == 1
+    assert "fraction must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_full_kert_pipeline(workspace, capsys):
