@@ -7,7 +7,8 @@ Three benchmark payloads are guarded:
   ``BENCH_inference.json``; the gate keeps PR 1's compile-once (10.5x)
   and batched (22x) speedups from silently eroding and, once the
   baseline carries the ``serving`` section, the speed of a guarded
-  raw-evidence query relative to the same query on bin states.
+  raw-evidence query relative to the same query on bin states, and its
+  cost over the bare engine query under it (a ceiling).
 - ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` persists
   ``benchmarks/results/BENCH_obs.json`` (enabled-vs-disabled instrumentation overhead and
   ``/metrics`` scrape latency); the gate keeps the observability layer's
@@ -93,6 +94,14 @@ SUITES = {
         "optional_lower": OPTIONAL_RATIO_METRICS,
         "upper": (),
         "upper_absolute": (),
+        # The guarded call's cost over the bare engine query under it.
+        "optional_upper": (
+            (
+                "serving",
+                "guarded_over_kernel",
+                "guarded raw-evidence query vs bare engine query",
+            ),
+        ),
     },
     "obs": {
         "lower": (),

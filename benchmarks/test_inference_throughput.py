@@ -10,7 +10,9 @@ it measures queries/sec for
 - a per-row loop of compiled queries vs one vectorized
   ``query_batch`` pass over 1k evidence rows, and
 - a guarded ``ModelServer.query`` with raw service means as evidence vs
-  the same call on their bin states (the raw call also bins each value),
+  the same call on their bin states (the raw call also bins each value)
+  and vs the bare ``CompiledDiscreteModel.query`` under it
+  (``guarded_over_kernel``),
 
 asserts the compiled/batched posteriors match scratch VE to 1e-9, and
 persists the numbers to ``BENCH_inference.json`` (repo root and
@@ -56,9 +58,11 @@ def _qps(seconds: float, n: int) -> float:
 
 
 def _guarded_query_seconds(discrete_model, train) -> dict:
-    """Per-call seconds of a guarded raw-evidence query and of the same
-    query on pre-binned states, rounds alternated so drift hits both."""
+    """Per-call seconds of a guarded raw-evidence query, of the same
+    query on pre-binned states and of the bare engine ``query`` on those
+    states, rounds alternated so drift hits all three."""
     server = ModelServer(discrete_model, rng=0)
+    engine = server.chain.engine
     raw = {
         str(n): float(np.mean(train[n]))
         for n in discrete_model.network.nodes
@@ -70,23 +74,31 @@ def _guarded_query_seconds(discrete_model, train) -> dict:
     binned_answer = server.query([TARGET], states, binned=True)
     assert raw_answer.ok and binned_answer.ok
     np.testing.assert_array_equal(raw_answer.value, binned_answer.value)
-    raw_s = binned_s = 0.0
+    np.testing.assert_array_equal(
+        raw_answer.value, engine.query([TARGET], states).values
+    )
+    calls = (
+        lambda: server.query([TARGET], raw),
+        lambda: server.query([TARGET], states, binned=True),
+        lambda: engine.query([TARGET], states),
+    )
+    spent = [0.0, 0.0, 0.0]
     for _ in range(N_SERVING_ROUNDS):
-        t0 = time.perf_counter()
-        for _ in range(N_SERVING_CALLS):
-            server.query([TARGET], raw)
-        raw_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for _ in range(N_SERVING_CALLS):
-            server.query([TARGET], states, binned=True)
-        binned_s += time.perf_counter() - t0
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            for _ in range(N_SERVING_CALLS):
+                call()
+            spent[i] += time.perf_counter() - t0
+    raw_s, binned_s, kernel_s = spent
     n_calls = N_SERVING_ROUNDS * N_SERVING_CALLS
     return {
         "n_calls": n_calls,
         "evidence_vars": sorted(raw),
         "raw_query_seconds": raw_s / n_calls,
         "binned_query_seconds": binned_s / n_calls,
+        "kernel_query_seconds": kernel_s / n_calls,
         "raw_call_speed_vs_binned": binned_s / raw_s,
+        "guarded_over_kernel": raw_s / kernel_s,
     }
 
 

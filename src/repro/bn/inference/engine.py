@@ -23,12 +23,17 @@ on the evidence *values*:
   chosen by greedy/DP search over factor sizes
   (:mod:`repro.bn.inference.contraction` — in-repo, stdlib+numpy, no
   52-variable einsum cap).  The table is evidence-value independent, so
-  a single query is a stride computation plus one gather, and
-  :meth:`query_batch` answers N rows with one vectorized ``take`` —
-  no per-row Python and no per-row contraction;
+  the plan stores its rows **normalized once** (read-only) beside their
+  masses: a plan-cache hit is a stride computation, an index into the
+  masses (zero mass raises) and one gather — no sum, divide or
+  re-validation.  :meth:`pmf` returns that row as a read-only view, so
+  no caller can write into the plan; :meth:`query` wraps it in a
+  :class:`~repro.bn.factors.DiscreteFactor`; :meth:`query_batch`
+  answers N rows with one ``take`` — no per-row Python or contraction;
 - signatures whose joint table would exceed ``max_joint_entries`` fall
   back to replaying the (cached) contraction schedule against
-  evidence-sliced operands — still one vectorized pass per batch.  A
+  evidence-sliced operands, normalized per call — still one vectorized
+  pass per batch.  A
   signature the planner cannot schedule at all raises
   :class:`~repro.exceptions.InferenceError`; the serving fallback chain
   answers it exactly with variable elimination;
@@ -85,6 +90,8 @@ _BATCH_VAR = "\x00batch"
 #: matters, not the exact N).
 _NOMINAL_BATCH = 1024
 
+_ZERO_MASS = "evidence has zero probability under the model"
+
 
 class _QueryPlan:
     """Everything reusable across queries sharing one (Q, E) signature."""
@@ -96,7 +103,8 @@ class _QueryPlan:
         "ev_strides",
         "out_shape",
         "out_size",
-        "joint",              # (n_ev_states, out_size) float64 or None
+        "rows",               # (n_ev_states, *out_shape) normalized, read-only
+        "mass",               # (n_ev_states,) joint mass of each evidence row
         "operands",           # list[(values, ev_vars, free_vars)]
         "schedule_single",    # sliced-path schedule (joint too big)
         "schedule_batch",
@@ -114,7 +122,8 @@ class _QueryPlan:
         self.ev_strides = tuple(reversed(strides))
         self.out_shape = out_shape
         self.out_size = int(np.prod(out_shape)) if out_shape else 1
-        self.joint = None
+        self.rows = None
+        self.mass = None
         self.operands = None
         self.schedule_single = None
         self.schedule_batch = None
@@ -245,9 +254,13 @@ class CompiledDiscreteModel:
             <= max(4 * self._max_joint_entries, joint_entries)
         ):
             joint = execute_schedule(schedule, [f.values for f in self._factors])
-            plan.joint = np.ascontiguousarray(
-                joint.reshape(n_ev_states, plan.out_size)
-            )
+            joint = joint.reshape(n_ev_states, plan.out_size)
+            mass = joint.sum(axis=1)
+            # Zero-mass rows stay zero; every lookup checks `mass` first.
+            rows = joint / np.where(mass > 0, mass, 1.0)[:, None]
+            rows = rows.reshape((n_ev_states,) + plan.out_shape)
+            rows.flags.writeable = False
+            plan.rows, plan.mass = rows, mass
             if _OBS.enabled:
                 _OBS.metrics.counter("engine.plan.joint_tables").inc()
         else:
@@ -266,14 +279,14 @@ class CompiledDiscreteModel:
                 return existing
             self._compiles += 1
             self._plans[key] = plan
-            if plan.joint is not None:
+            if plan.rows is not None:
                 self._joint_tables += 1
-                self._joint_entries += plan.joint.size
+                self._joint_entries += plan.rows.size
             while len(self._plans) > self._plan_cache_size:
                 evicted_key, evicted = self._plans.popitem(last=False)
-                if evicted.joint is not None:
+                if evicted.rows is not None:
                     self._joint_tables -= 1
-                    self._joint_entries -= evicted.joint.size
+                    self._joint_entries -= evicted.rows.size
                 self._evictions += 1
                 n_evicted += 1
         if _OBS.enabled:
@@ -305,30 +318,22 @@ class CompiledDiscreteModel:
         ]
         # A signature the planner cannot schedule raises here, uncached.
         plan.schedule_single = plan_contraction(single_scopes, cards, plan.variables)
-        plan.schedule_batch = plan_contraction(
-            batch_scopes, cards, (_BATCH_VAR,) + plan.variables
-        )
+        if plan.evidence_vars:  # a batch needs evidence; a prior has none
+            plan.schedule_batch = plan_contraction(
+                batch_scopes, cards, (_BATCH_VAR,) + plan.variables
+            )
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
-    def query(
-        self,
-        variables: Iterable[str],
-        evidence: "Mapping[str, int] | None" = None,
-    ) -> DiscreteFactor:
-        """Posterior joint factor ``P(variables | evidence)``.
-
-        Result matches
-        :func:`repro.bn.inference.variable_elimination.query` (same scope
-        order, normalized); only the cost differs.
-        """
+    def pmf(self, variables: Sequence[str], evidence: Mapping[str, int]) -> np.ndarray:
+        """Posterior ``P(variables | evidence)`` as a read-only array whose
+        axes follow ``variables``: a view of the plan's normalized row (a
+        fresh array on the sliced path).  Names and integer states are
+        used as given — the serving chain's lookup converts nothing."""
         _t0 = _OBS.clock() if _OBS.enabled else None
-        variables = tuple(map(str, variables))
-        evidence = (
-            {str(k): int(v) for k, v in evidence.items()} if evidence else {}
-        )
+        variables = tuple(variables)
         key = (variables, frozenset(evidence))
         plan = self._lookup(key)
         if plan is None:
@@ -345,23 +350,46 @@ class CompiledDiscreteModel:
             flat += s * stride
         if self.failure_hook is not None:
             self.failure_hook("query", variables, evidence)
-        if plan.joint is not None:
-            values = plan.joint[flat].reshape(plan.out_shape)
+        if plan.rows is not None:
+            if not plan.mass[flat] > 0:
+                raise InferenceError(_ZERO_MASS)
+            values = plan.rows[flat]
         else:
             arrays = [
                 values[tuple(evidence[v] for v in ev_vars)] if ev_vars else values
                 for values, ev_vars, _ in plan.operands
             ]
             values = execute_schedule(plan.schedule_single, arrays)
-        total = float(values.sum())
-        if total <= 0:
-            raise InferenceError("evidence has zero probability under the model")
+            total = float(values.sum())
+            if not total > 0:
+                raise InferenceError(_ZERO_MASS)
+            values = values / total
+            values.flags.writeable = False
         if _t0 is not None:
             _OBS.metrics.counter("engine.query.calls").inc()
             _OBS.metrics.histogram("engine.query.seconds").observe(
                 _OBS.clock() - _t0
             )
-        return DiscreteFactor(variables, plan.out_shape, values / total)
+        return values
+
+    def query(
+        self,
+        variables: Iterable[str],
+        evidence: "Mapping[str, int] | None" = None,
+    ) -> DiscreteFactor:
+        """Posterior joint factor ``P(variables | evidence)``.
+
+        Result matches
+        :func:`repro.bn.inference.variable_elimination.query` (same scope
+        order, normalized); only the cost differs.  Its values are
+        :meth:`pmf`'s read-only array.
+        """
+        variables = tuple(map(str, variables))
+        evidence = (
+            {str(k): int(v) for k, v in evidence.items()} if evidence else {}
+        )
+        values = self.pmf(variables, evidence)
+        return DiscreteFactor(variables, values.shape, values)
 
     def query_batch(
         self,
@@ -412,8 +440,9 @@ class CompiledDiscreteModel:
             raise  # pragma: no cover - ravel failed for another reason
         if self.failure_hook is not None:
             self.failure_hook("batch", variables, columns)
-        if plan.joint is not None:
-            out = plan.joint.take(flat, axis=0)
+        if plan.rows is not None:
+            masses = plan.mass.take(flat)
+            out = plan.rows.take(flat, axis=0)
         else:
             out = execute_schedule(
                 plan.schedule_batch,
@@ -422,14 +451,12 @@ class CompiledDiscreteModel:
                     for values, ev_vars, _ in plan.operands
                 ],
             ).reshape(n, plan.out_size)
-        totals = out.sum(axis=1)
-        bad = np.flatnonzero(totals <= 0)
+            masses = out.sum(axis=1)
+        bad = np.flatnonzero(masses <= 0)
         if bad.size:
-            raise InferenceError(
-                "evidence has zero probability under the model at rows "
-                f"{bad[:5].tolist()}"
-            )
-        out = (out / totals[:, None]).reshape((n,) + plan.out_shape)
+            raise InferenceError(f"{_ZERO_MASS} at rows {bad[:5].tolist()}")
+        if plan.rows is None:
+            out = (out / masses[:, None]).reshape((n,) + plan.out_shape)
         if _t0 is not None:
             _OBS.metrics.counter("engine.query_batch.calls").inc()
             _OBS.metrics.counter("engine.query_batch.rows").inc(n)

@@ -4,8 +4,9 @@ A resilient server never lets one broken backend take down the whole
 query surface.  Discrete posterior queries walk a chain of tiers, each
 strictly cheaper in assumptions than the one before:
 
-1. ``compiled-einsum`` — the compile-once einsum kernel
-   (:class:`~repro.bn.inference.engine.CompiledDiscreteModel.query`);
+1. ``compiled-einsum`` — the compile-once kernel
+   (:meth:`~repro.bn.inference.engine.CompiledDiscreteModel.pmf`: one
+   gather of a read-only row the plan normalized once);
 2. ``factor-sweep`` — exact variable elimination
    (:func:`~repro.bn.inference.variable_elimination.eliminate`) over CPD
    factors the chain extracts on first use; it shares no plans, cache or
@@ -166,9 +167,6 @@ class FallbackChain:
             raise InferenceError("all importance weights are zero")
         return pmf / total
 
-    def _compiled_pmf(self, variables: tuple, evidence: Mapping) -> np.ndarray:
-        return self.engine.query(variables, evidence).values
-
     def _variables(self, variables: Sequence[str]) -> tuple:
         """Unknown variables are a *caller* bug, not a backend fault."""
         variables = tuple(map(str, variables))
@@ -193,11 +191,23 @@ class FallbackChain:
         cached prior answers immediately.  Unknown variables raise
         :class:`InferenceError` outright.
         """
-        variables = self._variables(variables)
-        evidence = {str(k): int(v) for k, v in (evidence or {}).items()}
+        return self.walk(
+            self._variables(variables),
+            {str(k): int(v) for k, v in (evidence or {}).items()},
+            deadline,
+        )
+
+    def walk(
+        self,
+        variables: tuple,
+        evidence: "dict[str, int]",
+        deadline: "float | None" = None,
+    ) -> TierAnswer:
+        """:meth:`answer` for a caller holding a tuple of known names and a
+        ``{str: int}`` state dict (the guarded server); no copies."""
         errors: dict[str, str] = {}
         for tier, kernel in (
-            (TIER_COMPILED, self._compiled_pmf),
+            (TIER_COMPILED, self.engine.pmf),
             (TIER_SWEEP, self._sweep_pmf),
             (TIER_SAMPLING, self._sampling_pmf),
         ):

@@ -20,7 +20,7 @@ Two evidence unit systems are supported:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from collections.abc import Collection, Mapping
 
 
 def check_row(
@@ -28,23 +28,23 @@ def check_row(
     *,
     known: "frozenset[str] | set[str]",
     cards: "Mapping[str, int] | None" = None,
-    forbid: Iterable[str] = (),
+    forbid: Collection[str] = (),
     binned: bool = False,
     require_nonempty: bool = True,
 ) -> tuple[str, ...]:
-    """Return the tuple of reasons ``row`` must be rejected (empty = ok)."""
+    """Return the tuple of reasons ``row`` must be rejected (empty = ok);
+    ``forbid`` holds the (string) names that may not appear in ``row``."""
     reasons: list[str] = []
     if not isinstance(row, Mapping):
         return (f"evidence row must be a mapping, got {type(row).__name__}",)
     if require_nonempty and not row:
         reasons.append("empty evidence row")
-    forbidden = set(map(str, forbid))
     for name, value in row.items():
         name = str(name)
         if name not in known:
             reasons.append(f"unknown variable {name!r}")
             continue
-        if name in forbidden:
+        if name in forbid:
             reasons.append(f"variable {name!r} may not appear in evidence")
             continue
         if binned:

@@ -361,7 +361,7 @@ class ModelServer:
                 QueryResult(status=STATUS_SHED, reasons=_OVERLOADED), started
             )
         served = self._served
-        evidence = dict(evidence or {})
+        evidence = {} if evidence is None else evidence
         if variables is None:
             variables = (served.model.response,)
         else:
@@ -390,14 +390,14 @@ class ModelServer:
         elif served.chain is None:
             result = self._analytic(analytic, served)
         else:
-            if not binned:
-                disc = served.model.discretizer
-                evidence = {
-                    k: disc.state_of(str(k), float(v)) for k, v in evidence.items()
-                }
-            answer = served.chain.answer(
-                variables, evidence, deadline=self._deadline()
-            )
+            # The call's one {str: int} state dict; the chain and the
+            # engine read it as is.
+            disc = served.model.discretizer
+            states = {
+                str(k): int(v) if binned else disc.state_of(str(k), float(v))
+                for k, v in evidence.items()
+            }
+            answer = served.chain.walk(variables, states, deadline=self._deadline())
             result = QueryResult(
                 status=STATUS_OK,
                 value=answer.values if value is None else value(served, answer.values),

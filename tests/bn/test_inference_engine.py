@@ -166,6 +166,65 @@ def test_zero_probability_evidence_raises():
     np.testing.assert_allclose(engine.query_batch(["C"], {"B": [0]})[0].sum(), 1.0)
 
 
+def _impossible_b1():
+    """A is deterministically 0 and P(B=1 | A=0) = 0: observing B=1 is
+    impossible."""
+    return DiscreteBayesianNetwork(
+        DAG(nodes=["A", "B", "C"], edges=[("A", "B"), ("B", "C")]),
+        [
+            TabularCPD("A", 2, np.array([1.0, 0.0])),
+            TabularCPD("B", 2, np.array([[1.0, 0.3], [0.0, 0.7]]), ("A",), (2,)),
+            TabularCPD("C", 2, np.array([[0.5, 0.5], [0.5, 0.5]]), ("B",), (2,)),
+        ],
+    )
+
+
+@pytest.mark.parametrize("max_joint_entries", [1 << 20, 1])
+def test_zero_mass_evidence_raises_on_a_cached_plan(max_joint_entries):
+    """The plan compiled on possible evidence must still reject the
+    impossible row on its next call, single and batched: the stored
+    rows are normalized once, so a zero-mass row is caught by its mass,
+    never by a 0/0 row (NaN compares False against 0)."""
+    engine = CompiledDiscreteModel(
+        _impossible_b1(), max_joint_entries=max_joint_entries
+    )
+    engine.query(["C"], {"B": 0})
+    engine.query_batch(["C"], {"B": [0, 0]})
+    hits = engine.cache_stats()["hits"]
+    with pytest.raises(InferenceError, match="zero probability"):
+        engine.query(["C"], {"B": 1})
+    with pytest.raises(InferenceError, match="zero probability"):
+        engine.pmf(("C",), {"B": 1})
+    with pytest.raises(InferenceError, match=r"zero probability .* rows \[1\]"):
+        engine.query_batch(["C"], {"B": [0, 1, 0]})
+    assert engine.cache_stats()["hits"] == hits + 3
+    assert engine.cache_stats()["compiles"] == 1
+    np.testing.assert_array_equal(engine.pmf(("C",), {"B": 0}), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("max_joint_entries", [1 << 20, 1])
+def test_answers_are_read_only_views(max_joint_entries):
+    """No caller can write into a compiled answer, so none can corrupt
+    the plan's stored rows."""
+    engine = CompiledDiscreteModel(
+        _impossible_b1(), max_joint_entries=max_joint_entries
+    )
+    first = engine.pmf(("C",), {"B": 0}).copy()
+    for values in (
+        engine.pmf(("C",), {"B": 0}),
+        engine.query(["C"], {"B": 0}).values,
+        engine.prior("C").values,
+    ):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 7.0
+    np.testing.assert_array_equal(engine.pmf(("C",), {"B": 0}), first)
+    # The batch answer is the caller's own copy.
+    batch = engine.query_batch(["C"], {"B": [0]})
+    batch[0, 0] = 7.0
+    np.testing.assert_array_equal(engine.pmf(("C",), {"B": 0}), first)
+
+
 def test_plan_cache_lru_cap_holds():
     """Adversarial query mixes may not grow the plan cache past its cap."""
     rng = np.random.default_rng(12)

@@ -7,6 +7,8 @@ both the joint-table and the evidence-sliced contraction path) must
 reproduce variable-elimination posteriors to within 1e-9 — the same
 bound the benchmark gate enforces on the eDiaMoND cell — and the batch
 must give identical answers whatever integer dtype its columns carry.
+``pmf``, the serving chain's lookup, must give them to within 1e-12 on
+both paths, evidence-free priors included.
 On every cell whose full joint grid has at most
 :data:`~tests.bn._enumeration_oracle.MAX_JOINT_STATES` states, the
 engine and variable elimination are also checked against brute-force
@@ -58,6 +60,7 @@ def test_all_paths_match_variable_elimination(seed, width, n_bins):
         v: (s + 1) % net.cardinalities[v] for v, s in ev.items()
     }
     references = [(ve_query(net, [q], ev).values, ve_query(net, [q], ev2).values)]
+    prior = ve_query(net, [q], {}).values
     if joint_states(net) <= MAX_JOINT_STATES:
         oracle = (posterior(net, [q], ev), posterior(net, [q], ev2))
         for ve_values, exact in zip(references[0], oracle):
@@ -85,6 +88,13 @@ def test_all_paths_match_variable_elimination(seed, width, n_bins):
             np.testing.assert_allclose(cached, expected2, atol=1e-9)
             np.testing.assert_allclose(batch[0], expected, atol=1e-9)
             np.testing.assert_allclose(batch[1], expected2, atol=1e-9)
+        # pmf on the now-cached plans (and an evidence-free prior) is
+        # the stored normalized row, or the sliced path's contraction;
+        # either way it is variable elimination to 1e-12, read-only.
+        for evidence, expected in zip((ev, ev2, {}), (*references[0], prior)):
+            got = engine.pmf((q,), evidence)
+            assert not got.flags.writeable
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         # The same evidence in any integer dtype gives the same answers.
         for dtype in COLUMN_DTYPES:
             typed = {v: c.astype(dtype) for v, c in cols.items()}

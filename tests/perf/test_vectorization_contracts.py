@@ -163,6 +163,79 @@ def test_raw_evidence_query_bins_without_numpy(
     np.testing.assert_array_equal(result.value, binned.value)
 
 
+def _numpy_reductions(fn):
+    """Run ``fn()`` under ``sys.setprofile`` and list the numpy
+    reductions it calls from C: ``ndarray.sum``/``any``, ``numpy.any``
+    and any ufunc's ``reduce``."""
+    import sys
+
+    seen = []
+
+    def profile(frame, event, arg):
+        if event != "c_call":
+            return
+        name = getattr(arg, "__name__", "")
+        owner = getattr(arg, "__self__", None)
+        if (name == "reduce" and isinstance(owner, np.ufunc)) or (
+            name in ("sum", "any")
+            and (
+                isinstance(owner, np.ndarray)
+                or getattr(arg, "__module__", "").startswith("numpy")
+            )
+        ):
+            seen.append(name)
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, seen
+
+
+def test_plan_hit_guarded_query_is_one_gather(
+    monkeypatch, ediamond_discrete_model, ediamond_data
+):
+    """A guarded raw-evidence query whose plan is cached builds no
+    ``DiscreteFactor`` and calls no numpy reduction: the plan stored its
+    rows normalized, so the answer is one gather.  Counted, not timed,
+    and the same answer as the engine's own ``query``."""
+    from repro.bn.factors import DiscreteFactor
+    from repro.serving.server import ModelServer
+
+    model = ediamond_discrete_model
+    train, _ = ediamond_data
+    target = "X4"
+    raw = {
+        str(n): float(np.mean(train[n]))
+        for n in model.network.nodes
+        if n != target
+    }
+    srv = ModelServer(model, rng=0)
+    srv.query([target], raw)  # compile the plan outside the count
+    engine = srv.chain.engine
+    disc = model.discretizer
+    states = {k: disc.state_of(k, v) for k, v in raw.items()}
+    # The counter sees the reductions the factor path still makes.
+    _, seen = _numpy_reductions(lambda: engine.query([target], states))
+    assert seen
+    built = []
+    init = DiscreteFactor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs.get("variables"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteFactor, "__init__", counting)
+    hits = engine.cache_stats()["hits"]
+    result, seen = _numpy_reductions(lambda: srv.query([target], raw))
+    assert result.ok and engine.cache_stats()["hits"] == hits + 1
+    assert built == [] and seen == []
+    np.testing.assert_array_equal(
+        result.value, engine.query([target], states).values
+    )
+
+
 def test_localize_is_one_batched_sweep():
     """One localize over 80 services runs the moment plan once, batched.
 

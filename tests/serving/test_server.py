@@ -45,6 +45,26 @@ def test_query_matches_engine_when_healthy(
     assert srv.stats.tier_counts[TIER_COMPILED] == 1
 
 
+def test_compiled_answer_is_read_only(fresh_discrete_model, ediamond_data):
+    """A compiled-tier answer is a view of the plan's stored row: a
+    caller's write raises and cannot change the next identical answer."""
+    train, _ = ediamond_data
+    model = fresh_discrete_model
+    srv = ModelServer(model, rng=0)
+    svc = _svc(model)
+    evidence = {svc: _mean(train, svc)}
+    srv.query([model.response], evidence)  # compile the plan
+    r = srv.query([model.response], evidence)
+    assert r.ok and r.tier == TIER_COMPILED
+    before = r.value.copy()
+    with pytest.raises(ValueError):
+        r.value[0] = 1.0
+    with pytest.raises(ValueError):
+        r.value /= 2.0
+    again = srv.query([model.response], evidence)
+    np.testing.assert_array_equal(again.value, before)
+
+
 def test_bad_evidence_rejected_with_reasons_not_crash(fresh_discrete_model):
     model = fresh_discrete_model
     srv = ModelServer(model, rng=0)

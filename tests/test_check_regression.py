@@ -165,6 +165,27 @@ def test_serving_ratio_gates_on_a_floor():
     assert failures == [] and len(report) == 2
 
 
+def test_guarded_over_kernel_gates_on_a_ceiling():
+    """The guarded call's cost over the bare engine query is
+    lower-is-better: a guarded call back at twice the kernel fails
+    against a baseline near 1.2, a wobble passes, and a baseline
+    without the ratio does not gate it."""
+    base = copy.deepcopy(BASELINE)
+    base["serving"] = {"guarded_over_kernel": 1.2}
+    ok = copy.deepcopy(base)
+    ok["serving"]["guarded_over_kernel"] = 1.4
+    failures, report = gate.compare(base, ok)
+    assert failures == [] and len(report) == 3
+    assert any("ceiling=1.56" in line for line in report)
+    slow = copy.deepcopy(base)
+    slow["serving"]["guarded_over_kernel"] = 2.3
+    failures, _ = gate.compare(base, slow)
+    assert len(failures) == 1
+    assert "serving.guarded_over_kernel" in failures[0]
+    failures, report = gate.compare(BASELINE, slow)
+    assert failures == [] and len(report) == 2
+
+
 def test_matrix_cells_gate_per_cell():
     base = copy.deepcopy(BASELINE)
     base["matrix"] = {
