@@ -31,10 +31,12 @@ services + inner nodes and B a batch of service-layer states; each step
 writes one covariance row as a vectorized combination of earlier rows,
 so a sweep is O(K²) array work per batch row, in one short run of NumPy
 calls per inner node.  A plain assessment is a sweep with B = 1, about
-1 ms at 80 services on a 2-core x86 host; an assessor runs the
-evidence-free sweep at most once, however many of :meth:`~RapidAssessor.
-assess`, :meth:`~RapidAssessor.violation_probability` and
-:meth:`~RapidAssessor.response_moments` read it.  ``assess_each`` conditions on
+1 ms at 80 services on a 2-core x86 host.  Each model caches one
+assessor (:attr:`KERTBN.assessor <repro.core.kertbn.KERTBN.assessor>`),
+which runs the evidence-free sweep at most once, however many of
+:meth:`~RapidAssessor.assess`, :meth:`~RapidAssessor.violation_probability`,
+:meth:`~RapidAssessor.response_moments` and :meth:`~RapidAssessor.blame`
+read it.  ``assess_each`` conditions on
 each service separately by rank-1 Schur updates and sweeps all of them
 at once; that is what problem localization runs, about 7 ms for all 80
 services.
@@ -54,7 +56,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtr
 
-from repro.bn.inference.gaussian import condition_gaussian, joint_gaussian_of
+from repro.bn.inference.gaussian import condition_gaussian
 from repro.core.kertbn import KERTBN
 from repro.exceptions import InferenceError
 from repro.workflow.expressions import (
@@ -195,12 +197,13 @@ def _plan_for(f, names: "list[str]") -> _MomentPlan:
 class RapidAssessor:
     """Analytic (sampling-free) response-time assessment on a KERT-BN.
 
-    Built once per model construction: it derives the service-layer
-    joint Gaussian and takes the :class:`_MomentPlan` compiled for the
-    model's ``f``.  The evidence-free sweep runs once, on first use;
-    each :meth:`assess` call with evidence costs a Gaussian conditioning
-    plus one run of the plan; :meth:`assess_each` runs it once for a
-    whole batch of single-service clamps.
+    One per model, built on first use by :attr:`KERTBN.assessor
+    <repro.core.kertbn.KERTBN.assessor>`: it holds the network's cached
+    service-layer joint Gaussian and the :class:`_MomentPlan` compiled
+    for the model's ``f``.  The evidence-free sweep runs once, on first
+    use; each :meth:`assess` call with evidence costs a Gaussian
+    conditioning plus one run of the plan; :meth:`assess_each` runs it
+    once for a whole batch of single-service clamps.
     """
 
     def __init__(self, model: KERTBN):
@@ -211,13 +214,7 @@ class RapidAssessor:
             raise InferenceError(
                 "RapidAssessor needs the continuous (hybrid) KERT-BN"
             )
-        self.model = model
-        # The response is a sink, so dropping it from the DAG's order gives
-        # the service subnetwork's topological order.
-        services = [n for n in network.dag.topological_order() if n != model.response]
-        self._names, self._mean, self._cov = joint_gaussian_of(
-            [network.cpd(s) for s in services]
-        )
+        self._names, self._mean, self._cov = network.service_joint()
         self._index = {name: i for i, name in enumerate(self._names)}
         self._response_var = network.cpd(model.response).variance
         self._plan = _plan_for(model.f, self._names)
@@ -231,12 +228,9 @@ class RapidAssessor:
 
     @property
     def joint(self) -> "tuple[list[str], np.ndarray, np.ndarray]":
-        """The cached service-layer joint Gaussian ``(names, mean, cov)``.
-
-        Computed once at construction; consumers (e.g. the problem
-        localizer) should read it from here rather than re-deriving the
-        service subnetwork per query.
-        """
+        """The service-layer joint Gaussian ``(names, mean, cov)``, with
+        read-only arrays: the network's cached
+        :meth:`~repro.bn.network.HybridResponseNetwork.service_joint`."""
         return self._names, self._mean, self._cov
 
     def _response(
@@ -343,3 +337,11 @@ class RapidAssessor:
             float(cov[r, r] + self._response_var),
             per_service,
         )
+
+    def blame(self, budgets: Mapping[str, float], sla: float) -> dict[str, float]:
+        """Per-service posterior blame ``P(X_i > b_i | D > sla)`` from
+        :meth:`response_moments`; see :func:`repro.bn.budgets.normal_blame`."""
+        from repro.bn.budgets import normal_blame
+
+        d_mean, d_var, moments = self.response_moments()
+        return normal_blame(moments, d_mean, d_var, budgets, sla)

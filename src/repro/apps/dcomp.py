@@ -85,7 +85,7 @@ class DComp:
         if isinstance(network, HybridResponseNetwork):
             return self._hybrid(variable, observed_means, n_samples, rng)
         if isinstance(network, GaussianBayesianNetwork):
-            return _conditioned(network, variable, observed_means)
+            return _conditioned(joint_gaussian(network), variable, observed_means)
         raise InferenceError(
             f"dComp does not support networks of type {type(network).__name__}"
         )
@@ -104,7 +104,7 @@ class DComp:
         # the evidence-free prior is cached per variable.
         engine = network.compiled()
         prior = engine.prior(variable).values
-        posterior = engine.query([variable], evidence).values
+        posterior = engine.pmf((variable,), evidence)
         centers = disc.centers(variable)
         pm, ps = _pmf_stats(prior, centers)
         qm, qs = _pmf_stats(posterior, centers)
@@ -126,33 +126,32 @@ class DComp:
         n_samples: int,
         rng,
     ) -> DCompResult:
-        network = self.model.network
-        assert isinstance(network, HybridResponseNetwork)
-        sub = network.service_subnetwork()
+        joint = self.model.assessor.joint
         if self.model.response not in observed_means:
-            return _conditioned(sub, variable, observed_means)
+            return _conditioned(joint, variable, observed_means)
         # Response evidence needs the full hybrid net: use LW.
         evidence = {k: float(v) for k, v in observed_means.items()}
         samples, weights = likelihood_weighting(
-            network, evidence, n=n_samples, rng=rng
+            self.model.network, evidence, n=n_samples, rng=rng
         )
         values = np.asarray(samples[variable], dtype=float)
         qm = weighted_mean(values, weights)
         qv = weighted_mean((values - qm) ** 2, weights)
-        # Prior marginal from the service subnetwork.
-        names, mean, cov = joint_gaussian(sub)
+        # Prior marginal from the service-layer joint.
+        names, mean, cov = joint
         j = names.index(variable)
         return _normal_result(variable, mean[j], cov[j, j], qm, qv)
 
 
 def _conditioned(
-    network: GaussianBayesianNetwork,
+    joint: "tuple[list[str], np.ndarray, np.ndarray]",
     variable: str,
     observed_means: Mapping[str, float],
 ) -> DCompResult:
-    """Exact prior and posterior of ``variable`` in a linear-Gaussian
-    network: a pure NRT-BN, or a hybrid model's service subnetwork."""
-    names, mean, cov = joint_gaussian(network)
+    """Exact prior and posterior of ``variable`` in a joint Gaussian
+    ``(names, mean, cov)``: a pure NRT-BN's, or a hybrid model's service
+    layer."""
+    names, mean, cov = joint
     qm, qv = conditional_of(
         names, mean, cov, variable,
         {k: float(v) for k, v in observed_means.items()},

@@ -15,9 +15,10 @@ Method (continuous KERT-BN):
    E[D] with X_i clamped to its observed mean (everything else
    marginalized), i.e. how much of the D-shift does *i*'s change
    reproduce?  One :meth:`~repro.apps.assessment.RapidAssessor.
-   assess_each` call builds all n single-service conditionings at once
-   and propagates them in one batched sweep of the compiled moment plan,
-   not n separate assessments.
+   assess_each` call on the model's cached assessor builds all n
+   single-service conditionings at once and propagates them in one
+   batched sweep of the compiled moment plan, not n separate
+   assessments.
 3. blame = the product signs/magnitudes combined into a score; services
    whose local anomaly explains the global symptom rank first.
 """
@@ -29,7 +30,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.apps.assessment import RapidAssessor
 from repro.core.kertbn import KERTBN
 from repro.exceptions import InferenceError
 
@@ -59,13 +59,11 @@ class Suspect:
 class ProblemLocalizer:
     """Rank services by responsibility for a response-time degradation."""
 
-    def __init__(self, model: KERTBN, assessor: "RapidAssessor | None" = None):
+    def __init__(self, model: KERTBN):
         self.model = model
-        if assessor is not None and assessor.model is not model:
-            raise InferenceError("assessor was built for a different model")
-        self.assessor = assessor if assessor is not None else RapidAssessor(model)
-        # Reuse the assessor's compiled joint Gaussian instead of paying
-        # a second service-subnetwork extraction + moment derivation.
+        # The model's cached assessor: its joint Gaussian and evidence-free
+        # sweep are shared with every other consumer of this model.
+        self.assessor = model.assessor
         names, self._mean, self._cov = self.assessor.joint
         self._index = {name: i for i, name in enumerate(names)}
         self._baseline_d, _ = self.assessor.assess()

@@ -136,7 +136,7 @@ class PAccel:
             for name, mean in predicted_means.items()
         }
         # Compiled engine: repeated what-if projections share one plan.
-        pmf = network.compiled().query([response], evidence).values
+        pmf = network.compiled().pmf((response,), evidence)
         return PAccelResult.from_pmf(predicted_means, pmf, disc, response)
 
     def _hybrid(

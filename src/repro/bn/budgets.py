@@ -308,15 +308,12 @@ def allocate_budgets(
 def model_marginals(model: Any) -> dict[str, tuple[float, float]]:
     """Per-service ``(mean, std)`` marginals from a built KERT-BN.
 
-    Continuous models use the exact service-layer joint Gaussian;
-    discrete models take moments of each compiled-engine prior over the
-    discretizer's bin centers.
+    Continuous models read the exact service-layer joint Gaussian their
+    cached assessor holds; discrete models take moments of each
+    compiled-engine prior over the discretizer's bin centers.
     """
-    network = model.network
-    if hasattr(network, "service_subnetwork"):
-        from repro.bn.inference.gaussian import joint_gaussian
-
-        names, mean, cov = joint_gaussian(network.service_subnetwork())
+    if model.kind == "kert-bn/continuous":
+        names, mean, cov = model.assessor.joint
         return {
             str(n): (
                 float(mean[i]),
@@ -329,7 +326,7 @@ def model_marginals(model: Any) -> dict[str, tuple[float, float]]:
             "discrete model carries no discretizer; cannot recover "
             "service marginals in original units"
         )
-    engine = network.compiled()
+    engine = model.network.compiled()
     out: dict[str, tuple[float, float]] = {}
     for name in sorted(model.f.expression.inputs):
         pmf = np.asarray(engine.prior(name).values, dtype=float)
@@ -392,7 +389,9 @@ def discrete_blame(
     """Per-service blame from the compiled engine's joint tables.
 
     For each service the engine answers the evidence-free joint
-    ``P(X_i, D)`` (one cached plan per service); exceedance masses are
+    ``P(X_i, D)`` (one cached plan per service, its axes in that order
+    as :meth:`~repro.bn.inference.engine.CompiledDiscreteModel.pmf`
+    returns them); exceedance masses are
     taken uniform-within-bin over the discretizer's edges, and the
     blame is the conditional mass ``P(X_i > b_i | D > sla)``.
     """
@@ -401,13 +400,7 @@ def discrete_blame(
     )
     blame: dict[str, float] = {}
     for service, bound in budgets.items():
-        factor = engine.query([service, response])
-        values = np.asarray(factor.values, dtype=float)
-        axes = tuple(factor.variables)
-        if axes != (service, response):
-            values = np.transpose(
-                values, (axes.index(service), axes.index(response))
-            )
+        values = engine.pmf((service, response), {})
         s_w = _exceedance_weights(
             np.asarray(discretizer.edges(service), dtype=float), bound
         )

@@ -20,6 +20,11 @@ from repro.bn.cpd.linear_gaussian import LinearGaussianCPD
 from repro.bn.cpd.tabular import TabularCPD
 from repro.bn.dag import DAG
 from repro.bn.data import Dataset
+from repro.bn.inference.gaussian import (
+    condition_gaussian,
+    joint_gaussian,
+    joint_gaussian_of,
+)
 from repro.exceptions import CPDError, InferenceError
 from repro.utils.rng import ensure_rng
 
@@ -194,16 +199,7 @@ class GaussianBayesianNetwork(BayesianNetwork):
 
     def to_joint_gaussian(self):
         """Return ``(names, mean, cov)`` of the equivalent joint MVN."""
-        from repro.bn.inference.gaussian import joint_gaussian
-
         return joint_gaussian(self)
-
-    def condition(self, evidence: Mapping[str, float]):
-        """Exact posterior ``(names, mean, cov)`` over non-evidence nodes."""
-        from repro.bn.inference.gaussian import condition_gaussian
-
-        names, mean, cov = self.to_joint_gaussian()
-        return condition_gaussian(names, mean, cov, evidence)
 
 
 class HybridResponseNetwork(BayesianNetwork):
@@ -229,6 +225,21 @@ class HybridResponseNetwork(BayesianNetwork):
                 raise CPDError(
                     f"non-response node {node!r} must carry a LinearGaussianCPD"
                 )
+        self._joint = None
+
+    def service_joint(self) -> "tuple[list[str], np.ndarray, np.ndarray]":
+        """The service layer's joint Gaussian ``(names, mean, cov)``, built
+        once with read-only arrays.  The response is a sink, so the DAG's
+        topological order without it is the service subnetwork's: this
+        equals ``joint_gaussian(service_subnetwork())``."""
+        if self._joint is None:
+            services = [
+                n for n in self.dag.topological_order() if n != self.response
+            ]
+            names, mean, cov = joint_gaussian_of([self.cpd(s) for s in services])
+            mean.flags.writeable = cov.flags.writeable = False
+            self._joint = names, mean, cov
+        return self._joint
 
     def service_subnetwork(self) -> GaussianBayesianNetwork:
         """The Gaussian network over the elapsed-time nodes only."""
@@ -245,17 +256,18 @@ class HybridResponseNetwork(BayesianNetwork):
         The deterministic ``max`` in ``f`` makes ``D`` non-Gaussian, so the
         posterior is represented by samples; downstream code summarizes
         them (tail probabilities for Eq. 5, histograms for Fig. 7).
+        Evidence conditions the cached :meth:`service_joint`; without it
+        the services are drawn ancestrally from :meth:`service_subnetwork`.
         """
         rng = ensure_rng(rng)
-        sub = self.service_subnetwork()
         if evidence:
-            names, mean, cov = sub.condition(evidence)
+            names, mean, cov = condition_gaussian(*self.service_joint(), evidence)
             draws = _sample_mvn(mean, cov, n_samples, rng)
             values = {nm: draws[:, j] for j, nm in enumerate(names)}
             for nm, v in evidence.items():
                 values[nm] = np.full(n_samples, float(v))
         else:
-            data = sub.sample(n_samples, rng)
+            data = self.service_subnetwork().sample(n_samples, rng)
             values = {nm: data[nm] for nm in data.columns}
         rcpd = self.cpd(self.response)
         assert isinstance(rcpd, NoisyDeterministicCPD)

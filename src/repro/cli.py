@@ -250,31 +250,24 @@ def cmd_slo(args: argparse.Namespace) -> int:
     # action == "budgets": invert a saved model into per-service budgets.
     import json as _json
 
-    from repro.bn.budgets import derive_budgets, discrete_blame, normal_blame
+    from repro.bn.budgets import derive_budgets, discrete_blame
     from repro.core.persistence import load_model
-    from repro.exceptions import InferenceError
 
     model = load_model(args.model)
     alloc = derive_budgets(model, sla=args.sla, target=args.target)
-    blame: dict = {}
-    if not args.no_blame:
-        try:
-            from repro.apps.assessment import RapidAssessor
-
-            assessor = RapidAssessor(model)
-            d_mean, d_var, moments = assessor.response_moments()
-            blame = normal_blame(
-                moments, d_mean, d_var, alloc.as_mapping(), args.sla
-            )
-        except InferenceError:
-            # Discrete model: blame from the compiled engine's joints.
-            blame = discrete_blame(
-                model.network.compiled(),
-                model.discretizer,
-                model.response,
-                alloc.as_mapping(),
-                args.sla,
-            )
+    if args.no_blame:
+        blame: dict = {}
+    elif model.kind == "kert-bn/continuous":
+        blame = model.assessor.blame(alloc.as_mapping(), args.sla)
+    else:
+        # Discrete model: blame from the compiled engine's joints.
+        blame = discrete_blame(
+            model.network.compiled(),
+            model.discretizer,
+            model.response,
+            alloc.as_mapping(),
+            args.sla,
+        )
     print(
         f"objective: P(D > {args.sla:g}) <= {args.target:g}   "
         f"slack={alloc.slack:.3f} composed={alloc.composed:.4f} "

@@ -24,7 +24,8 @@ given enough data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from repro.utils.timing import Timer, timed
 from repro.workflow.constructs import WorkflowNode
 from repro.workflow.response_time import ResponseTimeFunction, response_time_function
 from repro.workflow.structure import kert_bn_structure
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.assessment import RapidAssessor
 
 
 @dataclass
@@ -61,6 +65,17 @@ class KERTBN:
     @property
     def kind(self) -> str:
         return self.report.model_kind
+
+    @cached_property
+    def assessor(self) -> "RapidAssessor":
+        """The model's one :class:`~repro.apps.assessment.RapidAssessor`,
+        which every continuous consumer reads: built on first use (racing
+        first uses build equal ones), kept out of ``__eq__``, ``repr`` and
+        persistence.  Raises
+        :class:`~repro.exceptions.InferenceError` on other models."""
+        from repro.apps.assessment import RapidAssessor
+
+        return RapidAssessor(self)
 
     def log10_likelihood(self, data: Dataset) -> float:
         """Test accuracy on (continuous-unit) data.

@@ -23,11 +23,9 @@ paper's machinery and is fully inspectable via :class:`CycleReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from repro.apps.assessment import RapidAssessor
 from repro.apps.localization import ProblemLocalizer
 from repro.core.kertbn import KERTBN, build_continuous_kertbn, derive_knowledge
 from repro.exceptions import ReproError
@@ -156,13 +154,10 @@ class AutonomicManager:
         self._knowledge = derive_knowledge(environment.workflow, environment.response)
         # Localization compares *current* observations against the last
         # model built while the SLA held — a freshly rebuilt model already
-        # reflects the fault and would show nothing anomalous.  That
-        # model's assessor (and, once a violation needs it, its localizer)
-        # is kept alongside it, so violating and degraded cycles reuse its
-        # joint Gaussian and evidence-free sweep instead of re-deriving them.
+        # reflects the fault and would show nothing anomalous.  Violating
+        # and degraded cycles read that model's cached assessor, so its
+        # joint Gaussian and evidence-free sweep are never re-derived.
         self._reference_model: "KERTBN | None" = None
-        self._reference_assessor: "RapidAssessor | None" = None
-        self._reference_localizer: "ProblemLocalizer | None" = None
 
     # ------------------------------------------------------------------ #
 
@@ -170,8 +165,8 @@ class AutonomicManager:
         """Survive a failed analyze step: reuse the last healthy model's
         assessment (or report no estimate at all), record the incident,
         take no action, and let the next cycle try again."""
-        if self._reference_assessor is not None:
-            assessor = self._reference_assessor
+        if self._reference_model is not None:
+            assessor = self._reference_model.assessor
             expected, _ = assessor.assess()
             p_violation = assessor.violation_probability(self.policy.threshold)
         else:
@@ -295,7 +290,7 @@ class AutonomicManager:
         if _OBS.enabled:
             _OBS.metrics.counter("manager.budget_derivations").inc()
 
-    def _refresh_blame(self, assessor) -> None:
+    def _refresh_blame(self, model) -> None:
         """Posterior blame ``P(X_i > b_i | D > sla)`` from *this* cycle's
         fresh model against the standing budgets — the fresh model
         reflects any degradation, so blame points at the culprit even
@@ -303,16 +298,9 @@ class AutonomicManager:
         tracker = self._budget_tracker()
         if tracker is None or tracker.allocation is None:
             return
-        from repro.bn.budgets import normal_blame
-
-        d_mean, d_var, moments = assessor.response_moments()
         tracker.update_blame(
-            normal_blame(
-                moments,
-                d_mean,
-                d_var,
-                tracker.allocation.as_mapping(),
-                self.policy.threshold,
+            model.assessor.blame(
+                tracker.allocation.as_mapping(), self.policy.threshold
             )
         )
 
@@ -368,7 +356,7 @@ class AutonomicManager:
                         self.env.workflow, self.env.response
                     )
                 model = build_continuous_kertbn(self._knowledge, data)
-                assessor = RapidAssessor(model)
+                assessor = model.assessor
                 expected, _ = assessor.assess()
                 p_violation = assessor.violation_probability(
                     self.policy.threshold
@@ -379,7 +367,7 @@ class AutonomicManager:
             )
             report.slo_breaches = list(breaches)
             return report
-        self._refresh_blame(assessor)
+        self._refresh_blame(model)
         report = CycleReport(
             cycle=cycle,
             violation_prob=p_violation,
@@ -412,9 +400,7 @@ class AutonomicManager:
                 else ("model" if model_trigger else "slo")
             )
             with _span("manager.plan"):
-                target, chosen = self._plan_action(
-                    model, assessor, data, report
-                )
+                target, chosen = self._plan_action(model, data, report)
             # Execute: apply the resource action to the environment.
             with _span("manager.execute"):
                 self._apply_speedup(target, chosen[0])
@@ -422,30 +408,21 @@ class AutonomicManager:
             report.projected_violation_prob = chosen[1]
         else:
             self._reference_model = model
-            self._reference_assessor = assessor
-            self._reference_localizer = None
             self._refresh_budgets(model)
         self._record(report)
         return report
 
-    def _plan_action(self, model, assessor, data, report):
-        """Plan phase: blame ranking against the last healthy model, then
-        the *mildest* sufficient speedup.  Returns ``(target, (speedup,
-        projected_violation_prob))`` and records suspects on ``report``."""
-        if self._reference_model is not None:
-            if self._reference_localizer is None:
-                self._reference_localizer = ProblemLocalizer(
-                    self._reference_model, assessor=self._reference_assessor
-                )
-            localizer = self._reference_localizer
-        else:
-            # No healthy reference yet: localize against the fresh
-            # model, sharing this cycle's already-built assessor.
-            localizer = ProblemLocalizer(model, assessor=assessor)
+    def _plan_action(self, model, data, report):
+        """Plan phase: blame ranking against the last healthy model (the
+        fresh one until a cycle is healthy), then the *mildest* sufficient
+        speedup projected on the fresh model.  Returns ``(target,
+        (speedup, projected_violation_prob))`` and records suspects on
+        ``report``."""
+        reference = model if self._reference_model is None else self._reference_model
         observed = {
             s: float(np.mean(data[s])) for s in self.env.service_names
         }
-        suspects = localizer.localize(observed)
+        suspects = ProblemLocalizer(reference).localize(observed)
         report.suspects = [s.row() for s in suspects[:3]]
         target = suspects[0].service
         # A breached per-service budget is the sharper signal: it names
@@ -465,7 +442,7 @@ class AutonomicManager:
         # insufficient, take it anyway (best effort) and record the
         # residual risk.
         for speedup in sorted(self.policy.candidate_speedups, reverse=True):
-            projected = assessor.violation_probability(
+            projected = model.assessor.violation_probability(
                 self.policy.threshold, {target: speedup * current_mean}
             )
             if projected <= self.policy.max_violation_prob:

@@ -34,7 +34,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.apps.assessment import RapidAssessor
 from repro.apps.paccel import PAccel, PAccelResult
 from repro.apps.violation import tail_probability_from_pmf
 from repro.bn.network import DiscreteBayesianNetwork, HybridResponseNetwork
@@ -208,8 +207,7 @@ class ServerStats:
 class _Served:
     """One served model version and what the entry points derive from it.
 
-    Built whole before a swap and never changed after, except for the
-    lazily built ``assessor`` (racing first builds are both correct).
+    Built whole before a swap and never changed after.
     """
 
     model: object
@@ -217,7 +215,6 @@ class _Served:
     chain: "FallbackChain | None"   # None for continuous models
     known: frozenset                # node names, as strings
     cards: dict                     # node -> cardinality (discrete only)
-    assessor: object = None         # RapidAssessor, built on first use
 
 
 class ModelServer:
@@ -582,10 +579,10 @@ class ModelServer:
         self, served: _Served, threshold: float, means: dict
     ) -> float:
         if isinstance(served.model.network, HybridResponseNetwork):
-            if served.assessor is None:
-                served.assessor = RapidAssessor(served.model)
             return float(
-                served.assessor.violation_probability(threshold, means or None)
+                served.model.assessor.violation_probability(
+                    threshold, means or None
+                )
             )
         pa = PAccel(served.model)
         result = pa.project(means, rng=self.rng) if means else pa.baseline(

@@ -122,7 +122,7 @@ def test_assess_each_matches_single_assessments(topology, monkeypatch):
     z = [(x - mean[i]) / np.sqrt(cov[i, i]) for i, x in enumerate(observed.values())]
     blame = np.abs(singles[:, 0] - baseline) * np.abs(z)
     expected = [names[i] for i in np.argsort(-blame, kind="stable")]
-    ranked = ProblemLocalizer(model, assessor=assessor).localize(observed)
+    ranked = ProblemLocalizer(model).localize(observed)
     assert [s.service for s in ranked] == expected
 
 

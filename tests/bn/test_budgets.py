@@ -201,6 +201,23 @@ def test_model_marginals_continuous_match_training_data(
         assert std == pytest.approx(float(col.std()), rel=0.25)
 
 
+def test_model_marginals_equal_the_subnetwork_joint(ediamond_continuous_model):
+    """The marginals read the model's cached assessor joint and equal the
+    service subnetwork's joint Gaussian bit for bit."""
+    import math
+
+    from repro.bn.inference.gaussian import joint_gaussian
+
+    network = ediamond_continuous_model.network
+    names, mean, cov = joint_gaussian(network.service_subnetwork())
+    expected = {
+        n: (float(mean[i]), math.sqrt(max(float(cov[i, i]), 0.0)))
+        for i, n in enumerate(names)
+    }
+    marginals = model_marginals(ediamond_continuous_model)
+    assert list(marginals.items()) == list(expected.items())
+
+
 def test_derive_budgets_rejects_models_without_f():
     class NoF:
         f = None

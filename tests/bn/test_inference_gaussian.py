@@ -136,7 +136,7 @@ def test_conditional_of_errors(chain_gaussian_net):
         conditional_of(names, mean, cov, "b", {"b": 1.0})
 
 
-def _mixed80_service_network():
+def _mixed80_network():
     from repro.core.kertbn import build_continuous_kertbn
     from repro.corpus.generate import build_scenario
     from repro.corpus.spec import ScenarioSpec
@@ -144,7 +144,7 @@ def _mixed80_service_network():
     spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
     env = build_scenario(spec, seed=20260808).env
     model = build_continuous_kertbn(env.workflow, env.simulate(120, rng=3))
-    return model.network.service_subnetwork()
+    return model.network
 
 
 @pytest.mark.parametrize("which", ["ediamond", "mixed80"])
@@ -153,7 +153,7 @@ def test_joint_solve_matches_per_node_recursion(which, ediamond_continuous_model
     if which == "ediamond":
         net = ediamond_continuous_model.network.service_subnetwork()
     else:
-        net = _mixed80_service_network()
+        net = _mixed80_network().service_subnetwork()
     names, mean, cov = joint_gaussian(net)
     ref_names, ref_mean, ref_cov = joint_gaussian_recursion(net)
     assert names == ref_names
@@ -170,3 +170,23 @@ def test_joint_of_rejects_cpds_out_of_topological_order(chain_gaussian_net):
     cpds = [chain_gaussian_net.cpd(n) for n in ("b", "a", "c")]
     with pytest.raises(InferenceError):
         joint_gaussian_of(cpds)
+
+
+@pytest.mark.parametrize("which", ["ediamond", "mixed80"])
+def test_cached_service_joint_equals_the_subnetwork_joint(
+    which, ediamond_continuous_model
+):
+    """The hybrid network's cached service-layer joint, which every
+    continuous consumer reads, is the service subnetwork's joint bit for
+    bit; it is built once and cannot be written through."""
+    if which == "ediamond":
+        net = ediamond_continuous_model.network
+    else:
+        net = _mixed80_network()
+    names, mean, cov = net.service_joint()
+    ref_names, ref_mean, ref_cov = joint_gaussian(net.service_subnetwork())
+    assert names == ref_names
+    assert np.array_equal(mean, ref_mean) and np.array_equal(cov, ref_cov)
+    assert net.service_joint() is net.service_joint()
+    with pytest.raises(ValueError):
+        cov[0, 0] = 0.0

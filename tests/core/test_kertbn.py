@@ -220,3 +220,29 @@ def test_block_fits_match_per_cpd_fits_on_mixed80():
             rtol=1e-10,
             atol=1e-12,
         )
+
+
+def test_assessor_is_cached_out_of_sight(
+    ediamond_env, ediamond_data, ediamond_discrete_model, tmp_path
+):
+    """One assessor per model, built on first use and kept outside the
+    dataclass fields: equality, repr and persistence do not see it."""
+    import dataclasses
+
+    from repro.core.persistence import save_model
+    from repro.exceptions import InferenceError
+
+    train, _ = ediamond_data
+    model = build_continuous_kertbn(ediamond_env.workflow, train)
+    twin = dataclasses.replace(model)
+    text = repr(model)
+    assessor = model.assessor
+    assert model.assessor is assessor and "assessor" not in vars(twin)
+    assert repr(model) == text and model == twin
+    assert "assessor" not in {f.name for f in dataclasses.fields(model)}
+    save_model(model, str(tmp_path / "cached.json"))
+    save_model(twin, str(tmp_path / "fresh.json"))
+    cached = (tmp_path / "cached.json").read_bytes()
+    assert cached == (tmp_path / "fresh.json").read_bytes()
+    with pytest.raises(InferenceError):
+        ediamond_discrete_model.assessor

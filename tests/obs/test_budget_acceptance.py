@@ -147,3 +147,41 @@ def test_dashboards_render_the_attribution_table(budget_manager):
         if s != DEGRADED
     )
     assert "OVER" in html
+
+
+
+def test_a_healthy_cycle_builds_one_joint_per_model(obs_active, monkeypatch):
+    """Assessment, budget marginals and blame of a healthy cycle all read
+    the fresh model's one cached assessor, so the service-layer joint is
+    built once.  Each ``joint_gaussian_of`` call makes one
+    ``solve_triangular`` call, which counts the builds however the
+    function was imported."""
+    from repro.bn.inference import gaussian
+    from repro.core.manager import AutonomicManager, SLAPolicy
+    from repro.obs.runtime import OBS
+    from repro.simulator.scenarios.ediamond import ediamond_scenario
+
+    env = ediamond_scenario()
+    policy = SLAPolicy(threshold=6.0, max_violation_prob=0.3)
+    tracker = BudgetTracker(window=3)
+    monitor = SLOMonitor(
+        manager_objectives(policy), registry=OBS.metrics, window=3,
+        budget_tracker=tracker,
+    )
+    manager = AutonomicManager(
+        env, policy, window_points=250, rng=1, slo_monitor=monitor
+    )
+    first = manager.run_cycle()
+    assert not first.acted and tracker.allocation is not None
+    solves = []
+    real = gaussian.solve_triangular
+    monkeypatch.setattr(
+        gaussian, "solve_triangular",
+        lambda *a, **k: (solves.append(1), real(*a, **k))[1],
+    )
+    before = tracker.allocation
+    report = manager.run_cycle()
+    assert not report.degraded and not report.acted
+    assert tracker.allocation is not before  # budgets re-derived
+    assert any(row["blame"] > 0.0 for row in report.attribution)
+    assert len(solves) == 1

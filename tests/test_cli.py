@@ -205,3 +205,39 @@ def test_corpus_subcommand(workspace, capsys):
 def test_corpus_generate_requires_out_dir():
     with pytest.raises(SystemExit, match="out-dir"):
         run("corpus", "generate", "--cell", "mixed_n10_gg1")
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_slo_budgets_blame_follows_the_model_kind(workspace, capsys, kind):
+    """Continuous models take blame from their cached assessor, discrete
+    ones from the compiled engine's joints; ``--no-blame`` skips both."""
+    from repro.bn.budgets import discrete_blame
+    from repro.core.persistence import load_model
+
+    data_path = os.path.join(workspace, "train.csv")
+    wf_path = os.path.join(workspace, "wf.json")
+    model_path = os.path.join(workspace, "model.json")
+    out_path = os.path.join(workspace, "budgets.json")
+    run("simulate", "--points", "300", "--seed", "9",
+        "--out", data_path, "--workflow-out", wf_path)
+    run("build", "--family", "kert", "--kind", kind,
+        "--workflow", wf_path, "--data", data_path, "--out", model_path)
+    args = ("slo", "budgets", "--model", model_path, "--sla", "3.5",
+            "--target", "0.1", "--json", out_path)
+    assert run(*args) == 0
+    with open(out_path) as fh:
+        payload = json.load(fh)
+    model = load_model(model_path)
+    budgets = {b["service"]: b["budget"] for b in payload["budgets"]}
+    if kind == "continuous":
+        expected = model.assessor.blame(budgets, 3.5)
+    else:
+        expected = discrete_blame(
+            model.network.compiled(), model.discretizer, model.response,
+            budgets, 3.5,
+        )
+    assert payload["blame"] == expected and any(expected.values())
+    assert run(*args, "--no-blame") == 0
+    with open(out_path) as fh:
+        assert json.load(fh)["blame"] == {}
+    capsys.readouterr()
