@@ -30,8 +30,10 @@ runs over ``(B, K)`` mean and ``(B, K, K)`` covariance arrays, K =
 services + inner nodes and B a batch of service-layer states; each step
 writes one covariance row as a vectorized combination of earlier rows,
 so a sweep is O(K²) array work per batch row, in one short run of NumPy
-calls per inner node.  A plain assessment is a sweep with B = 1, about
-1 ms at 80 services on a 2-core x86 host.  Each model caches one
+calls per inner node.  A plain assessment is a sweep with B = 1; that
+runs on a ``(K, K)`` covariance with each Clark step's coefficients on
+Python floats, about 0.15 ms at 80 services on a 2-core x86 host.
+Each model caches one
 assessor (:attr:`KERTBN.assessor <repro.core.kertbn.KERTBN.assessor>`),
 which runs the evidence-free sweep at most once, however many of
 :meth:`~RapidAssessor.assess`, :meth:`~RapidAssessor.violation_probability`,
@@ -131,7 +133,18 @@ class _MomentPlan:
 
         ``mean`` is ``(B, n)`` and ``cov`` ``(B, n, n)``; returns the
         ``(B, K)`` means and ``(B, K, K)`` covariances over every slot.
+        A one-state batch runs :meth:`_run_one`, which gives the same
+        numbers as :meth:`_run_batch` on ``B = 1``.
         """
+        if mean.shape[0] == 1:
+            means, covs = self._run_one(mean[0], cov[0])
+            return means[None], covs[None]
+        return self._run_batch(mean, cov)
+
+    def _run_batch(
+        self, mean: np.ndarray, cov: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`run` as array work over the whole batch, step by step."""
         b, n, size = mean.shape[0], self.n, self.size
         means = np.zeros((b, size))
         covs = np.zeros((b, size, size))
@@ -180,6 +193,66 @@ class _MomentPlan:
             covs[:, :k, k] = row
             covs[:, k, k] = var
         return means, covs
+
+    def _run_one(
+        self, mean: np.ndarray, cov: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The batched sweep on one state: ``(K,)`` means, ``(K, K)`` covariances.
+
+        Each Clark step works on Python floats in the batched step's
+        operation order: ``np.exp`` and ``ndtr`` on a float round as they
+        do on an array, :func:`_max` keeps ``np.maximum``'s ties and NaNs,
+        and ``math.sqrt`` is correctly rounded like ``np.sqrt``.
+        """
+        n, size = self.n, self.size
+        means = np.zeros(size)
+        covs = np.zeros((size, size))
+        means[:n] = mean
+        covs[:n, :n] = cov
+        for k, step in enumerate(self.steps, start=n):
+            kind = step[0]
+            if kind == "const":
+                means[k] = step[1]
+                continue
+            if kind == "lin":
+                _, slots, w = step
+                row = w @ covs[slots, :k]
+                means[k] = means[slots] @ w
+                var = _max(row[slots] @ w, 0.0)
+            else:
+                _, i, j = step
+                m1, m2 = means.item(i), means.item(j)
+                v1, v2 = covs.item(i, i), covs.item(j, j)
+                a = math.sqrt(_max(v1 + v2 - 2.0 * covs.item(i, j), 0.0))
+                if a < 1e-12:
+                    # The same variable twice: the larger mean wins.
+                    first = m1 >= m2
+                    big_phi = 1.0 if first else 0.0
+                    var = v1 if first else v2
+                    means[k] = _max(m1, m2)
+                else:
+                    alpha = (m1 - m2) / a
+                    phi = float(np.exp(-(alpha * alpha) / 2.0)) / _SQRT_2PI
+                    big_phi = float(ndtr(alpha))
+                    q = 1.0 - big_phi
+                    mean_k = m1 * big_phi + m2 * q + a * phi
+                    second = (
+                        (v1 + m1 * m1) * big_phi
+                        + (v2 + m2 * m2) * q
+                        + (m1 + m2) * a * phi
+                    )
+                    var = _max(second - mean_k * mean_k, 0.0)
+                    means[k] = mean_k
+                row = covs[i, :k] * big_phi + covs[j, :k] * (1.0 - big_phi)
+            covs[k, :k] = row
+            covs[:k, k] = row
+            covs[k, k] = var
+        return means, covs
+
+
+def _max(a: float, b: float) -> float:
+    """``np.maximum`` on two floats: NaN if either is NaN, ``b`` on a tie."""
+    return a if a > b or a != a else b
 
 
 #: The compiled plan of each live ``f`` object (see the module docstring).

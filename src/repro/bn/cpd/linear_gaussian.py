@@ -33,7 +33,9 @@ class LinearGaussianCPD(CPD):
     ):
         super().__init__(variable, tuple(parents))
         self.intercept = float(intercept)
-        self.coefficients = np.asarray(list(coefficients), dtype=float)
+        if not isinstance(coefficients, np.ndarray):
+            coefficients = list(coefficients)
+        self.coefficients = np.array(coefficients, dtype=float)
         if self.coefficients.shape != (len(self.parents),):
             raise CPDError(
                 f"{variable!r}: {len(self.parents)} parents but "

@@ -68,7 +68,8 @@ class DesignMoments:
         floor = max(min_variance, relative_variance_floor * marginal_var)
         rows = block[:-1]
         g = self.gram[rows[:, None], block]
-        beta = np.linalg.solve(g[:, :-1] + ridge * np.eye(len(rows)), g[:, -1])
+        g.flat[:: len(rows) + 2] += ridge  # the diagonal of g[:, :-1]
+        beta = np.linalg.solve(g[:, :-1], g[:, -1])
         resid = self.design[:, child] - self.design[:, rows] @ beta
         var = max(float(resid @ resid) / n, floor)
         return LinearGaussianCPD(variable, float(beta[0]), beta[1:], var, parents)

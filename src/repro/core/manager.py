@@ -190,11 +190,12 @@ class AutonomicManager:
 
     def _unlearnable(self, data) -> "str | None":
         """A window no rebuild can survive: some column has no finite data."""
-        for name in (*self.env.service_names, self.env.response):
-            col = np.asarray(data[name], dtype=float)
-            if not np.isfinite(col).any():
-                return f"column {name!r} has no finite values in the window"
-        return None
+        names = (*self.env.service_names, self.env.response)
+        finite = np.isfinite(data.to_array(names)).any(axis=0)
+        if finite.all():
+            return None
+        name = names[int(np.argmin(finite))]
+        return f"column {name!r} has no finite values in the window"
 
     def run_cycle(self) -> CycleReport:
         """Execute one full MAPE cycle; mutates the environment if acting.

@@ -40,10 +40,13 @@ SUPPORTED_SCHEMA_VERSIONS = (1,)
 
 def write_json_atomic(path: str, obj: Any) -> None:
     """Serialize ``obj`` to ``path`` via a same-directory temp file and
-    an atomic rename, so readers never observe a partial file."""
+    an atomic rename, so readers never observe a partial file.
+
+    One ``json.dumps`` call runs the C encoder (``json.dump`` streams
+    through the pure-Python one); the bytes are the same."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

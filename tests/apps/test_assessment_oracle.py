@@ -153,3 +153,65 @@ def test_mixed_degenerate_batch_takes_branch_row_by_row():
         assert means[r, max_slot] == mean[r, take[r]]
         assert covs[r, max_slot, max_slot] == cov[r, take[r], take[r]]
     assert means[1, max_slot] > mean[1].max()
+
+
+def _same_bits(got, want):
+    """Equal to the bit: ``==`` that also tells NaNs and signed zeros apart."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_state_run_equals_the_batched_sweep(topology):
+    """``run`` on a one-state batch takes the float path; it gives the
+    batched sweep's numbers on that state exactly, for the prior and for
+    clamped evidence states.  Against a row of a many-state batch it
+    agrees to rounding only: there NumPy reduces ``(B, s) @ (s,)`` with
+    a matrix-vector product, which may round differently from the dot
+    product of ``(1, s) @ (s,)``."""
+    _, assessor, rng = topology
+    names, mean, cov = assessor.joint
+    plan = assessor._plan
+    picked = rng.choice(len(names), size=min(4, len(names)), replace=False)
+    x = mean[picked] + 2.0 * np.sqrt(np.diag(cov)[picked])
+    clamped_mean, clamped_cov = assessor._clamped(picked, x)
+    states = np.concatenate([mean[None], clamped_mean])
+    covs = np.concatenate([cov[None], clamped_cov])
+    batch_m, batch_c = plan._run_batch(states, covs)
+    scale = np.abs(batch_c).max()
+    for r in range(len(states)):
+        one_m, one_c = plan.run(states[r : r + 1], covs[r : r + 1])
+        want_m, want_c = plan._run_batch(states[r : r + 1], covs[r : r + 1])
+        assert _same_bits(one_m, want_m) and _same_bits(one_c, want_c)
+        assert np.allclose(one_m[0], batch_m[r], rtol=1e-13, atol=0.0)
+        assert np.allclose(one_c[0], batch_c[r], rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_state_degenerate_max_equals_the_batched_sweep():
+    """The float path's degenerate-``Max`` branch, ties, signed zeros and
+    NaNs match the batched sweep's ``np.where`` / ``np.maximum`` to the bit."""
+    names = ["a", "b", "c"]
+    expr = Sum([Max([Var("a"), Var("b")]), Var("c")])
+    identical = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 0.5]])
+    # v_a + v_b - 2 c_ab is a hair below zero: the clamp makes it +0.
+    negative = identical.copy()
+    negative[0, 1] = negative[1, 0] = 1.0 + 1e-15
+    regular = np.array([[1.0, 0.3, 0.2], [0.3, 2.0, 0.1], [0.2, 0.1, 0.5]])
+    nan_c = regular.copy()
+    nan_c[2, 2] = np.nan
+    cases = [
+        ([3.0, 3.0, 1.0], identical),  # tied means: alpha would be 0/0
+        ([2.0, 4.0, 1.0], identical),  # b wins
+        ([4.0, 2.0, 1.0], identical),  # a wins
+        ([-0.0, 0.0, 1.0], identical),  # a tie of signed zeros
+        ([0.0, -0.0, 1.0], negative),
+        ([np.nan, 2.0, 1.0], identical),  # NaN means propagate
+        ([2.0, np.nan, 1.0], identical),
+        ([1.0, 2.0, 0.5], regular),
+        ([1.0, 2.0, 0.5], nan_c),
+    ]
+    plan = _MomentPlan(expr, names)
+    for m, c in cases:
+        mean, cov = np.array([m]), c[None]
+        got = plan.run(mean, cov)
+        want = plan._run_batch(mean, cov)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), m

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bn.data import Dataset
 from repro.core.manager import (
     AutonomicManager,
     CycleReport,
@@ -102,6 +103,30 @@ def _all_nan_window(env, n):
     cols = {s: np.full(n, np.nan) for s in env.service_names}
     cols[env.response] = np.full(n, np.nan)
     return Dataset(cols)
+
+
+def test_unlearnable_window_names_the_first_column_without_finite_data():
+    """Of several unlearnable columns the incident names the first, in
+    service order with the response last; a single finite value is enough."""
+    env = ediamond_scenario()
+    mgr = AutonomicManager(env, SLAPolicy(6.0, 0.3), window_points=20, rng=5)
+    window = env.simulate(20, rng=1)
+    cols = {name: np.array(window[name], dtype=float) for name in window}
+    first, later = env.service_names[1], env.service_names[3]
+    for name in (later, first, env.response):
+        cols[name][:] = np.nan
+    cols[env.service_names[0]][1:] = np.inf
+    incident = mgr._unlearnable(Dataset(cols))
+    assert incident == f"column {first!r} has no finite values in the window"
+    cols[first][7] = 0.5
+    cols[later][0] = -np.inf
+    incident = mgr._unlearnable(Dataset(cols))
+    assert incident == f"column {later!r} has no finite values in the window"
+    cols[later][3] = 0.5
+    incident = mgr._unlearnable(Dataset(cols))
+    assert incident == f"column {env.response!r} has no finite values in the window"
+    cols[env.response][19] = 1.0
+    assert mgr._unlearnable(Dataset(cols)) is None
 
 
 def test_unlearnable_window_survives_and_reuses_reference():

@@ -259,3 +259,31 @@ def test_bundle_to_registry_to_rollback_query_equivalence(
         [model.response], {svc: disc.state_of(svc, mean)}
     ).values
     np.testing.assert_allclose(served.value, direct)
+
+
+def _pure_python_json(obj) -> str:
+    """``obj`` through the pure-Python encoder that ``json.dump`` streams."""
+    return "".join(json.JSONEncoder().iterencode(obj))
+
+
+def test_written_bytes_equal_the_pure_python_encoder(
+    tmp_path, ediamond_continuous_model, ediamond_discrete_model
+):
+    """Bundles and the registry manifest are written with the C encoder;
+    the bytes equal what the pure-Python encoder (``json.dump``) gives."""
+    from repro.serving.registry import ModelRegistry
+
+    registry = ModelRegistry(str(tmp_path / "registry"))
+    for name, model in [
+        ("continuous", ediamond_continuous_model),
+        ("discrete", ediamond_discrete_model),
+    ]:
+        path = tmp_path / f"{name}.json"
+        save_model(model, str(path))
+        expected = _pure_python_json(model_to_dict(model))
+        assert path.read_text() == expected
+        version = registry.publish(model, metadata={"kind": name, "x": 0.1})
+        bundle = tmp_path / "registry" / registry.info(version).file
+        assert bundle.read_text() == expected
+    manifest = (tmp_path / "registry" / "MANIFEST.json").read_text()
+    assert manifest == _pure_python_json(json.loads(manifest))

@@ -63,11 +63,59 @@ def test_log_likelihood_vectorized(big_gaussian_data):
 
 
 def test_linear_gaussian_fit_vectorized(big_gaussian_data):
+    """A fit on 200,000 rows within 0.5 s on the benchmark's nominal host,
+    scaled by the reference job timed five times on each side of it; the
+    counted twin below pins the work itself."""
     from repro.bn.learning.mle import fit_linear_gaussian
 
     _, data = big_gaussian_data
+    reference = _host_reference()
+    around = [reference.job_seconds() for _ in range(5)]
     _, secs = timed(fit_linear_gaussian, data, "c", ("a", "b"))
-    assert secs < 0.5
+    around += [reference.job_seconds() for _ in range(5)]
+    bound = 0.5 * float(np.median(around)) / reference.NOMINAL_JOB_S
+    assert secs < bound, f"fit {secs * 1e3:.1f} ms >= {bound * 1e3:.1f} ms"
+
+
+def test_linear_gaussian_fit_is_one_solve(monkeypatch, big_gaussian_data):
+    """The counted twin of the timed bound above: a fit is one
+    ``np.linalg.solve`` and runs as many Python calls and lines on
+    200,000 rows as on 1,000, so no Python runs per row."""
+    import sys
+    from collections import Counter
+
+    from repro.bn.learning.mle import fit_linear_gaussian
+
+    _, data = big_gaussian_data
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting(a, b):
+        solves.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+
+    def traced(rows):
+        """Python calls and lines run by one fit (a loop repeats its lines)."""
+        events = Counter()
+
+        def trace(frame, event, arg):
+            events[event] += 1
+            return trace
+
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            fit_linear_gaussian(rows, "c", ("a", "b"))
+        finally:
+            sys.settrace(outer)
+        return events
+
+    few = traced(data.head(1000))
+    assert solves == [(3, 3)]
+    assert traced(data) == few
+    assert solves == [(3, 3)] * 2
 
 
 def test_tabular_counting_vectorized(rng):
