@@ -25,6 +25,7 @@ Method (continuous KERT-BN):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -79,7 +80,9 @@ class ProblemLocalizer:
 
         ``observed_means`` maps each (observable) service to its current
         mean elapsed time.  Services missing from the mapping are skipped
-        (they are unobservable; run dComp on them first if needed).
+        (they are unobservable; run dComp on them first if needed).  A
+        non-finite mean raises :class:`InferenceError`: its blame would
+        be NaN or infinite and outrank every real suspect.
         """
         unknown = [s for s in observed_means if s not in self._index]
         if unknown:
@@ -87,6 +90,9 @@ class ProblemLocalizer:
         if not observed_means:
             raise InferenceError("need at least one observed service mean")
         observed = {s: float(x) for s, x in observed_means.items()}
+        bad = sorted(s for s, x in observed.items() if not math.isfinite(x))
+        if bad:
+            raise InferenceError(f"non-finite observed means for services {bad}")
         projected, _ = self.assessor.assess_each(observed)
         suspects = []
         for (service, x), d in zip(observed.items(), projected):

@@ -8,7 +8,7 @@ directly on NumPy.
 Layout
 ------
 - :mod:`repro.bn.dag` — directed acyclic graphs with BN-specific queries
-  (topological order, d-separation, moralization).
+  (topological order, cycle-checked edges, induced subgraphs).
 - :mod:`repro.bn.data` — the column-oriented :class:`Dataset` that all
   learning and scoring code consumes.
 - :mod:`repro.bn.factors` — discrete factor algebra for exact inference.

@@ -10,7 +10,7 @@ rebuilt models.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -55,15 +55,6 @@ class LinearGaussianCPD(CPD):
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-    def mean_given(self, parent_values: Mapping[str, float]) -> float:
-        """Conditional mean at a single parent assignment."""
-        mu = self.intercept
-        for p, w in zip(self.parents, self.coefficients):
-            if p not in parent_values:
-                raise CPDError(f"missing parent value for {p!r}")
-            mu += w * float(parent_values[p])
-        return mu
 
     def _means(self, data) -> np.ndarray:
         """Vectorized conditional means for a whole dataset."""

@@ -1,10 +1,9 @@
 """Directed acyclic graphs with the queries Bayesian networks need.
 
 The implementation keeps its own adjacency maps (insertion-ordered dicts)
-rather than delegating to :mod:`networkx`, because structure learning
-mutates candidate graphs in a tight loop and benefits from the slimmer
-bookkeeping; :meth:`DAG.to_networkx` exists for interoperability and for
-cross-checking in tests.
+because structure learning mutates candidate graphs in a tight loop: edge
+insertion with a cycle check, parent and child sets, topological order,
+copies and induced subgraphs.
 """
 
 from __future__ import annotations
@@ -74,17 +73,6 @@ class DAG:
         del self._children[u][v]
         del self._parents[v][u]
 
-    def remove_node(self, node: Node) -> None:
-        """Remove a node and all incident edges."""
-        if node not in self._parents:
-            raise GraphError(f"node {node!r} not in graph")
-        for p in list(self._parents[node]):
-            self.remove_edge(p, node)
-        for c in list(self._children[node]):
-            self.remove_edge(node, c)
-        del self._parents[node]
-        del self._children[node]
-
     # ------------------------------------------------------------------ #
     # Basic queries
     # ------------------------------------------------------------------ #
@@ -124,10 +112,6 @@ class DAG:
         self._check(node)
         return len(self._parents[node])
 
-    def out_degree(self, node: Node) -> int:
-        self._check(node)
-        return len(self._children[node])
-
     def roots(self) -> tuple[Node, ...]:
         """Nodes with no parents — learned with local data only (Sec 3.4)."""
         return tuple(n for n in self._parents if not self._parents[n])
@@ -161,30 +145,6 @@ class DAG:
                     stack.append(nxt)
         return False
 
-    def ancestors(self, node: Node) -> set[Node]:
-        """All nodes with a directed path to ``node`` (excluding itself)."""
-        self._check(node)
-        out: set[Node] = set()
-        stack = list(self._parents[node])
-        while stack:
-            cur = stack.pop()
-            if cur not in out:
-                out.add(cur)
-                stack.extend(self._parents[cur])
-        return out
-
-    def descendants(self, node: Node) -> set[Node]:
-        """All nodes reachable from ``node`` (excluding itself)."""
-        self._check(node)
-        out: set[Node] = set()
-        stack = list(self._children[node])
-        while stack:
-            cur = stack.pop()
-            if cur not in out:
-                out.add(cur)
-                stack.extend(self._children[cur])
-        return out
-
     def topological_order(self) -> list[Node]:
         """Kahn's algorithm; deterministic given insertion order."""
         in_deg = {n: len(ps) for n, ps in self._parents.items()}
@@ -202,74 +162,7 @@ class DAG:
         return order
 
     # ------------------------------------------------------------------ #
-    # Probabilistic-graphical-model queries
-    # ------------------------------------------------------------------ #
-
-    def moral_neighbors(self) -> dict[Node, set[Node]]:
-        """Adjacency of the moral graph: undirected edges plus married parents."""
-        adj: dict[Node, set[Node]] = {n: set() for n in self._parents}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        for node in self._parents:
-            ps = list(self._parents[node])
-            for i in range(len(ps)):
-                for j in range(i + 1, len(ps)):
-                    adj[ps[i]].add(ps[j])
-                    adj[ps[j]].add(ps[i])
-        return adj
-
-    def d_separated(
-        self,
-        x: "Node | Iterable[Node]",
-        y: "Node | Iterable[Node]",
-        given: Iterable[Node] = (),
-    ) -> bool:
-        """Test d-separation of node sets ``x`` and ``y`` given ``given``.
-
-        Uses the linear-time reachability ("Bayes-ball") algorithm: traverse
-        (node, direction) states from ``x``; ``x`` and ``y`` are d-separated
-        iff no node of ``y`` is reached through an active trail.
-        """
-        xs = {x} if x in self._parents else set(x)
-        ys = {y} if y in self._parents else set(y)
-        zs = set(given)
-        for s in xs | ys | zs:
-            self._check(s)
-        if xs & ys:
-            return False
-
-        # Ancestors of the evidence set, used to decide collider activation.
-        z_anc = set(zs)
-        for z in zs:
-            z_anc |= self.ancestors(z)
-
-        # States: (node, 'up') entered from a child; (node, 'down') from a parent.
-        start = [(n, "up") for n in xs]
-        visited: set[tuple[Node, str]] = set()
-        while start:
-            node, direction = start.pop()
-            if (node, direction) in visited:
-                continue
-            visited.add((node, direction))
-            if node not in zs and node in ys:
-                return False
-            if direction == "up" and node not in zs:
-                for p in self._parents[node]:
-                    start.append((p, "up"))
-                for c in self._children[node]:
-                    start.append((c, "down"))
-            elif direction == "down":
-                if node not in zs:
-                    for c in self._children[node]:
-                        start.append((c, "down"))
-                if node in z_anc:  # collider with observed descendant: trail opens upward
-                    for p in self._parents[node]:
-                        start.append((p, "up"))
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Copies / conversions / comparisons
+    # Copies / comparisons
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "DAG":
@@ -299,25 +192,6 @@ class DAG:
                     children[v] = None
                     out._parents[v][u] = None
         return out
-
-    def to_networkx(self):
-        """Return an equivalent :class:`networkx.DiGraph`."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges)
-        return g
-
-    def adjacency_matrix(self, order: "Iterable[Node] | None" = None) -> np.ndarray:
-        """0/1 matrix with ``A[i, j] == 1`` iff ``order[i] -> order[j]``."""
-        names = list(order) if order is not None else list(self.nodes)
-        index = {n: i for i, n in enumerate(names)}
-        mat = np.zeros((len(names), len(names)), dtype=int)
-        for u, v in self.edges:
-            if u in index and v in index:
-                mat[index[u], index[v]] = 1
-        return mat
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DAG):

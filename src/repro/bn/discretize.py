@@ -172,16 +172,6 @@ class Discretizer:
             out[col] = self._bin(np.asarray(data[col], dtype=float), self._edges[col])
         return Dataset(out)
 
-    def fit_transform(self, data: Dataset, columns: "Iterable[str] | None" = None) -> Dataset:
-        return self.fit(data, columns).transform(data, columns)
-
-    def inverse_value(self, column: str, state: int) -> float:
-        """Bin index → representative continuous value."""
-        centers = self.centers(column)
-        if not 0 <= state < centers.size:
-            raise DataError(f"state {state} out of range for {column!r}")
-        return float(centers[state])
-
     def expectation(self, column: str, pmf: np.ndarray) -> float:
         """Expected continuous value of a pmf over the column's bins."""
         centers = self.centers(column)

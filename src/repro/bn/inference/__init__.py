@@ -9,9 +9,9 @@
   fallback chain's exact tier.
 - :mod:`repro.bn.inference.engine` — compile-once engine for repeated /
   batched queries against a fixed discrete model (the serving hot path).
-- :mod:`repro.bn.inference.sampling` — forward sampling and likelihood
-  weighting for networks whose CPDs are not jointly tractable (hybrid
-  nets with the nonlinear ``max`` response CPD).
+- :mod:`repro.bn.inference.sampling` — likelihood weighting for networks
+  whose CPDs are not jointly tractable (hybrid nets with the nonlinear
+  ``max`` response CPD).
 """
 
 from repro.bn.inference.gaussian import (
@@ -21,7 +21,7 @@ from repro.bn.inference.gaussian import (
 )
 from repro.bn.inference.variable_elimination import query
 from repro.bn.inference.engine import CompiledDiscreteModel
-from repro.bn.inference.sampling import forward_sample, likelihood_weighting
+from repro.bn.inference.sampling import likelihood_weighting
 
 __all__ = [
     "joint_gaussian",
@@ -29,6 +29,5 @@ __all__ = [
     "marginal_gaussian",
     "query",
     "CompiledDiscreteModel",
-    "forward_sample",
     "likelihood_weighting",
 ]

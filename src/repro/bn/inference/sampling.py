@@ -2,8 +2,8 @@
 
 Hybrid networks carry the workflow's nonlinear ``max`` in the response
 CPD, which no closed-form posterior survives; likelihood weighting keeps
-those queries answerable.  Forward sampling also generates synthetic
-datasets from hand-built ground-truth networks in tests and benchmarks.
+those queries answerable.  Forward (ancestral) sampling is each
+network's own ``sample``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ import numpy as np
 from repro.bn.data import Dataset
 from repro.exceptions import InferenceError
 from repro.utils.rng import ensure_rng
-
-
-def forward_sample(network, n: int, rng=None) -> Dataset:
-    """Ancestral sampling — thin functional wrapper over ``network.sample``."""
-    return network.sample(n, ensure_rng(rng))
 
 
 def likelihood_weighting(

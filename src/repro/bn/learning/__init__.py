@@ -21,7 +21,6 @@ from repro.bn.learning.mle import (
 from repro.bn.learning.scores import (
     gaussian_bic_local,
     discrete_k2_local,
-    discrete_bic_local,
     ScoreCache,
 )
 from repro.bn.learning.k2 import k2_search, k2_random_restarts, K2Result
@@ -35,7 +34,6 @@ __all__ = [
     "fit_discrete_network",
     "gaussian_bic_local",
     "discrete_k2_local",
-    "discrete_bic_local",
     "ScoreCache",
     "k2_search",
     "k2_random_restarts",

@@ -2,13 +2,12 @@
 
 K2 (and any order-based search) needs a *local* score
 ``score(X_i, parent_set)`` that the whole-graph score decomposes over.
-Three are provided:
+Two are provided:
 
 - :func:`gaussian_bic_local` — Gaussian BIC, used when NRT-BN learns a
   structure from the paper's continuous simulation data;
 - :func:`discrete_k2_local` — the Cooper–Herskovits K2 metric (uniform
-  Dirichlet prior), the score of the original K2 paper the authors cite;
-- :func:`discrete_bic_local` — discrete BIC, a cheaper alternative.
+  Dirichlet prior), the score of the original K2 paper the authors cite.
 
 All return *log* scores; larger is better.
 """
@@ -100,58 +99,6 @@ def discrete_k2_local(
         np.sum(gammaln(r) - gammaln(r + n_j)) + np.sum(gammaln(counts + 1.0))
     )
     return score
-
-
-def discrete_bdeu_local(
-    data: Dataset,
-    variable: str,
-    cardinality: int,
-    parents: tuple[str, ...],
-    parent_cards: tuple[int, ...],
-    ess: float = 10.0,
-) -> float:
-    """BDeu score (log): Dirichlet prior with equivalent sample size.
-
-    Unlike the K2 metric's fixed α=1 per cell, BDeu spreads a total
-    pseudo-count ``ess`` uniformly over the (parent-config × state)
-    cells: ``α_ijk = ess / (q_i · r_i)``.  This makes the score
-    *likelihood equivalent* — Markov-equivalent DAGs score identically —
-    which the property tests verify and the K2 metric lacks.
-    """
-    if not ess > 0:
-        raise LearningError(f"ess must be > 0, got {ess}")
-    counts = _counts(data, variable, cardinality, parents, parent_cards)
-    r = cardinality
-    q = counts.shape[1]
-    a_ijk = ess / (q * r)
-    a_ij = ess / q
-    n_j = counts.sum(axis=0)
-    return float(
-        np.sum(gammaln(a_ij) - gammaln(a_ij + n_j))
-        + np.sum(gammaln(counts + a_ijk) - gammaln(a_ijk))
-    )
-
-
-def discrete_bic_local(
-    data: Dataset,
-    variable: str,
-    cardinality: int,
-    parents: tuple[str, ...],
-    parent_cards: tuple[int, ...],
-) -> float:
-    """Discrete BIC: multinomial max-loglik minus complexity penalty."""
-    counts = _counts(data, variable, cardinality, parents, parent_cards)
-    n = counts.sum()
-    if n < 1:
-        raise LearningError("need at least 1 row for a discrete score")
-    totals = counts.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 0.0)
-        log_terms = np.where(counts > 0, counts * np.log(probs), 0.0)
-    loglik = float(log_terms.sum())
-    n_configs = counts.shape[1]
-    k = (cardinality - 1) * n_configs
-    return loglik - 0.5 * k * math.log(n)
 
 
 class ScoreCache:

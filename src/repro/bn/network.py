@@ -20,11 +20,7 @@ from repro.bn.cpd.linear_gaussian import LinearGaussianCPD
 from repro.bn.cpd.tabular import TabularCPD
 from repro.bn.dag import DAG
 from repro.bn.data import Dataset
-from repro.bn.inference.gaussian import (
-    condition_gaussian,
-    joint_gaussian,
-    joint_gaussian_of,
-)
+from repro.bn.inference.gaussian import condition_gaussian, joint_gaussian_of
 from repro.exceptions import CPDError, InferenceError
 from repro.utils.rng import ensure_rng
 
@@ -196,10 +192,6 @@ class GaussianBayesianNetwork(BayesianNetwork):
                 raise CPDError(
                     f"{type(cpd).__name__} for {cpd.variable!r} is not linear-Gaussian"
                 )
-
-    def to_joint_gaussian(self):
-        """Return ``(names, mean, cov)`` of the equivalent joint MVN."""
-        return joint_gaussian(self)
 
 
 class HybridResponseNetwork(BayesianNetwork):

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -64,9 +65,12 @@ def _parse_assignments(pairs: "Sequence[str] | None") -> dict[str, float]:
             raise SystemExit(f"expected NAME=VALUE, got {pair!r}")
         name, value = pair.split("=", 1)
         try:
-            out[name.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise SystemExit(f"value for {name!r} is not a number: {value!r}")
+        if not math.isfinite(number):
+            raise SystemExit(f"value for {name.strip()!r} is not finite")
+        out[name.strip()] = number
     return out
 
 

@@ -8,8 +8,8 @@
   learning-free naive structure Section 4.2 dismisses.
 - :mod:`repro.core.reconstruction` — the periodic model-(re)construction
   scheme of Section 2 (Eqs. 1–2: ``W = K·T_CON``, ``T_CON = α·T_DATA``).
-- :mod:`repro.core.metrics` — construction-time / accuracy comparison
-  containers used by the benchmarks.
+- :mod:`repro.core.metrics` — the construction-time report every build
+  returns.
 """
 
 from repro.core.kertbn import (
@@ -21,7 +21,7 @@ from repro.core.kertbn import (
 )
 from repro.core.nrtbn import NRTBN, build_continuous_nrtbn, build_discrete_nrtbn
 from repro.core.reconstruction import ReconstructionSchedule, ModelReconstructor
-from repro.core.metrics import BuildReport, ModelComparison
+from repro.core.metrics import BuildReport
 
 __all__ = [
     "KERTBN",
@@ -35,5 +35,4 @@ __all__ = [
     "ReconstructionSchedule",
     "ModelReconstructor",
     "BuildReport",
-    "ModelComparison",
 ]

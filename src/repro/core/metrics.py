@@ -1,18 +1,17 @@
-"""Build reports and model comparisons.
+"""Build reports.
 
 The paper's two evaluation metrics (Section 4.1) are *construction time*
 — "the time it takes to build the entire Bayesian network (i.e.
 including the structure and parameter values)" — and *data-fitting
 accuracy* — ``log10 p(TestData | BN)``.  :class:`BuildReport` carries the
 former (split by phase, with per-CPD detail for the decentralized
-accounting of Section 4.3); :class:`ModelComparison` pairs both metrics
-for two models on the same data.
+accounting of Section 4.3); the benchmarks score accuracy on the
+networks themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 
 @dataclass
@@ -70,50 +69,3 @@ class BuildReport:
             "n_parameters": self.n_parameters,
             "n_training_rows": self.n_training_rows,
         }
-
-
-@dataclass
-class ModelComparison:
-    """KERT-BN vs NRT-BN on one (train, test) pair — one Fig. 3/4 point."""
-
-    n_services: int
-    n_training_rows: int
-    kert_report: BuildReport
-    nrt_report: BuildReport
-    kert_test_log10: float
-    nrt_test_log10: float
-
-    @property
-    def construction_speedup(self) -> float:
-        """NRT-BN construction time / KERT-BN construction time."""
-        k = self.kert_report.construction_seconds
-        return self.nrt_report.construction_seconds / k if k > 0 else float("inf")
-
-    @property
-    def accuracy_gap(self) -> float:
-        """KERT-BN minus NRT-BN test log10-likelihood (positive = KERT wins)."""
-        return self.kert_test_log10 - self.nrt_test_log10
-
-    def row(self) -> dict:
-        return {
-            "n_services": self.n_services,
-            "n_train": self.n_training_rows,
-            "kert_build_s": self.kert_report.construction_seconds,
-            "nrt_build_s": self.nrt_report.construction_seconds,
-            "kert_log10": self.kert_test_log10,
-            "nrt_log10": self.nrt_test_log10,
-            "speedup": self.construction_speedup,
-            "accuracy_gap": self.accuracy_gap,
-        }
-
-
-def mean_rows(rows: "list[Mapping[str, float]]") -> dict:
-    """Average numeric fields across repetition rows (Fig. 3/4 style)."""
-    if not rows:
-        raise ValueError("no rows to average")
-    keys = rows[0].keys()
-    out = {}
-    for k in keys:
-        vals = [r[k] for r in rows]
-        out[k] = sum(vals) / len(vals)
-    return out

@@ -7,25 +7,22 @@ out-of-date information lingers in the updated model and adversely
 impacts its accuracy."
 
 This module makes that argument runnable.  :class:`SequentialGaussianUpdater`
-and :class:`SequentialTabularUpdater` maintain CPD parameters from
-accumulated sufficient statistics (optionally with exponential
-forgetting, the standard mitigation): new batches fold in, old data
-never leaves (``decay=1``).  The ablation benchmark
-``benchmarks/test_ablation_update_vs_reconstruct.py`` pits sequential
-updating against the paper's windowed reconstruction under environment
-drift.
+maintains linear-Gaussian CPD parameters from accumulated sufficient
+statistics (optionally with exponential forgetting, the standard
+mitigation): new batches fold in, old data never leaves (``decay=1``).
+The ablation benchmark ``benchmarks/test_ablation_update_vs_reconstruct.py``
+pits sequential updating against the paper's windowed reconstruction
+under environment drift.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 import numpy as np
 
-from repro.bn.cpd import LinearGaussianCPD, TabularCPD
+from repro.bn.cpd import LinearGaussianCPD
 from repro.bn.dag import DAG
 from repro.bn.data import Dataset
-from repro.bn.network import DiscreteBayesianNetwork, GaussianBayesianNetwork
+from repro.bn.network import GaussianBayesianNetwork
 from repro.exceptions import LearningError
 
 
@@ -94,90 +91,3 @@ class SequentialGaussianUpdater:
         return GaussianBayesianNetwork(
             self.dag, [self.cpd(str(n)) for n in self.dag.nodes]
         )
-
-
-class SequentialTabularUpdater:
-    """Per-node tabular CPDs from accumulated (decaying) counts."""
-
-    def __init__(
-        self,
-        dag: DAG,
-        cardinalities: Mapping[str, int],
-        decay: float = 1.0,
-        alpha: float = 1.0,
-    ):
-        if not 0.0 < decay <= 1.0:
-            raise LearningError(f"decay must be in (0, 1], got {decay}")
-        self.dag = dag.copy()
-        self.cards = {str(k): int(v) for k, v in cardinalities.items()}
-        self.decay = float(decay)
-        self.alpha = float(alpha)
-        self._counts: dict[str, np.ndarray] = {}
-        for node in dag.nodes:
-            node = str(node)
-            parents = tuple(map(str, dag.parents(node)))
-            n_configs = int(np.prod([self.cards[p] for p in parents])) if parents else 1
-            self._counts[node] = np.zeros((self.cards[node], n_configs))
-
-    def ingest(self, data: Dataset) -> None:
-        for node, counts in self._counts.items():
-            parents = tuple(map(str, self.dag.parents(node)))
-            child = np.asarray(data[node], dtype=int)
-            counts *= self.decay
-            if parents:
-                config = np.zeros(child.size, dtype=np.int64)
-                for p in parents:
-                    config = config * self.cards[p] + np.asarray(data[p], dtype=int)
-                np.add.at(counts, (child, config), 1.0)
-            else:
-                np.add.at(counts, (child, np.zeros(child.size, dtype=int)), 1.0)
-
-    def cpd(self, node: str) -> TabularCPD:
-        node = str(node)
-        counts = self._counts[node] + self.alpha
-        parents = tuple(map(str, self.dag.parents(node)))
-        parent_cards = tuple(self.cards[p] for p in parents)
-        table = counts / counts.sum(axis=0)
-        return TabularCPD(
-            node,
-            self.cards[node],
-            table.reshape((self.cards[node], *parent_cards)),
-            parents,
-            parent_cards,
-        )
-
-    def network(self) -> DiscreteBayesianNetwork:
-        return DiscreteBayesianNetwork(
-            self.dag, [self.cpd(str(n)) for n in self.dag.nodes]
-        )
-
-
-def drift_experiment(
-    dag: DAG,
-    batches_before: Iterable[Dataset],
-    batches_after: Iterable[Dataset],
-    test_after: Dataset,
-    window_batches: int,
-    decay: float = 1.0,
-) -> dict:
-    """Compare sequential updating vs windowed reconstruction under drift.
-
-    ``batches_before`` come from the old environment, ``batches_after``
-    from the drifted one; ``test_after`` is drifted test data.  The
-    sequential updater folds in every batch; the reconstructor refits
-    from only the last ``window_batches`` batches (the Eq.-1 window).
-    Returns both models' test log10-likelihoods.
-    """
-    from repro.bn.learning.mle import fit_gaussian_network
-
-    updater = SequentialGaussianUpdater(dag, decay=decay)
-    recent: list[Dataset] = []
-    for batch in list(batches_before) + list(batches_after):
-        updater.ingest(batch)
-        recent.append(batch)
-        recent = recent[-window_batches:]
-    reconstructed = fit_gaussian_network(dag, Dataset.concat(recent))
-    return {
-        "sequential_log10": updater.network().log10_likelihood(test_after),
-        "reconstructed_log10": reconstructed.log10_likelihood(test_after),
-    }

@@ -37,9 +37,7 @@ from repro.simulator.service import Host, ServiceSpec
 from repro.simulator.traces import inject_missing, trace_to_dataset
 from repro.simulator.workload import (
     BurstyWorkload,
-    ClosedWorkload,
     DiurnalWorkload,
-    FixedIntervalWorkload,
     OpenWorkload,
 )
 
@@ -67,8 +65,6 @@ __all__ = [
     "inject_missing",
     "trace_to_dataset",
     "BurstyWorkload",
-    "ClosedWorkload",
     "DiurnalWorkload",
-    "FixedIntervalWorkload",
     "OpenWorkload",
 ]

@@ -86,9 +86,6 @@ class FaultSchedule:
         """Convenience single-window schedule."""
         return cls((Degradation(service, start, start + duration, factor),))
 
-    def merged_with(self, other: "FaultSchedule") -> "FaultSchedule":
-        return FaultSchedule(self.degradations + other.degradations)
-
 
 def combined_factor(windows: Iterable[Degradation], t: float) -> float:
     """Product of the factors of the ``windows`` active at ``t``.
@@ -102,13 +99,3 @@ def combined_factor(windows: Iterable[Degradation], t: float) -> float:
             factor *= d.factor
     return factor
 
-
-def degradation_windows(
-    schedule: FaultSchedule, services: Iterable[str]
-) -> dict[str, list[tuple[float, float]]]:
-    """Per-service fault windows (for plotting / assertions in tests)."""
-    out: dict[str, list[tuple[float, float]]] = {str(s): [] for s in services}
-    for d in schedule.degradations:
-        if d.service in out:
-            out[d.service].append((d.start, d.end))
-    return out

@@ -1,9 +1,8 @@
 """Workload (arrival-process) generators.
 
-The monitored transaction stream is driven by either an open Poisson
-workload (requests arrive regardless of completions — users on the web)
-or a closed workload (a fixed population of clients think, submit, wait
-— the radiologists of the eDiaMoND scenario).
+The monitored transaction stream is driven by open workloads: requests
+arrive regardless of completions.  Arrivals are Poisson, bursty
+(Markov-modulated) or diurnal (sinusoidally rate-modulated).
 """
 
 from __future__ import annotations
@@ -38,28 +37,6 @@ class OpenWorkload(Workload):
         rng = ensure_rng(rng)
         gaps = rng.exponential(1.0 / self.rate, size=n)
         return np.cumsum(gaps)
-
-
-class FixedIntervalWorkload(Workload):
-    """One request every ``interval`` seconds (deterministic probing)."""
-
-    def __init__(self, interval: float, jitter: float = 0.0):
-        if not interval > 0:
-            raise SimulationError(f"interval must be > 0, got {interval}")
-        if jitter < 0 or jitter >= interval:
-            raise SimulationError("jitter must be in [0, interval)")
-        self.interval = float(interval)
-        self.jitter = float(jitter)
-
-    def arrival_times(self, n: int, rng=None) -> np.ndarray:
-        if n < 1:
-            raise SimulationError(f"need n >= 1, got {n}")
-        base = self.interval * np.arange(1, n + 1, dtype=float)
-        if self.jitter:
-            rng = ensure_rng(rng)
-            base = base + rng.uniform(0.0, self.jitter, size=n)
-            base.sort()
-        return base
 
 
 class BurstyWorkload(Workload):
@@ -160,81 +137,3 @@ class DiurnalWorkload(Workload):
             if rng.random() < self.rate_at(t) / peak:
                 times.append(t)
         return np.asarray(times)
-
-
-class ClosedWorkload(Workload):
-    """Fixed client population with exponential think times.
-
-    Arrival generation needs the (unknown) response time; a configurable
-    ``expected_cycle`` approximates one client's submit→response→think
-    round trip.  :meth:`calibrate` refines it from a measured mean
-    response time — the fixed-point iteration used by the eDiaMoND
-    scenario setup.
-    """
-
-    def __init__(
-        self,
-        n_clients: int,
-        think_time: float,
-        expected_cycle: "float | None" = None,
-    ):
-        if n_clients < 1:
-            raise SimulationError(f"need >= 1 client, got {n_clients}")
-        if not think_time > 0:
-            raise SimulationError(f"think_time must be > 0, got {think_time}")
-        self.n_clients = int(n_clients)
-        self.think_time = float(think_time)
-        self.expected_cycle = (
-            float(expected_cycle) if expected_cycle else self.think_time
-        )
-
-    def calibrate(self, mean_response_time: float) -> "ClosedWorkload":
-        """Return a copy whose cycle includes the measured response time."""
-        if not mean_response_time >= 0:
-            raise SimulationError("mean_response_time must be >= 0")
-        return ClosedWorkload(
-            self.n_clients, self.think_time, self.think_time + mean_response_time
-        )
-
-    def arrival_times(self, n: int, rng=None) -> np.ndarray:
-        if n < 1:
-            raise SimulationError(f"need n >= 1, got {n}")
-        rng = ensure_rng(rng)
-        # Each client's k-th submission ≈ sum of k exponential cycles.
-        per_client = int(np.ceil(n / self.n_clients))
-        times = []
-        for _ in range(self.n_clients):
-            gaps = rng.exponential(self.expected_cycle, size=per_client)
-            times.append(np.cumsum(gaps))
-        merged = np.sort(np.concatenate(times))[:n]
-        return merged
-
-
-def calibrate_closed_workload(
-    environment,
-    workload: ClosedWorkload,
-    n_probe: int = 150,
-    iterations: int = 3,
-    rng=None,
-) -> ClosedWorkload:
-    """Fixed-point calibration of a closed workload against an environment.
-
-    A closed workload's inter-arrival cycle includes the response time it
-    itself produces; iterate: simulate with the current cycle estimate,
-    measure the mean response, fold it back in.  A few iterations settle
-    for stable systems (asserted by the tests).
-    """
-    import dataclasses
-
-    from repro.utils.rng import ensure_rng
-
-    if iterations < 1:
-        raise SimulationError("need >= 1 calibration iteration")
-    rng = ensure_rng(rng)
-    current = workload
-    for _ in range(iterations):
-        probe_env = dataclasses.replace(environment, workload=current)
-        data = probe_env.simulate(n_probe, rng)
-        mean_response = float(np.mean(data[probe_env.response]))
-        current = current.calibrate(mean_response)
-    return current

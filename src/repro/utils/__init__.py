@@ -1,15 +1,12 @@
 """Shared utilities: RNG plumbing, timers, statistics and validation."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer, timed
-from repro.utils.validation import require, require_type, require_positive
+from repro.utils.validation import require
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "Timer",
     "timed",
     "require",
-    "require_type",
-    "require_positive",
 ]

@@ -31,17 +31,3 @@ def ensure_rng(rng: "int | np.random.Generator | None" = None) -> np.random.Gene
         return np.random.default_rng(int(rng))
     raise TypeError(f"rng must be None, int or numpy Generator, got {type(rng)!r}")
 
-
-def spawn_rngs(rng: "int | np.random.Generator | None", n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators.
-
-    Used when an experiment repeats trials or when each simulated service /
-    monitoring agent needs its own stream (so that adding a service does not
-    perturb the draws of existing services).
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    base = ensure_rng(rng)
-    return [np.random.default_rng(s) for s in base.bit_generator.seed_seq.spawn(n)] \
-        if hasattr(base.bit_generator, "seed_seq") and base.bit_generator.seed_seq is not None \
-        else [np.random.default_rng(base.integers(0, 2**63 - 1)) for _ in range(n)]

@@ -1,9 +1,8 @@
 """Statistical helpers shared by the apps and benchmarks.
 
 These back the paper's evaluation quantities: empirical tail
-probabilities for the threshold-violation study (Eq. 5), distribution
-summaries for the dComp / pAccel figures, and divergence measures used in
-tests to assert that a posterior "moved toward" the truth.
+probabilities and relative errors for the threshold-violation study
+(Eq. 5), and a five-number summary of a sample.
 """
 
 from __future__ import annotations
@@ -21,20 +20,6 @@ def empirical_tail_probability(samples: np.ndarray, threshold: float) -> float:
     samples = np.asarray(samples, dtype=float)
     require(samples.size > 0, "need at least one sample")
     return float(np.mean(samples > threshold))
-
-
-def gaussian_tail_probability(mean: float, std: float, threshold: float) -> float:
-    """Return ``P(X > threshold)`` for ``X ~ N(mean, std^2)``.
-
-    Degenerate ``std == 0`` collapses to an indicator, which arises for a
-    deterministic response-time CPD with zero leak.
-    """
-    require(std >= 0, "std must be non-negative")
-    if std == 0:
-        return float(mean > threshold)
-    from scipy.stats import norm
-
-    return float(norm.sf(threshold, loc=mean, scale=std))
 
 
 def relative_error(estimate: float, truth: float) -> float:
@@ -62,28 +47,3 @@ def summarize(samples: np.ndarray) -> dict:
         "max": float(np.max(samples)),
     }
 
-
-def histogram_pmf(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Normalized histogram of ``samples`` over ``edges`` (a pmf over bins)."""
-    counts, _ = np.histogram(np.asarray(samples, dtype=float), bins=edges)
-    total = counts.sum()
-    if total == 0:
-        return np.full(len(edges) - 1, 1.0 / (len(edges) - 1))
-    return counts / total
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance between two pmfs on the same support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    require(p.shape == q.shape, "pmfs must share support")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray, eps: float = 1e-12) -> float:
-    """``KL(p || q)`` with epsilon-smoothing so empty bins do not blow up."""
-    p = np.asarray(p, dtype=float) + eps
-    q = np.asarray(q, dtype=float) + eps
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.sum(p * (np.log(p) - np.log(q))))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Type
+from typing import Type
 
 
 def require(condition: bool, message: str, exc: Type[Exception] = ValueError) -> None:
@@ -10,16 +10,3 @@ def require(condition: bool, message: str, exc: Type[Exception] = ValueError) ->
     if not condition:
         raise exc(message)
 
-
-def require_type(value: Any, types: "type | tuple[type, ...]", name: str) -> None:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        raise TypeError(f"{name} must be {types}, got {type(value)!r}")
-
-
-def require_positive(value: float, name: str, strict: bool = True) -> None:
-    """Raise :class:`ValueError` unless ``value`` is (strictly) positive."""
-    if strict and not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")

@@ -59,22 +59,6 @@ def render_workflow(node: WorkflowNode, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def render_dag(dag: DAG) -> str:
-    """Topologically-layered rendering of a DAG.
-
-    Each line shows one node with its parents, in topological order —
-    compact enough for 100-node structures, exact for any size.
-    """
-    lines = []
-    for node in dag.topological_order():
-        parents = dag.parents(node)
-        if parents:
-            lines.append(f"{', '.join(map(str, parents))} -> {node}")
-        else:
-            lines.append(f"(root)  {node}")
-    return "\n".join(lines)
-
-
 def render_structure_summary(dag: DAG, response: "str | None" = None) -> str:
     """One-paragraph structural summary (node/edge counts, depth, fan-in)."""
     order = dag.topological_order()

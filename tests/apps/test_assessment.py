@@ -1,7 +1,5 @@
 """RapidAssessor: analytic moment propagation vs Monte Carlo."""
 
-import importlib.util
-import os
 import time
 
 import numpy as np
@@ -11,6 +9,7 @@ from repro.apps.assessment import RapidAssessor, _MomentPlan
 from repro.apps.paccel import PAccel
 from repro.exceptions import InferenceError
 from repro.workflow.expressions import Max, Var
+from tests.perf._host import host_bound
 
 
 def test_requires_hybrid_model(ediamond_data):
@@ -83,30 +82,19 @@ def test_violation_probability_reasonable(ediamond_continuous_model):
     assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
-def _host_reference():
-    """The benchmark's host-speed reference job (``perfbench/reference.py``)."""
-    path = os.path.join(
-        os.path.dirname(__file__), "..", "..", "perfbench", "reference.py"
-    )
-    spec = importlib.util.spec_from_file_location("_perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_assessment_is_fast(ediamond_continuous_model):
     """Control-loop friendly: 50 ms per call on the benchmark's nominal
     host, scaled by the reference job timed five times on each side of
     the measurement so that a loaded host raises the bound."""
     ra = RapidAssessor(ediamond_continuous_model)
-    reference = _host_reference()
-    around = [reference.job_seconds() for _ in range(5)]
-    t0 = time.perf_counter()
-    for _ in range(50):
-        ra.assess()
-    per_call = (time.perf_counter() - t0) / 50
-    around += [reference.job_seconds() for _ in range(5)]
-    bound = 0.05 * float(np.median(around)) / reference.NOMINAL_JOB_S
+
+    def mean_call():
+        t0 = time.perf_counter()
+        for _ in range(50):
+            ra.assess()
+        return (time.perf_counter() - t0) / 50
+
+    per_call, bound = host_bound(mean_call, 0.05)
     assert per_call < bound, f"assess {per_call * 1e3:.2f} ms >= {bound * 1e3:.2f} ms"
 
 
@@ -146,7 +134,9 @@ def test_pure_sequence_workflow_is_exact(rng):
     ra = RapidAssessor(model)
     m, v = ra.assess()
     # E[D] under the fitted model = sum of the fitted means, exactly.
-    names, mean, cov = model.network.service_subnetwork().to_joint_gaussian()
+    from repro.bn.inference.gaussian import joint_gaussian
+
+    names, mean, cov = joint_gaussian(model.network.service_subnetwork())
     assert m == pytest.approx(float(mean.sum()))
     assert v == pytest.approx(
         float(cov.sum()) + model.network.cpd("D").variance

@@ -29,6 +29,17 @@ def test_validation(localizer):
         loc.localize({"ghost": 1.0})
 
 
+def test_non_finite_observation_is_rejected(localizer):
+    """A NaN or infinite mean would get blame NaN/inf and outrank the real
+    culprit; localize names the offending services instead."""
+    loc, _ = localizer
+    x6 = 3.0 * float(loc._mean[loc._index["X6"]])
+    with pytest.raises(InferenceError, match=r"\['X2'\]"):
+        loc.localize({"X2": float("nan"), "X6": x6})
+    with pytest.raises(InferenceError, match=r"\['X1', 'X2'\]"):
+        loc.localize({"X1": float("nan"), "X2": -float("inf"), "X6": x6})
+
+
 def test_degraded_service_ranks_first(localizer):
     loc, _ = localizer
     # Degrade X5 (the local OGSA-DAI database) hard.

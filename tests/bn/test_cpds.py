@@ -108,13 +108,6 @@ def test_lg_validation():
         LinearGaussianCPD("x", 0.0, (), 0.0)  # zero variance
 
 
-def test_lg_mean_given():
-    cpd = LinearGaussianCPD("x", 1.0, [2.0, -1.0], 1.0, ("a", "b"))
-    assert cpd.mean_given({"a": 3.0, "b": 1.0}) == pytest.approx(6.0)
-    with pytest.raises(CPDError):
-        cpd.mean_given({"a": 3.0})
-
-
 def test_lg_log_likelihood_is_gaussian_density():
     cpd = LinearGaussianCPD("x", 0.0, (), 2.0)
     data = Dataset({"x": np.array([0.0, 1.0])})

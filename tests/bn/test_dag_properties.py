@@ -40,15 +40,7 @@ def test_parent_child_duality(dag):
 @settings(max_examples=60, deadline=None)
 def test_edge_count_consistency(dag):
     assert dag.n_edges == sum(dag.in_degree(n) for n in dag.nodes)
-    assert dag.n_edges == sum(dag.out_degree(n) for n in dag.nodes)
-
-
-@given(random_dags())
-@settings(max_examples=40, deadline=None)
-def test_ancestor_descendant_duality(dag):
-    for node in dag.nodes:
-        for anc in dag.ancestors(node):
-            assert node in dag.descendants(anc)
+    assert dag.n_edges == sum(len(dag.children(n)) for n in dag.nodes)
 
 
 @given(random_dags())
@@ -65,34 +57,6 @@ def test_reversing_any_edge_never_leaves_cycles_undetected(dag):
             continue
         order = clone.topological_order()
         assert len(order) == clone.n_nodes
-
-
-@given(random_dags(), st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_dsep_symmetry(dag, seed):
-    rng = np.random.default_rng(seed)
-    nodes = list(dag.nodes)
-    if len(nodes) < 2:
-        return
-    i, j = rng.choice(len(nodes), size=2, replace=False)
-    z = [n for k, n in enumerate(nodes) if rng.random() < 0.3 and k not in (i, j)]
-    assert dag.d_separated(nodes[i], nodes[j], z) == dag.d_separated(
-        nodes[j], nodes[i], z
-    )
-
-
-@given(random_dags())
-@settings(max_examples=40, deadline=None)
-def test_moral_neighbors_symmetric_and_marries_parents(dag):
-    adj = dag.moral_neighbors()
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            assert u in adj[v]
-    for node in dag.nodes:
-        ps = dag.parents(node)
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                assert ps[j] in adj[ps[i]]
 
 
 def _layout(dag):

@@ -68,16 +68,13 @@ def test_heavy_ties_deduplicate_edges():
     assert np.all(np.diff(d.edges("x")) > 0)
 
 
-def test_expectation_and_inverse_value(rng):
+def test_expectation(rng):
     x = rng.normal(size=2000)
     d = Discretizer(n_bins=4).fit(Dataset({"x": x}))
     pmf = np.array([0.25, 0.25, 0.25, 0.25])[: d.cardinality("x")]
     pmf = pmf / pmf.sum()
     e = d.expectation("x", pmf)
     assert d.edges("x")[0] <= e <= d.edges("x")[-1]
-    assert d.inverse_value("x", 0) == d.centers("x")[0]
-    with pytest.raises(DataError):
-        d.inverse_value("x", 99)
     with pytest.raises(DataError):
         d.expectation("x", np.ones(17))
 

@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.bn.inference.sampling import (
-    forward_sample,
-    likelihood_weighting,
-    weighted_mean,
-)
+from repro.bn.inference.sampling import likelihood_weighting, weighted_mean
 from repro.exceptions import InferenceError
 
 
 def test_forward_sample_shape(chain_gaussian_net):
-    data = forward_sample(chain_gaussian_net, 100, rng=0)
+    data = chain_gaussian_net.sample(100, 0)
     assert data.n_rows == 100
     assert set(data.columns) == {"a", "b", "c"}
 

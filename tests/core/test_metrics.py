@@ -1,8 +1,8 @@
-"""Build reports and comparisons."""
+"""Build reports."""
 
 import pytest
 
-from repro.core.metrics import BuildReport, ModelComparison, mean_rows
+from repro.core.metrics import BuildReport
 
 
 def report(structure=1.0, params=0.5, per_cpd=None):
@@ -35,26 +35,3 @@ def test_decentralized_vs_centralized():
 def test_summary_keys():
     s = report().summary()
     assert {"model", "construction_s", "n_parameters"} <= set(s)
-
-
-def test_model_comparison():
-    cmp = ModelComparison(
-        n_services=30,
-        n_training_rows=100,
-        kert_report=report(structure=0.0, params=0.1),
-        nrt_report=report(structure=2.0, params=0.4),
-        kert_test_log10=-50.0,
-        nrt_test_log10=-80.0,
-    )
-    assert cmp.construction_speedup == pytest.approx(2.4 / 0.1)
-    assert cmp.accuracy_gap == pytest.approx(30.0)
-    row = cmp.row()
-    assert row["n_services"] == 30
-    assert row["speedup"] == pytest.approx(24.0)
-
-
-def test_mean_rows():
-    rows = [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4.0}]
-    assert mean_rows(rows) == {"a": 2.0, "b": 3.0}
-    with pytest.raises(ValueError):
-        mean_rows([])

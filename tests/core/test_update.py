@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 
 from repro.bn.data import Dataset
-from repro.bn.learning.mle import fit_gaussian_network, fit_discrete_network
-from repro.core.update import (
-    SequentialGaussianUpdater,
-    SequentialTabularUpdater,
-    drift_experiment,
-)
+from repro.bn.learning.mle import fit_gaussian_network
+from repro.core.update import SequentialGaussianUpdater
 from repro.exceptions import LearningError
+
+
+def drift_experiment(dag, before, after, test_after, window_batches, decay=1.0):
+    """Test log10-likelihoods of a sequential updater fed every batch and
+    of a reconstruction from the last ``window_batches`` batches."""
+    updater = SequentialGaussianUpdater(dag, decay=decay)
+    batches = list(before) + list(after)
+    for batch in batches:
+        updater.ingest(batch)
+    reconstructed = fit_gaussian_network(
+        dag, Dataset.concat(batches[-window_batches:])
+    )
+    return {
+        "sequential_log10": updater.network().log10_likelihood(test_after),
+        "reconstructed_log10": reconstructed.log10_likelihood(test_after),
+    }
 
 
 def test_gaussian_updater_matches_batch_mle(chain_gaussian_net, rng):
@@ -88,41 +100,3 @@ def test_decay_mitigates_staleness(chain_gaussian_net, rng):
     no_decay = drift_experiment(old.dag, before, after, test_after, 2, decay=1.0)
     heavy_decay = drift_experiment(old.dag, before, after, test_after, 2, decay=0.2)
     assert heavy_decay["sequential_log10"] > no_decay["sequential_log10"]
-
-
-def test_tabular_updater_matches_batch(rng):
-    from repro.bn.cpd import TabularCPD
-    from repro.bn.dag import DAG
-    from repro.bn.network import DiscreteBayesianNetwork
-
-    dag = DAG(nodes=["a", "b"], edges=[("a", "b")])
-    truth = DiscreteBayesianNetwork(
-        dag,
-        [
-            TabularCPD("a", 2, np.array([0.4, 0.6])),
-            TabularCPD("b", 3, np.array([[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]]),
-                       ("a",), (2,)),
-        ],
-    )
-    data = truth.sample(4000, rng)
-    upd = SequentialTabularUpdater(dag, {"a": 2, "b": 3}, alpha=1.0)
-    half = data.n_rows // 2
-    upd.ingest(data.rows(np.arange(half)))
-    upd.ingest(data.rows(np.arange(half, data.n_rows)))
-    seq = upd.network()
-    batch = fit_discrete_network(dag, data, {"a": 2, "b": 3}, alpha=1.0)
-    for node in ("a", "b"):
-        np.testing.assert_allclose(
-            seq.cpd(node).values, batch.cpd(node).values, atol=1e-9
-        )
-
-
-def test_tabular_updater_decay_forgets(rng):
-    from repro.bn.dag import DAG
-
-    dag = DAG(nodes=["a"])
-    upd = SequentialTabularUpdater(dag, {"a": 2}, decay=0.01, alpha=0.1)
-    upd.ingest(Dataset({"a": np.zeros(1000, dtype=int)}))
-    upd.ingest(Dataset({"a": np.ones(1000, dtype=int)}))
-    pmf = upd.cpd("a").values
-    assert pmf[1] > 0.95  # the old all-zeros batch has almost vanished

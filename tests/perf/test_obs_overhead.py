@@ -25,6 +25,7 @@ import pytest
 
 from repro import obs
 from repro.obs import runtime
+from tests.perf._host import host_bound
 
 N_ROWS = 1_000
 N_SCRAPE_RENDERS = 50
@@ -168,8 +169,10 @@ def test_scrape_render_latency_is_bounded():
     scrape latency is :meth:`ExportServer.metrics_body` — socket costs
     are the OS's business.  A registry shaped like a busy deployment
     (dozens of instruments) must render well under a millisecond-scale
-    scrape interval; 50ms is a generous ceiling that only trips on a
-    gross regression (e.g. accidental per-sample work).
+    scrape interval; 50ms on the benchmark's nominal host, scaled with
+    the reference job like the other perf bounds, is a generous ceiling
+    that only trips on a gross regression (e.g. accidental per-sample
+    work).
     """
     from repro.obs.export import ExportServer
 
@@ -185,11 +188,16 @@ def test_scrape_render_latency_is_bounded():
         for v in np.linspace(1e-4, 2.0, 500):
             hist.observe(float(v))
         server = ExportServer()  # metrics_body needs no running socket
-        times = []
-        for _ in range(N_SCRAPE_RENDERS):
-            t0 = time.perf_counter()
-            body = server.metrics_body()
-            times.append(time.perf_counter() - t0)
+
+        def render_times():
+            times = []
+            for _ in range(N_SCRAPE_RENDERS):
+                t0 = time.perf_counter()
+                body = server.metrics_body()
+                times.append(time.perf_counter() - t0)
+            return body, times
+
+        (body, times), bound = host_bound(render_times, 0.05)
         assert "repro_bench_latency_seconds_bucket" in body
         times.sort()
         mean_s = sum(times) / len(times)
@@ -199,9 +207,9 @@ def test_scrape_render_latency_is_bounded():
             "mean_seconds": mean_s,
             "p95_seconds": p95_s,
         }
-        assert p95_s < 0.05, (
-            f"/metrics render p95 {p95_s * 1e3:.2f}ms exceeds the 50ms "
-            "gross-regression ceiling"
+        assert p95_s < bound, (
+            f"/metrics render p95 {p95_s * 1e3:.2f}ms exceeds the "
+            f"{bound * 1e3:.1f}ms gross-regression ceiling"
         )
     finally:
         obs.reset()

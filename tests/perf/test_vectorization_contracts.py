@@ -3,34 +3,24 @@
 These are not micro-benchmarks (see ``benchmarks/``) but regression
 tripwires: each asserts a generous wall-clock bound that only a
 vectorized NumPy implementation can meet on a single core — a per-row
-Python loop would blow through it by an order of magnitude.
+Python loop would blow through it by an order of magnitude.  Every bound
+holds on the benchmark's nominal host and scales with the reference job
+timed around the measurement (:func:`tests.perf._host.host_bound`).
 """
 
-import importlib.util
-import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.bn.data import Dataset
+from tests.perf._host import host_bound
 
 
 def timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - t0
-
-
-def _host_reference():
-    """The benchmark's host-speed reference job (``perfbench/reference.py``)."""
-    path = os.path.join(
-        os.path.dirname(__file__), "..", "..", "perfbench", "reference.py"
-    )
-    spec = importlib.util.spec_from_file_location("_perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 N_ROWS = 200_000
@@ -51,29 +41,26 @@ def big_gaussian_data():
             LinearGaussianCPD("c", -1.0, [1.5], 0.2, ("b",)),
         ],
     )
-    data, secs = timed(net.sample, N_ROWS, 0)
-    assert secs < 2.0  # ancestral sampling is vectorized per node
+    (data, secs), bound = host_bound(lambda: timed(net.sample, N_ROWS, 0), 2.0)
+    assert secs < bound  # ancestral sampling is vectorized per node
     return net, data
 
 
 def test_log_likelihood_vectorized(big_gaussian_data):
     net, data = big_gaussian_data
-    _, secs = timed(net.log_likelihood, data)
-    assert secs < 0.5
+    (_, secs), bound = host_bound(lambda: timed(net.log_likelihood, data), 0.5)
+    assert secs < bound
 
 
 def test_linear_gaussian_fit_vectorized(big_gaussian_data):
-    """A fit on 200,000 rows within 0.5 s on the benchmark's nominal host,
-    scaled by the reference job timed five times on each side of it; the
-    counted twin below pins the work itself."""
+    """A fit on 200,000 rows within 0.5 s on the benchmark's nominal host;
+    the counted twin below pins the work itself."""
     from repro.bn.learning.mle import fit_linear_gaussian
 
     _, data = big_gaussian_data
-    reference = _host_reference()
-    around = [reference.job_seconds() for _ in range(5)]
-    _, secs = timed(fit_linear_gaussian, data, "c", ("a", "b"))
-    around += [reference.job_seconds() for _ in range(5)]
-    bound = 0.5 * float(np.median(around)) / reference.NOMINAL_JOB_S
+    (_, secs), bound = host_bound(
+        lambda: timed(fit_linear_gaussian, data, "c", ("a", "b")), 0.5
+    )
     assert secs < bound, f"fit {secs * 1e3:.1f} ms >= {bound * 1e3:.1f} ms"
 
 
@@ -128,8 +115,10 @@ def test_tabular_counting_vectorized(rng):
             "q": rng.integers(0, 5, size=N_ROWS),
         }
     )
-    _, secs = timed(fit_tabular, data, "x", 5, ("p", "q"), (5, 5))
-    assert secs < 0.5
+    (_, secs), bound = host_bound(
+        lambda: timed(fit_tabular, data, "x", 5, ("p", "q"), (5, 5)), 0.5
+    )
+    assert secs < bound
 
 
 def test_workflow_expression_vectorized():
@@ -139,8 +128,8 @@ def test_workflow_expression_vectorized():
     f = response_time_function(ediamond_workflow())
     rng = np.random.default_rng(0)
     cols = {s: rng.exponential(size=N_ROWS) for s in f.inputs}
-    _, secs = timed(f, cols)
-    assert secs < 0.2
+    (_, secs), bound = host_bound(lambda: timed(f, cols), 0.2)
+    assert secs < bound
 
 
 def test_deterministic_cpd_loglik_vectorized(rng):
@@ -162,8 +151,8 @@ def test_deterministic_cpd_loglik_vectorized(rng):
             "b": rng.integers(0, 8, size=N_ROWS),
         }
     )
-    _, secs = timed(cpd.log_likelihood, data)
-    assert secs < 0.5
+    (_, secs), bound = host_bound(lambda: timed(cpd.log_likelihood, data), 0.5)
+    assert secs < bound
 
 
 def test_discretizer_transform_vectorized(rng):
@@ -171,8 +160,8 @@ def test_discretizer_transform_vectorized(rng):
 
     data = Dataset({"x": rng.exponential(size=N_ROWS)})
     disc = Discretizer(n_bins=8).fit(data)
-    _, secs = timed(disc.transform, data)
-    assert secs < 0.3
+    (_, secs), bound = host_bound(lambda: timed(disc.transform, data), 0.3)
+    assert secs < bound
 
 
 def test_raw_evidence_query_bins_without_numpy(
@@ -289,9 +278,7 @@ def test_localize_is_one_batched_sweep():
 
     A per-service loop of full assessments takes ~0.6 s here; the
     batched sweep takes 7-13 ms on a shared 2-core x86 host.  The 30 ms
-    bound holds on the benchmark's nominal host and scales with the
-    reference job timed five times on each side of the measurement, so
-    a loaded host raises it instead of failing the test.
+    bound holds on the benchmark's nominal host.
     """
     from repro.apps.localization import ProblemLocalizer
     from repro.core.kertbn import build_continuous_kertbn
@@ -303,11 +290,9 @@ def test_localize_is_one_batched_sweep():
     localizer = ProblemLocalizer(build_continuous_kertbn(env.workflow, window))
     observed = {s: 1.5 * float(np.mean(window[s])) for s in env.service_names}
     localizer.localize(observed)  # first call pays allocator growth
-    reference = _host_reference()
-    around = [reference.job_seconds() for _ in range(5)]
-    secs = min(timed(localizer.localize, observed)[1] for _ in range(3))
-    around += [reference.job_seconds() for _ in range(5)]
-    bound = 0.03 * float(np.median(around)) / reference.NOMINAL_JOB_S
+    secs, bound = host_bound(
+        lambda: min(timed(localizer.localize, observed)[1] for _ in range(3)), 0.03
+    )
     assert secs < bound, f"localize {secs * 1e3:.1f} ms >= {bound * 1e3:.1f} ms"
 
 
@@ -355,10 +340,8 @@ def test_simulate_window_is_compiled():
     program that draws delays in per-service blocks and begins unqueued
     jobs inline; 35-44 ms quiet and 62-71 ms loaded with three scalar
     draws per G/G/1 delay and a zero-time arrive event per activity.
-    The 50 ms bound holds on the benchmark's nominal host and scales
-    with the reference job timed five times on each side of the
-    measurement, so a loaded host raises it instead of failing the test;
-    the counted twin below pins the block draws themselves.
+    The 50 ms bound holds on the benchmark's nominal host; the counted
+    twin below pins the block draws themselves.
     """
     from repro.corpus.generate import build_scenario
     from repro.corpus.spec import ScenarioSpec
@@ -366,11 +349,10 @@ def test_simulate_window_is_compiled():
     spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
     env = build_scenario(spec, seed=20260808).env
     env.simulate(120, rng=0)  # warm imports and allocator
-    reference = _host_reference()
-    around = [reference.job_seconds() for _ in range(5)]
-    secs = min(timed(env.simulate, 120, rng=seed)[1] for seed in range(1, 11))
-    around += [reference.job_seconds() for _ in range(5)]
-    bound = 0.05 * float(np.median(around)) / reference.NOMINAL_JOB_S
+    secs, bound = host_bound(
+        lambda: min(timed(env.simulate, 120, rng=seed)[1] for seed in range(1, 11)),
+        0.05,
+    )
     assert secs < bound, f"simulate {secs * 1e3:.1f} ms >= {bound * 1e3:.1f} ms"
 
 

@@ -6,11 +6,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.simulator.delays import Deterministic
 from repro.simulator.engine import Engine
-from repro.simulator.faults import (
-    Degradation,
-    FaultSchedule,
-    degradation_windows,
-)
+from repro.simulator.faults import Degradation, FaultSchedule
 from repro.simulator.service import ServiceSpec
 from repro.workflow.constructs import Activity
 
@@ -72,12 +68,11 @@ def test_overlapping_windows_compound_and_report():
 def test_outage_convenience_and_merge():
     s1 = FaultSchedule.outage("a", 10.0, 5.0, factor=4.0)
     s2 = FaultSchedule.outage("b", 0.0, 1.0)
-    merged = s1.merged_with(s2)
+    merged = FaultSchedule(s1.degradations + s2.degradations)
     assert merged.factor_at("a", 12.0) == 4.0
     assert merged.factor_at("b", 0.5) == 5.0
-    windows = degradation_windows(merged, ["a", "b", "c"])
-    assert windows["a"] == [(10.0, 15.0)]
-    assert windows["c"] == []
+    assert merged.for_service("a") == (Degradation("a", 10.0, 15.0, 4.0),)
+    assert merged.for_service("c") == ()
 
 
 def test_engine_applies_fault_windows():

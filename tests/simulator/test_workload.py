@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulator.workload import (
-    ClosedWorkload,
-    FixedIntervalWorkload,
-    OpenWorkload,
-)
+from repro.simulator.workload import OpenWorkload
 
 
 def test_open_workload_rate(rng):
@@ -24,59 +20,6 @@ def test_open_workload_validation():
         OpenWorkload(0.0)
     with pytest.raises(SimulationError):
         OpenWorkload(1.0).arrival_times(0)
-
-
-def test_fixed_interval():
-    w = FixedIntervalWorkload(interval=2.0)
-    np.testing.assert_allclose(w.arrival_times(3), [2.0, 4.0, 6.0])
-    with pytest.raises(SimulationError):
-        FixedIntervalWorkload(0.0)
-    with pytest.raises(SimulationError):
-        FixedIntervalWorkload(1.0, jitter=1.5)
-
-
-def test_fixed_interval_jitter_sorted(rng):
-    w = FixedIntervalWorkload(interval=1.0, jitter=0.5)
-    t = w.arrival_times(100, rng)
-    assert np.all(np.diff(t) >= 0)
-
-
-def test_closed_workload_basics(rng):
-    w = ClosedWorkload(n_clients=5, think_time=2.0)
-    t = w.arrival_times(500, rng)
-    assert len(t) == 500
-    assert np.all(np.diff(t) >= 0)
-    with pytest.raises(SimulationError):
-        ClosedWorkload(0, 1.0)
-    with pytest.raises(SimulationError):
-        ClosedWorkload(2, 0.0)
-
-
-def test_closed_workload_calibration_slows_arrivals(rng):
-    base = ClosedWorkload(n_clients=4, think_time=1.0)
-    calibrated = base.calibrate(mean_response_time=3.0)
-    assert calibrated.expected_cycle == pytest.approx(4.0)
-    t_fast = base.arrival_times(2000, np.random.default_rng(0))
-    t_slow = calibrated.arrival_times(2000, np.random.default_rng(0))
-    assert t_slow[-1] > t_fast[-1]
-
-
-def test_calibrate_closed_workload_converges():
-    from repro.simulator.scenarios.ediamond import ediamond_scenario
-    from repro.simulator.workload import calibrate_closed_workload
-
-    env = ediamond_scenario()
-    base = ClosedWorkload(n_clients=3, think_time=5.0)
-    calibrated = calibrate_closed_workload(env, base, n_probe=100, rng=9)
-    # The cycle now includes a realistic response time (> think time).
-    assert calibrated.expected_cycle > base.think_time
-    assert calibrated.expected_cycle < base.think_time + 20.0
-    # One more round barely moves it (fixed point).
-    again = calibrate_closed_workload(env, calibrated, n_probe=100,
-                                      iterations=1, rng=10)
-    assert abs(again.expected_cycle - calibrated.expected_cycle) < 1.5
-    with pytest.raises(SimulationError):
-        calibrate_closed_workload(env, base, iterations=0)
 
 
 def test_bursty_workload_properties(rng):

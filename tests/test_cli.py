@@ -125,6 +125,15 @@ def test_bad_assignment_rejected(workspace):
         run("assess", "--model", "m.json", "--set", "X4~0.3")
 
 
+def test_non_finite_assignment_rejected():
+    from repro.cli import _parse_assignments
+
+    assert _parse_assignments(["X1=0.5"]) == {"X1": 0.5}
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit, match="value for 'X2' is not finite"):
+            _parse_assignments(["X1=0.5", f"X2={value}"])
+
+
 def test_random_scenario(workspace, capsys):
     data_path = os.path.join(workspace, "r.csv")
     assert run(

@@ -5,18 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.stats import (
     empirical_tail_probability,
-    gaussian_tail_probability,
-    histogram_pmf,
-    kl_divergence,
     relative_error,
     summarize,
-    total_variation,
 )
 from repro.utils.timing import Timer, timed
-from repro.utils.validation import require, require_positive, require_type
+from repro.utils.validation import require
 
 
 # --------------------------------------------------------------------- #
@@ -42,18 +38,6 @@ def test_ensure_rng_none_gives_generator():
 def test_ensure_rng_rejects_garbage():
     with pytest.raises(TypeError):
         ensure_rng("seed")
-
-
-def test_spawn_rngs_independent_and_deterministic():
-    kids1 = spawn_rngs(7, 3)
-    kids2 = spawn_rngs(7, 3)
-    assert len(kids1) == 3
-    for k1, k2 in zip(kids1, kids2):
-        np.testing.assert_array_equal(k1.random(4), k2.random(4))
-    # Streams differ from each other.
-    assert not np.allclose(kids1[0].random(8), kids1[1].random(8))
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
 
 
 # --------------------------------------------------------------------- #
@@ -104,14 +88,6 @@ def test_empirical_tail():
         empirical_tail_probability(np.array([]), 1.0)
 
 
-def test_gaussian_tail():
-    assert gaussian_tail_probability(0.0, 1.0, 0.0) == pytest.approx(0.5)
-    assert gaussian_tail_probability(5.0, 0.0, 4.0) == 1.0
-    assert gaussian_tail_probability(5.0, 0.0, 6.0) == 0.0
-    with pytest.raises(ValueError):
-        gaussian_tail_probability(0.0, -1.0, 0.0)
-
-
 def test_relative_error_cases():
     assert relative_error(1.2, 1.0) == pytest.approx(0.2)
     assert relative_error(0.0, 0.0) == 0.0
@@ -125,25 +101,6 @@ def test_summarize_keys():
     assert s["p50"] == pytest.approx(49.5)
 
 
-def test_histogram_pmf_and_divergences(rng):
-    samples = rng.normal(size=5000)
-    edges = np.linspace(-4, 4, 21)
-    pmf = histogram_pmf(samples, edges)
-    assert pmf.sum() == pytest.approx(1.0)
-    assert total_variation(pmf, pmf) == 0.0
-    assert kl_divergence(pmf, pmf) == pytest.approx(0.0, abs=1e-9)
-    other = histogram_pmf(rng.normal(1.0, 1.0, size=5000), edges)
-    assert total_variation(pmf, other) > 0.2
-    assert kl_divergence(pmf, other) > 0.1
-    with pytest.raises(ValueError):
-        total_variation(pmf, pmf[:-1])
-
-
-def test_histogram_pmf_empty_bins_uniform():
-    pmf = histogram_pmf(np.array([100.0]), np.linspace(0, 1, 5))
-    np.testing.assert_allclose(pmf, 0.25)
-
-
 # --------------------------------------------------------------------- #
 # validation
 # --------------------------------------------------------------------- #
@@ -155,18 +112,3 @@ def test_require():
         require(False, "boom")
     with pytest.raises(KeyError):
         require(False, "boom", exc=KeyError)
-
-
-def test_require_type():
-    require_type(1, int, "x")
-    with pytest.raises(TypeError):
-        require_type("a", int, "x")
-
-
-def test_require_positive():
-    require_positive(1.0, "x")
-    require_positive(0.0, "x", strict=False)
-    with pytest.raises(ValueError):
-        require_positive(0.0, "x")
-    with pytest.raises(ValueError):
-        require_positive(-1.0, "x", strict=False)

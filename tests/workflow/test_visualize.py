@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.bn.dag import DAG
 from repro.workflow.constructs import (
     Activity,
     Choice,
@@ -11,11 +10,7 @@ from repro.workflow.constructs import (
     Sequence,
 )
 from repro.workflow.generator import random_workflow
-from repro.workflow.visualize import (
-    render_dag,
-    render_structure_summary,
-    render_workflow,
-)
+from repro.workflow.visualize import render_structure_summary, render_workflow
 
 
 def test_render_activity():
@@ -49,16 +44,6 @@ def test_render_all_services_for_random_workflows():
         text = render_workflow(wf)
         for s in wf.services():
             assert s in text
-
-
-def test_render_dag_layers():
-    dag = DAG(nodes=["a", "b", "c"], edges=[("a", "b"), ("a", "c"), ("b", "c")])
-    text = render_dag(dag)
-    lines = text.splitlines()
-    assert lines[0] == "(root)  a"
-    assert any("a -> b" in ln for ln in lines)
-    assert any(set(ln.split(" -> ")[0].split(", ")) == {"a", "b"}
-               for ln in lines if ln.endswith("c"))
 
 
 def test_structure_summary():
