@@ -5,8 +5,12 @@ Run from a git checkout::
     python benchmarks/reach.py
 
 The entry points are the repository's own drivers of the paper's claims:
-the three perfbench workloads (seed 1, ``--seconds 2``, untraced), every
-``examples/*.py`` and ``pytest benchmarks``.  Each runs in a copy of the
+the three perfbench workloads (seed 1, ``--seconds 2``, untraced), one
+traced perfbench run (``ediamond_mape``, ``--trace 1``), every
+``examples/*.py``, ``pytest benchmarks``, and the ``repro`` commands that
+CI's ``obs-export`` job runs (``simulate``, ``build``, ``serve``, with
+``REPRO_OBS=1``) followed by ``inspect-workflow`` on the written workflow.
+Each runs in a copy of the
 tracked files (``git ls-files``) under a temporary directory, with a
 function-entry profiler (``sys.setprofile``, every thread) installed by a
 ``sitecustomize`` module on ``PYTHONPATH``; the copy is deleted
@@ -20,13 +24,13 @@ if any) to its last line; a nested function's lines count for it and
 again for the function around it.  The trace sees function entry, not
 branches, and it does not count tests as entry points.
 
-``cli.py``, ``obs/export.py`` and ``obs/dashboard.py`` are left out of
-the report: CI drives them in steps the trace does not cover (the
-``repro`` commands and the exporter scrape of the ``obs-export`` job).
+``obs/export.py`` and ``obs/dashboard.py`` are left out of the report:
+CI drives them in a step the trace does not cover (the exporter scrape
+of the ``obs-export`` job).
 
 Output: one line per unreached function (``path:line name (n lines)``),
 then one line of JSON with the body-line total, the unreached total and
-per-file ``[unreached, body]`` counts.  No flags; it takes about 100 s
+per-file ``[unreached, body]`` counts.  No flags; it takes about 110 s
 on a 2-core x86 host, most of it in ``pytest benchmarks``.
 """
 
@@ -45,11 +49,24 @@ from typing import Sequence
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "repro")
 EXCLUDED = (
-    "cli.py",
     os.path.join("obs", "export.py"),
     os.path.join("obs", "dashboard.py"),
 )
 WORKLOADS = ("ediamond_mape", "mixed80_mape", "ediamond_queries")
+# The ``repro`` console script, observability on (``REPRO_OBS=1``).
+_CLI = (
+    "import os, sys; os.environ['REPRO_OBS'] = '1'; "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+# CI's obs-export commands, then inspect-workflow on the workflow they wrote.
+CLI_COMMANDS = (
+    ("simulate", "--scenario", "ediamond", "--points", "1200", "--seed", "7",
+     "--out", "train.csv", "--workflow-out", "wf.json"),
+    ("build", "--family", "kert", "--kind", "discrete", "--workflow", "wf.json",
+     "--data", "train.csv", "--out", "model.json"),
+    ("serve", "--model", "model.json", "--target", "X4", "--observe", "X1=1"),
+    ("inspect-workflow", "wf.json"),
+)
 
 # Installed as ``sitecustomize`` in every traced process.  It records the
 # code objects entered and, at exit, writes the (file, first line, name)
@@ -91,12 +108,17 @@ def entry_points(root: str) -> list[list[str]]:
          "--seconds", "2", "--trace", "0"]
         for name in WORKLOADS
     ]
+    commands.append(
+        [py, "perfbench/run.py", "--workload", "ediamond_mape", "--seed", "1",
+         "--seconds", "0", "--trace", "1"]
+    )
     examples = sorted(
         name for name in os.listdir(os.path.join(root, "examples"))
         if name.endswith(".py")
     )
     commands += [[py, os.path.join("examples", name)] for name in examples]
     commands.append([py, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider"])
+    commands += [[py, "-c", _CLI, *argv] for argv in CLI_COMMANDS]
     return commands
 
 

@@ -34,9 +34,6 @@ class MaxNodeDominance:
     operands: tuple
     probabilities: tuple
 
-    def dominant_branch(self) -> int:
-        return int(np.argmax(self.probabilities))
-
 
 def _service_samples(model: KERTBN, n_samples: int, rng) -> dict:
     from repro.bn.network import HybridResponseNetwork

@@ -18,8 +18,8 @@ Layout
 - :mod:`repro.bn.inference` — variable elimination, exact Gaussian
   conditioning, sampling, likelihood scoring.
 - :mod:`repro.bn.learning` — MLE and Bayesian parameter estimation, the
-  K2 structure-learning algorithm and decomposable scores, exhaustive
-  search, and EM for incomplete data.
+  K2 structure-learning algorithm and decomposable scores, and the
+  exhaustive search that K2's tests use as their oracle.
 - :mod:`repro.bn.discretize` — quantile / uniform discretization used by
   the discrete Section-5 models.
 """

@@ -118,12 +118,6 @@ class BudgetAllocation:
     expression: str       # printable form of the composition g
     budgets: tuple[ServiceBudget, ...]
 
-    def budget_for(self, service: str) -> ServiceBudget:
-        for sb in self.budgets:
-            if sb.service == service:
-                return sb
-        raise ReproError(f"no budget allocated for service {service!r}")
-
     def as_mapping(self) -> dict[str, float]:
         return {sb.service: sb.budget for sb in self.budgets}
 

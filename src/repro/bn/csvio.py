@@ -3,7 +3,8 @@
 Management servers commonly export monitoring windows as CSV; these
 helpers move :class:`~repro.bn.data.Dataset` instances in and out of that
 format (header row = column names; one monitored data point per line;
-empty cells load as NaN, the missing-data marker dComp and EM consume).
+empty cells load as NaN, the missing-data marker dComp consumes).  The
+CLI's ``build`` and ``simulate`` commands read and write them.
 """
 
 from __future__ import annotations

@@ -66,13 +66,6 @@ class DAG:
         self._children[u][v] = None
         self._parents[v][u] = None
 
-    def remove_edge(self, u: Node, v: Node) -> None:
-        """Remove edge ``u -> v``; missing edges raise :class:`GraphError`."""
-        if u not in self._children or v not in self._children[u]:
-            raise GraphError(f"edge {u!r} -> {v!r} not in graph")
-        del self._children[u][v]
-        del self._parents[v][u]
-
     # ------------------------------------------------------------------ #
     # Basic queries
     # ------------------------------------------------------------------ #

@@ -122,11 +122,6 @@ class Dataset:
         """First ``k`` rows."""
         return self.rows(np.arange(min(k, self._n)))
 
-    def tail(self, k: int) -> "Dataset":
-        """Last ``k`` rows (the sliding-window selection of Eq. 1 uses this)."""
-        k = min(k, self._n)
-        return self.rows(np.arange(self._n - k, self._n))
-
     def split(self, n_train: int) -> tuple["Dataset", "Dataset"]:
         """Split into ``(first n_train rows, remainder)``."""
         if not 0 < n_train < self._n:
@@ -135,11 +130,6 @@ class Dataset:
             )
         idx = np.arange(self._n)
         return self.rows(idx[:n_train]), self.rows(idx[n_train:])
-
-    def shuffled(self, rng: np.random.Generator) -> "Dataset":
-        """Row-shuffled copy (used before train/test splits)."""
-        perm = rng.permutation(self._n)
-        return self.rows(perm)
 
     # ------------------------------------------------------------------ #
     # Dunder conveniences

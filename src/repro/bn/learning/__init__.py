@@ -8,15 +8,15 @@ The per-node functions here (:func:`fit_linear_gaussian`,
 agent performs.
 
 Structure learning provides the NRT-BN baseline: the K2 greedy algorithm
-(Cooper & Herskovits 1992) over decomposable scores, exhaustive search
-for tiny networks, and random-restart orderings as used in Section 5.3.
+(Cooper & Herskovits 1992) over decomposable scores and random-restart
+orderings as used in Section 5.3.  Exhaustive search over tiny networks
+is K2's test oracle.
 """
 
 from repro.bn.learning.mle import (
     fit_linear_gaussian,
     fit_tabular,
     fit_gaussian_network,
-    fit_discrete_network,
 )
 from repro.bn.learning.scores import (
     gaussian_bic_local,
@@ -25,13 +25,11 @@ from repro.bn.learning.scores import (
 )
 from repro.bn.learning.k2 import k2_search, k2_random_restarts, K2Result
 from repro.bn.learning.exhaustive import exhaustive_search
-from repro.bn.learning.em import em_gaussian
 
 __all__ = [
     "fit_linear_gaussian",
     "fit_tabular",
     "fit_gaussian_network",
-    "fit_discrete_network",
     "gaussian_bic_local",
     "discrete_k2_local",
     "ScoreCache",
@@ -39,5 +37,4 @@ __all__ = [
     "k2_random_restarts",
     "K2Result",
     "exhaustive_search",
-    "em_gaussian",
 ]

@@ -1,14 +1,16 @@
-"""Exhaustive structure search for small networks.
+"""Exhaustive structure search for small networks: K2's test oracle.
 
-Section 3.2 notes that "it is intractable to exhaustively search for the
-best DAG in large environments" — this module makes that concrete.  It
-finds the *global* optimum of a decomposable score by enumerating node
-orderings (every DAG is consistent with at least one topological order)
-and, per ordering, the best predecessor parent subset per node.  Cost is
-``n! · n · 2^(n-1)`` local scores, so a guard refuses ``n > 7``.
+It finds the *global* optimum of a decomposable score by enumerating
+node orderings (every DAG is consistent with at least one topological
+order) and, per ordering, the best predecessor parent subset per node.
+Cost is ``n! · n · 2^(n-1)`` local scores, so a guard refuses ``n > 7``.
+The K2 tests check that greedy K2, given the true order, reaches this
+optimum on tiny, well-separated problems.
 
-Besides grounding the tractability claim, the exhaustive optimum gives
-tests a reference that K2 should match on tiny, well-separated problems.
+Section 3.2's claim that "it is intractable to exhaustively search for
+the best DAG in large environments" is carried by the Fig.-4 bench's
+``k2_evals`` column (K2's own score evaluations as the network grows),
+not by this module.
 """
 
 from __future__ import annotations

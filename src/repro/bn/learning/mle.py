@@ -6,7 +6,7 @@ and its parent columns only — the decentralizable unit of Section 3.4.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from repro.bn.cpd.linear_gaussian import LinearGaussianCPD
 from repro.bn.cpd.tabular import TabularCPD
 from repro.bn.dag import DAG
 from repro.bn.data import Dataset
-from repro.bn.network import DiscreteBayesianNetwork, GaussianBayesianNetwork
+from repro.bn.network import GaussianBayesianNetwork
 from repro.exceptions import LearningError
 
 
@@ -174,26 +174,3 @@ def fit_gaussian_network(
     ]
     return GaussianBayesianNetwork(dag, cpds)
 
-
-def fit_discrete_network(
-    dag: DAG,
-    data: Dataset,
-    cardinalities: Mapping[str, int],
-    alpha: float = 1.0,
-) -> DiscreteBayesianNetwork:
-    """Fit every node of ``dag`` with a tabular CPD."""
-    cpds = []
-    for node in dag.nodes:
-        node = str(node)
-        parents = tuple(map(str, dag.parents(node)))
-        cpds.append(
-            fit_tabular(
-                data,
-                node,
-                cardinalities[node],
-                parents,
-                tuple(cardinalities[p] for p in parents),
-                alpha=alpha,
-            )
-        )
-    return DiscreteBayesianNetwork(dag, cpds)

@@ -125,8 +125,3 @@ class ScoreCache:
         value = self._score(variable, tuple(parents), *args)
         self._cache[key] = value
         return value
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self.n_evaluations = 0
-        self.n_hits = 0

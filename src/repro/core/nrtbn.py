@@ -20,7 +20,7 @@ from repro.bn.dag import DAG
 from repro.bn.data import Dataset
 from repro.bn.discretize import Discretizer
 from repro.bn.learning.k2 import K2Result, k2_random_restarts, k2_search
-from repro.bn.learning.mle import fit_gaussian_network, fit_discrete_network
+from repro.bn.learning.mle import fit_gaussian_network
 from repro.bn.learning.scores import (
     ScoreCache,
     discrete_k2_local,

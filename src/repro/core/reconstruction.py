@@ -70,29 +70,6 @@ class ReconstructionSchedule:
         return cls(t_data=t_data, alpha_model=n_points // k, k=k)
 
 
-def correlation_metric_from_managers(
-    action_intervals: "list[float]",
-    t_con: float,
-    combine=min,
-) -> int:
-    """Derive ``K`` from the autonomic managers' action intervals.
-
-    The paper's footnote: with one manager, base ``K`` on its own
-    interval of autonomic actions; with several, use "a statistical
-    combination of autonomic change intervals of the different products
-    (e.g. taking the minimum ...)".  ``K`` is the number of construction
-    intervals the environment stays correlated for, floored at 1.
-    """
-    if not action_intervals:
-        raise SchedulingError("need at least one manager action interval")
-    if any(not iv > 0 for iv in action_intervals):
-        raise SchedulingError("action intervals must be > 0")
-    if not t_con > 0:
-        raise SchedulingError("T_CON must be > 0")
-    effective = float(combine(action_intervals))
-    return max(1, int(effective // t_con))
-
-
 @dataclass
 class RebuildEvent:
     """One model reconstruction in the periodic scheme."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.bn.cpd.base import CPD
 from repro.bn.data import Dataset
-from repro.bn.learning.mle import fit_linear_gaussian, fit_tabular
+from repro.bn.learning.mle import fit_linear_gaussian
 from repro.decentralized.messaging import Message
 from repro.exceptions import LearningError
 from repro.utils.timing import timed
@@ -30,22 +30,6 @@ def linear_gaussian_fitter(min_variance: float = 1e-9) -> CpdFitter:
 
     def fit(data: Dataset, variable: str, parents: tuple[str, ...]) -> CPD:
         return fit_linear_gaussian(data, variable, parents, min_variance=min_variance)
-
-    return fit
-
-
-def tabular_fitter(cardinalities: dict, alpha: float = 1.0) -> CpdFitter:
-    """Discrete-model fitter (the Section-5 eDiaMoND models)."""
-
-    def fit(data: Dataset, variable: str, parents: tuple[str, ...]) -> CPD:
-        return fit_tabular(
-            data,
-            variable,
-            cardinalities[variable],
-            parents,
-            tuple(cardinalities[p] for p in parents),
-            alpha=alpha,
-        )
 
     return fit
 

@@ -1,11 +1,13 @@
 """Simulated agent-to-agent messaging with payload accounting and faults.
 
-The paper proposes piggybacking parent elapsed-time data "in an extra
+The paper suggests piggybacking parent elapsed-time data "in an extra
 SOAP segment at the end of the application request messages"
 (Section 3.4) and requires communication "at a frequency that will not
-flood the network".  The :class:`Network` here records every transfer's
-payload size so experiments can report the communication cost of
-decentralization alongside its time savings.
+flood the network".  These channels are the one way parent columns
+travel here: the :class:`Network` records every transfer's payload
+size, so experiments can report the communication cost of
+decentralization alongside its time savings (Fig. 5's ``n_messages``
+column).
 
 Two properties matter for the heavy-traffic north star:
 

@@ -4,11 +4,11 @@ The paper's autonomic loop acts when the *model* predicts an SLA
 violation; a production loop also needs the complementary trigger —
 the *measured* stream crossing its objective (ALPINE-style diagnosis
 consumes exactly this).  :class:`SLOMonitor` closes that observe →
-analyze edge: it subscribes to the :class:`~repro.obs.metrics.
-MetricsRegistry` (no new instrumentation needed), tracks **windowed**
-latency percentiles and error rates from cumulative instrument deltas,
-and emits :class:`SLOBreach` events that
-:meth:`repro.core.manager.AutonomicManager.run_cycle` treats as an
+analyze edge: it reads the :class:`~repro.obs.metrics.MetricsRegistry`
+(no new instrumentation needed), tracks **windowed** latency percentiles
+and error rates from cumulative instrument deltas, and returns the
+:class:`SLOBreach` events of each :meth:`SLOMonitor.evaluate` call;
+:meth:`repro.core.manager.AutonomicManager.run_cycle` treats them as an
 action trigger alongside the model-predicted violation probability.
 
 Windowing works on deltas: each :meth:`SLOMonitor.evaluate` call reads
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -185,8 +185,8 @@ class SLOMonitor:
     """Evaluate objectives over rolling windows of registry deltas.
 
     One :meth:`evaluate` call = one interval (the autonomic manager
-    calls it once per MAPE cycle).  Breaches go to every subscriber,
-    to the attached event sink (category ``slo_breach``), and into the
+    calls it once per MAPE cycle).  Breaches are returned, sent to the
+    attached event sink (category ``slo_breach``), and counted in the
     ``slo.*`` metrics so the exporter publishes SLO health alongside
     the raw stream it is judged on.
     """
@@ -219,7 +219,6 @@ class SLOMonitor:
         self._states: Dict[str, _ObjectiveState] = {
             o.name: _ObjectiveState() for o in self.objectives
         }
-        self._subscribers: List[Callable[[SLOBreach], None]] = []
         self.evaluations = 0
         #: Optional :class:`~repro.obs.attribution.BudgetTracker`; when
         #: attached, per-service budget burn rides the breach pipeline.
@@ -230,9 +229,6 @@ class SLOMonitor:
         # Resolved late so ``SLOMonitor(objectives)`` built before
         # ``obs.enable()`` still watches the process-global registry.
         return self._registry if self._registry is not None else OBS.metrics
-
-    def subscribe(self, callback: Callable[[SLOBreach], None]) -> None:
-        self._subscribers.append(callback)
 
     # -- interval ingestion --------------------------------------------- #
 
@@ -323,13 +319,11 @@ class SLOMonitor:
         return breaches
 
     def _publish(self, breach: SLOBreach) -> None:
-        """Count one breach, emit its event and tell every subscriber."""
+        """Count one breach and emit its event."""
         m = self.registry
         m.counter("slo.breaches").inc()
         m.counter(f"slo.{breach.objective}.breaches").inc()
         runtime.emit_event("slo_breach", breach.to_dict())
-        for callback in self._subscribers:
-            callback(breach)
 
     def publish_gauges(self) -> None:
         """(Re)write the ``slo.*`` gauges from the last evaluation —

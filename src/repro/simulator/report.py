@@ -31,17 +31,6 @@ class ServiceStats:
     max_elapsed: float
     share_of_response: float
 
-    def row(self) -> dict:
-        return {
-            "service": self.service,
-            "invocations": self.n_invocations,
-            "mean_s": self.mean_elapsed,
-            "p50_s": self.p50_elapsed,
-            "p95_s": self.p95_elapsed,
-            "max_s": self.max_elapsed,
-            "share": self.share_of_response,
-        }
-
 
 @dataclass(frozen=True)
 class TraceReport:
@@ -56,9 +45,6 @@ class TraceReport:
         return tuple(
             sorted(self.services, key=lambda s: s.share_of_response, reverse=True)
         )
-
-    def to_rows(self) -> list[dict]:
-        return [s.row() for s in self.sorted_by_share()]
 
 
 def analyze_trace(

@@ -2,7 +2,7 @@
 
 These back the paper's evaluation quantities: empirical tail
 probabilities and relative errors for the threshold-violation study
-(Eq. 5), and a five-number summary of a sample.
+(Eq. 5).
 """
 
 from __future__ import annotations
@@ -31,19 +31,4 @@ def relative_error(estimate: float, truth: float) -> float:
     if truth == 0:
         return 0.0 if estimate == 0 else float("inf")
     return abs(estimate - truth) / abs(truth)
-
-
-def summarize(samples: np.ndarray) -> dict:
-    """Five-number-style summary used by example scripts and EXPERIMENTS.md."""
-    samples = np.asarray(samples, dtype=float)
-    require(samples.size > 0, "need at least one sample")
-    return {
-        "n": int(samples.size),
-        "mean": float(np.mean(samples)),
-        "std": float(np.std(samples)),
-        "min": float(np.min(samples)),
-        "p50": float(np.percentile(samples, 50)),
-        "p95": float(np.percentile(samples, 95)),
-        "max": float(np.max(samples)),
-    }
 

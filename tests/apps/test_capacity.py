@@ -16,7 +16,7 @@ def test_remote_branch_dominates_ediamond(ediamond_continuous_model):
     # The WAN-delayed remote branch wins most of the time.
     assert join.probabilities[remote] > 0.6
     assert sum(join.probabilities) == pytest.approx(1.0)
-    assert join.dominant_branch() == remote
+    assert int(np.argmax(join.probabilities)) == remote
 
 
 def test_headroom_ranks_services_sensibly(ediamond_continuous_model):

@@ -153,9 +153,7 @@ def test_allocation_round_trips_through_dict():
     assert BudgetAllocation.from_dict(alloc.to_dict()) == alloc
     mapping = alloc.as_mapping()
     assert set(mapping) == set(MARGINALS)
-    assert alloc.budget_for("a").budget == mapping["a"]
-    with pytest.raises(ReproError):
-        alloc.budget_for("nope")
+    assert mapping == {sb.service: sb.budget for sb in alloc.budgets}
 
 
 # --------------------------------------------------------------------- #
@@ -182,8 +180,9 @@ def test_derive_budgets_discrete_matches_continuous_scale(
 ):
     alloc_d = derive_budgets(ediamond_discrete_model, sla=3.5, target=0.1)
     alloc_c = derive_budgets(ediamond_continuous_model, sla=3.5, target=0.1)
+    continuous = {sb.service: sb for sb in alloc_c.budgets}
     for sb_d in alloc_d.budgets:
-        sb_c = alloc_c.budget_for(sb_d.service)
+        sb_c = continuous[sb_d.service]
         # Same data, two discretizations of the same marginals: means
         # agree closely, budgets within a coarse-binning tolerance.
         assert sb_d.mean == pytest.approx(sb_c.mean, rel=0.15)

@@ -46,14 +46,6 @@ def test_long_cycle_rejected():
         dag.add_edge(10, 0)
 
 
-def test_remove_edge():
-    dag = DAG(edges=[("a", "b")])
-    dag.remove_edge("a", "b")
-    assert dag.n_edges == 0
-    with pytest.raises(GraphError):
-        dag.remove_edge("a", "b")
-
-
 def test_unknown_node_queries_raise():
     dag = DAG(nodes=["a"])
     with pytest.raises(GraphError):

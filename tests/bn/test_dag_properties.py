@@ -46,11 +46,10 @@ def test_edge_count_consistency(dag):
 @given(random_dags())
 @settings(max_examples=40, deadline=None)
 def test_reversing_any_edge_never_leaves_cycles_undetected(dag):
-    # Removing an edge and adding its reverse either succeeds (still a DAG,
+    # Dropping an edge and adding its reverse either succeeds (still a DAG,
     # so a topological order exists) or raises GraphError — never corrupts.
     for u, v in list(dag.edges)[:3]:
-        clone = dag.copy()
-        clone.remove_edge(u, v)
+        clone = DAG(dag.nodes, [e for e in dag.edges if e != (u, v)])
         try:
             clone.add_edge(v, u)
         except GraphError:
@@ -74,6 +73,7 @@ def test_copy_and_subgraph_match_edge_by_edge_rebuild(dag, seed):
     rebuilt = DAG(keep, [(u, v) for u, v in dag.edges if u in kept and v in kept])
     assert _layout(dag.subgraph(reversed(keep))) == _layout(rebuilt)
     before, clone = _layout(dag), dag.copy()
-    for u, v in dag.edges:  # the copy shares no adjacency map
-        clone.remove_edge(u, v)
+    for n in dag.nodes:  # the copy shares no adjacency map
+        clone.add_edge("source", n)
+        clone.add_edge(n, "sink")
     assert _layout(dag) == before

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.bn.cpd import TabularCPD
-from repro.bn.dag import DAG
 from repro.bn.data import Dataset
 from repro.bn.learning.mle import (
-    fit_discrete_network,
     fit_gaussian_network,
     fit_linear_gaussian,
     fit_tabular,
 )
-from repro.bn.network import DiscreteBayesianNetwork
 from repro.exceptions import LearningError
 
 
@@ -100,24 +97,6 @@ def test_fit_gaussian_network_end_to_end(chain_gaussian_net, rng):
         assert est.intercept == pytest.approx(truth.intercept, abs=0.05)
         np.testing.assert_allclose(est.coefficients, truth.coefficients, atol=0.05)
         assert est.variance == pytest.approx(truth.variance, rel=0.1)
-
-
-def test_fit_discrete_network_end_to_end(rng):
-    dag = DAG(nodes=["a", "b"], edges=[("a", "b")])
-    truth = DiscreteBayesianNetwork(
-        dag,
-        [
-            TabularCPD("a", 2, np.array([0.3, 0.7])),
-            TabularCPD("b", 3, np.array([[0.5, 0.1], [0.25, 0.2], [0.25, 0.7]]),
-                       ("a",), (2,)),
-        ],
-    )
-    data = truth.sample(100_000, rng)
-    fitted = fit_discrete_network(dag, data, {"a": 2, "b": 3}, alpha=0.0)
-    np.testing.assert_allclose(fitted.cpd("a").values, [0.3, 0.7], atol=0.01)
-    np.testing.assert_allclose(
-        fitted.cpd("b").values, truth.cpd("b").values, atol=0.02
-    )
 
 
 def test_mle_maximizes_likelihood_property(rng):

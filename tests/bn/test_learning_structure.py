@@ -63,8 +63,6 @@ def test_score_cache_hits():
     assert s1 == s2
     assert cache.n_evaluations == 1
     assert cache.n_hits == 1
-    cache.clear()
-    assert cache.n_evaluations == 0
 
 
 def test_k2_recovers_chain_with_good_order():
@@ -149,15 +147,18 @@ def test_k2_random_restarts_time_budget():
 
 
 def test_exhaustive_matches_k2_on_easy_chain():
-    data = chain_data()
-    score = ScoreCache(lambda v, ps: gaussian_bic_local(data, v, ps))
-    best_dag, best_score = exhaustive_search(["a", "b", "c"], score)
-    k2 = k2_search(["a", "b", "c"], score, order=["a", "b", "c"])
-    assert best_score >= k2.score - 1e-9
-    # The optimum must contain the strong dependencies in some orientation.
-    und = {frozenset(e) for e in best_dag.edges}
-    assert frozenset(("a", "b")) in und
-    assert frozenset(("b", "c")) in und
+    # Given the true order, greedy K2 reaches the global optimum that the
+    # exhaustive search certifies (up to summation order: gaps ~1e-12).
+    for seed in range(5):
+        data = chain_data(rng=np.random.default_rng(seed))
+        score = ScoreCache(lambda v, ps: gaussian_bic_local(data, v, ps))
+        best_dag, best_score = exhaustive_search(["a", "b", "c"], score)
+        k2 = k2_search(["a", "b", "c"], score, order=["a", "b", "c"])
+        assert abs(k2.score - best_score) <= 1e-9
+        # The optimum holds the strong dependencies in some orientation.
+        und = {frozenset(e) for e in best_dag.edges}
+        assert frozenset(("a", "b")) in und
+        assert frozenset(("b", "c")) in und
 
 
 def test_exhaustive_refuses_large_problems():

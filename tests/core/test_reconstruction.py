@@ -124,19 +124,3 @@ def test_reconstructor_rejects_mismatched_ingests():
     with pytest.raises(SchedulingError):
         rec.ingest(Dataset({"other": np.ones(3)}), start_time=6.0)
 
-
-def test_correlation_metric_from_managers():
-    from repro.core.reconstruction import correlation_metric_from_managers
-
-    # One manager acting every 10 min, T_CON = 2 min -> K = 5.
-    assert correlation_metric_from_managers([600.0], t_con=120.0) == 5
-    # Several managers: the paper suggests the minimum interval governs.
-    assert correlation_metric_from_managers([600.0, 240.0], t_con=120.0) == 2
-    # A manager acting faster than T_CON floors K at 1.
-    assert correlation_metric_from_managers([60.0], t_con=120.0) == 1
-    with pytest.raises(SchedulingError):
-        correlation_metric_from_managers([], t_con=120.0)
-    with pytest.raises(SchedulingError):
-        correlation_metric_from_managers([0.0], t_con=120.0)
-    with pytest.raises(SchedulingError):
-        correlation_metric_from_managers([60.0], t_con=0.0)

@@ -5,11 +5,7 @@ import pytest
 
 from repro.bn.data import Dataset
 from repro.bn.network import GaussianBayesianNetwork
-from repro.decentralized.agent import (
-    LearningAgent,
-    linear_gaussian_fitter,
-    tabular_fitter,
-)
+from repro.decentralized.agent import LearningAgent, linear_gaussian_fitter
 from repro.decentralized.coordinator import Coordinator
 from repro.decentralized.messaging import Channel, Network
 from repro.exceptions import LearningError, SimulationError
@@ -90,16 +86,6 @@ def test_agent_misaligned_columns_raise(rng):
     agent.receive(ch.send("p", rng.normal(size=99)))
     with pytest.raises(LearningError):
         agent.learn()
-
-
-def test_tabular_fitter_agent(rng):
-    agent = LearningAgent("x", ("p",), tabular_fitter({"x": 2, "p": 3}))
-    agent.collect_local(rng.integers(0, 2, size=200))
-    ch = Channel(sender="p", recipient="x")
-    agent.receive(ch.send("p", rng.integers(0, 3, size=200)))
-    cpd = agent.learn()
-    assert cpd.cardinality == 2
-    np.testing.assert_allclose(cpd.values.sum(axis=0), 1.0)
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 A simulated window is one complete per-transaction trace; Section 5.1's
 reporting failures are entries masked out of it with ``inject_missing``.
-The lossy dataset then feeds EM and dComp — the two missing-data
-consumers the paper describes.
+The lossy dataset then feeds dComp, the missing-data consumer the
+paper describes.
 """
 
 import numpy as np
@@ -41,21 +41,6 @@ def test_reporting_loss_creates_nans(env):
     # Masking only hides entries: every reported value is the trace's own.
     kept = ~np.isnan(lossy.to_array())
     np.testing.assert_array_equal(lossy.to_array()[kept], trace.to_array()[kept])
-
-
-def test_em_fits_lossy_pipeline_output(env):
-    window = env.simulate(400, rng=13)
-    lossy = inject_missing(window, env.service_names, fraction=0.15, rng=13)
-    from repro.bn.learning.em import em_gaussian
-
-    dag = env.knowledge_structure()
-    service_dag = dag.subgraph([n for n in dag.nodes if n != "D"])
-    net, trace = em_gaussian(
-        service_dag, lossy.select(env.service_names), max_iter=25
-    )
-    assert trace  # EM actually ran (there were NaNs)
-    clean = env.simulate(300, rng=14)
-    assert np.isfinite(net.log10_likelihood(clean.select(env.service_names)))
 
 
 def test_dcomp_compensates_pipeline_blackout(env):

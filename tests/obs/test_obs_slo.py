@@ -192,15 +192,14 @@ def test_publish_gauges_is_scrape_safe():
     assert reg.gauge("slo.p95.breached").value == 1.0
 
 
-def test_subscribers_receive_breaches():
+def test_evaluate_returns_breaches():
     reg = MetricsRegistry()
     mon = _latency_monitor(reg, threshold=0.5)
-    seen = []
-    mon.subscribe(seen.append)
     _observe(reg, [4.0] * 10)
-    mon.evaluate()
-    assert len(seen) == 1
-    assert seen[0].objective == "p95"
+    breaches = mon.evaluate()
+    assert len(breaches) == 1
+    assert breaches[0].objective == "p95"
+    assert reg.counter("slo.breaches").value == 1
 
 
 def test_breaches_stream_to_the_attached_sink(obs_active, tmp_path):

@@ -6,8 +6,12 @@ vectorized NumPy implementation can meet on a single core — a per-row
 Python loop would blow through it by an order of magnitude.  Every bound
 holds on the benchmark's nominal host and scales with the reference job
 timed around the measurement (:func:`tests.perf._host.host_bound`).
+Each timed bound has a counted twin that runs the same call on 1,000 and
+on ``N_ROWS`` rows and compares the Python lines it runs.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -26,14 +30,13 @@ def timed(fn, *args, **kwargs):
 N_ROWS = 200_000
 
 
-@pytest.fixture(scope="module")
-def big_gaussian_data():
+def _chain_net():
     from repro.bn.cpd import LinearGaussianCPD
     from repro.bn.dag import DAG
     from repro.bn.network import GaussianBayesianNetwork
 
     dag = DAG(nodes=["a", "b", "c"], edges=[("a", "b"), ("b", "c")])
-    net = GaussianBayesianNetwork(
+    return GaussianBayesianNetwork(
         dag,
         [
             LinearGaussianCPD("a", 1.0, (), 0.5),
@@ -41,6 +44,47 @@ def big_gaussian_data():
             LinearGaussianCPD("c", -1.0, [1.5], 0.2, ("b",)),
         ],
     )
+
+
+def _tabular_data(rng):
+    return Dataset({c: rng.integers(0, 5, size=N_ROWS) for c in ("x", "p", "q")})
+
+
+def _ediamond_f_columns():
+    from repro.simulator.scenarios.ediamond import ediamond_workflow
+    from repro.workflow.response_time import response_time_function
+
+    f = response_time_function(ediamond_workflow())
+    rng = np.random.default_rng(0)
+    return f, {s: rng.exponential(size=N_ROWS) for s in f.inputs}
+
+
+def _deterministic_cpd_data(rng):
+    from repro.bn.cpd import DeterministicCPD
+    from repro.workflow.expressions import Sum, Var
+
+    cpd = DeterministicCPD(
+        "d",
+        Sum([Var("a"), Var("b")]),
+        ("a", "b"),
+        {"a": np.linspace(0, 1, 8), "b": np.linspace(0, 1, 8)},
+        np.linspace(-0.1, 2.1, 9),
+        leak=0.1,
+    )
+    data = Dataset({c: rng.integers(0, 8, size=N_ROWS) for c in ("d", "a", "b")})
+    return cpd, data
+
+
+def _fitted_discretizer(rng):
+    from repro.bn.discretize import Discretizer
+
+    data = Dataset({"x": rng.exponential(size=N_ROWS)})
+    return Discretizer(n_bins=8).fit(data), data
+
+
+@pytest.fixture(scope="module")
+def big_gaussian_data():
+    net = _chain_net()
     (data, secs), bound = host_bound(lambda: timed(net.sample, N_ROWS, 0), 2.0)
     assert secs < bound  # ancestral sampling is vectorized per node
     return net, data
@@ -108,13 +152,7 @@ def test_linear_gaussian_fit_is_one_solve(monkeypatch, big_gaussian_data):
 def test_tabular_counting_vectorized(rng):
     from repro.bn.learning.mle import fit_tabular
 
-    data = Dataset(
-        {
-            "x": rng.integers(0, 5, size=N_ROWS),
-            "p": rng.integers(0, 5, size=N_ROWS),
-            "q": rng.integers(0, 5, size=N_ROWS),
-        }
-    )
+    data = _tabular_data(rng)
     (_, secs), bound = host_bound(
         lambda: timed(fit_tabular, data, "x", 5, ("p", "q"), (5, 5)), 0.5
     )
@@ -122,46 +160,90 @@ def test_tabular_counting_vectorized(rng):
 
 
 def test_workflow_expression_vectorized():
-    from repro.simulator.scenarios.ediamond import ediamond_workflow
-    from repro.workflow.response_time import response_time_function
-
-    f = response_time_function(ediamond_workflow())
-    rng = np.random.default_rng(0)
-    cols = {s: rng.exponential(size=N_ROWS) for s in f.inputs}
+    f, cols = _ediamond_f_columns()
     (_, secs), bound = host_bound(lambda: timed(f, cols), 0.2)
     assert secs < bound
 
 
 def test_deterministic_cpd_loglik_vectorized(rng):
-    from repro.bn.cpd import DeterministicCPD
-    from repro.workflow.expressions import Sum, Var
-
-    cpd = DeterministicCPD(
-        "d",
-        Sum([Var("a"), Var("b")]),
-        ("a", "b"),
-        {"a": np.linspace(0, 1, 8), "b": np.linspace(0, 1, 8)},
-        np.linspace(-0.1, 2.1, 9),
-        leak=0.1,
-    )
-    data = Dataset(
-        {
-            "d": rng.integers(0, 8, size=N_ROWS),
-            "a": rng.integers(0, 8, size=N_ROWS),
-            "b": rng.integers(0, 8, size=N_ROWS),
-        }
-    )
+    cpd, data = _deterministic_cpd_data(rng)
     (_, secs), bound = host_bound(lambda: timed(cpd.log_likelihood, data), 0.5)
     assert secs < bound
 
 
 def test_discretizer_transform_vectorized(rng):
-    from repro.bn.discretize import Discretizer
-
-    data = Dataset({"x": rng.exponential(size=N_ROWS)})
-    disc = Discretizer(n_bins=8).fit(data)
+    disc, data = _fitted_discretizer(rng)
     (_, secs), bound = host_bound(lambda: timed(disc.transform, data), 0.3)
     assert secs < bound
+
+
+def _contract_runs(contract, rng):
+    """``run(n)``: the timed call of ``contract`` on its first ``n`` rows."""
+    if contract == "sample":
+        net = _chain_net()
+        return lambda n: net.sample(n, 0)
+    if contract == "log_likelihood":
+        net = _chain_net()
+        data = net.sample(N_ROWS, 0)
+        return lambda n: net.log_likelihood(data.head(n))
+    if contract == "fit_tabular":
+        from repro.bn.learning.mle import fit_tabular
+
+        data = _tabular_data(rng)
+        return lambda n: fit_tabular(data.head(n), "x", 5, ("p", "q"), (5, 5))
+    if contract == "ediamond_f":
+        f, cols = _ediamond_f_columns()
+        return lambda n: f({s: c[:n] for s, c in cols.items()})
+    if contract == "deterministic_log_likelihood":
+        cpd, data = _deterministic_cpd_data(rng)
+        return lambda n: cpd.log_likelihood(data.head(n))
+    disc, data = _fitted_discretizer(rng)
+    return lambda n: disc.transform(data.head(n))
+
+
+def _repro_events(fn):
+    """The ``(event, file, line)`` sequence ``fn()`` runs inside ``repro``."""
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    events = []
+
+    def local(frame, event, arg):
+        events.append((event, frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(root):
+            return local(frame, event, arg)
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(outer)
+    return events
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [
+        "sample",
+        "log_likelihood",
+        "fit_tabular",
+        "ediamond_f",
+        "deterministic_log_likelihood",
+        "discretizer_transform",
+    ],
+)
+def test_vectorized_contract_runs_the_same_lines_at_any_size(contract, rng):
+    """The counted twin of each timed bound above: ``N_ROWS`` rows run
+    the same traced ``repro`` lines as 1,000, so no Python runs per row."""
+    run = _contract_runs(contract, rng)
+    few = _repro_events(lambda: run(1000))
+    assert few
+    assert _repro_events(lambda: run(N_ROWS)) == few
 
 
 def test_raw_evidence_query_bins_without_numpy(

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import ensure_rng
-from repro.utils.stats import (
-    empirical_tail_probability,
-    relative_error,
-    summarize,
-)
+from repro.utils.stats import empirical_tail_probability, relative_error
 from repro.utils.timing import Timer, timed
 from repro.utils.validation import require
 
@@ -92,13 +88,6 @@ def test_relative_error_cases():
     assert relative_error(1.2, 1.0) == pytest.approx(0.2)
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(0.5, 0.0) == float("inf")
-
-
-def test_summarize_keys():
-    s = summarize(np.arange(100, dtype=float))
-    assert s["n"] == 100
-    assert s["min"] == 0.0 and s["max"] == 99.0
-    assert s["p50"] == pytest.approx(49.5)
 
 
 # --------------------------------------------------------------------- #
