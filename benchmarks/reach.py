@@ -7,9 +7,8 @@ Run from a git checkout::
 The entry points are the repository's own drivers of the paper's claims:
 the three perfbench workloads (seed 1, ``--seconds 2``, untraced), one
 traced perfbench run (``ediamond_mape``, ``--trace 1``), every
-``examples/*.py``, ``pytest benchmarks``, and the ``repro`` commands that
-CI's ``obs-export`` job runs (``simulate``, ``build``, ``serve``, with
-``REPRO_OBS=1``) followed by ``inspect-workflow`` on the written workflow.
+``examples/*.py`` (``examples/cli_pipeline.py`` runs every ``repro``
+command, observability on) and ``pytest benchmarks``.
 Each runs in a copy of the
 tracked files (``git ls-files``) under a temporary directory, with a
 function-entry profiler (``sys.setprofile``, every thread) installed by a
@@ -30,8 +29,11 @@ of the ``obs-export`` job).
 
 Output: one line per unreached function (``path:line name (n lines)``),
 then one line of JSON with the body-line total, the unreached total and
-per-file ``[unreached, body]`` counts.  No flags; it takes about 110 s
-on a 2-core x86 host, most of it in ``pytest benchmarks``.
+per-file ``[unreached, body]`` counts.  Each command's status and time
+go to stderr, and for a failed command the tails of its stdout and
+stderr (pytest writes its failure report to stdout).  No flags; it
+takes about 110 s on a 2-core x86 host, most of it in
+``pytest benchmarks``.
 """
 
 from __future__ import annotations
@@ -53,21 +55,6 @@ EXCLUDED = (
     os.path.join("obs", "dashboard.py"),
 )
 WORKLOADS = ("ediamond_mape", "mixed80_mape", "ediamond_queries")
-# The ``repro`` console script, observability on (``REPRO_OBS=1``).
-_CLI = (
-    "import os, sys; os.environ['REPRO_OBS'] = '1'; "
-    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
-)
-# CI's obs-export commands, then inspect-workflow on the workflow they wrote.
-CLI_COMMANDS = (
-    ("simulate", "--scenario", "ediamond", "--points", "1200", "--seed", "7",
-     "--out", "train.csv", "--workflow-out", "wf.json"),
-    ("build", "--family", "kert", "--kind", "discrete", "--workflow", "wf.json",
-     "--data", "train.csv", "--out", "model.json"),
-    ("serve", "--model", "model.json", "--target", "X4", "--observe", "X1=1"),
-    ("inspect-workflow", "wf.json"),
-)
-
 # Installed as ``sitecustomize`` in every traced process.  It records the
 # code objects entered and, at exit, writes the (file, first line, name)
 # of those under REACH_PACKAGE to a file of its own in REACH_OUT.
@@ -118,7 +105,6 @@ def entry_points(root: str) -> list[list[str]]:
     )
     commands += [[py, os.path.join("examples", name)] for name in examples]
     commands.append([py, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider"])
-    commands += [[py, "-c", _CLI, *argv] for argv in CLI_COMMANDS]
     return commands
 
 
@@ -183,8 +169,7 @@ def trace(root: str, commands: Sequence[Sequence[str]], package: str = PACKAGE) 
         for command in commands:
             t0 = time.perf_counter()
             done = subprocess.run(
-                list(command), cwd=copy, env=env,
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                list(command), cwd=copy, env=env, capture_output=True, text=True
             )
             status = "ok" if done.returncode == 0 else f"exit {done.returncode}"
             print(
@@ -193,7 +178,9 @@ def trace(root: str, commands: Sequence[Sequence[str]], package: str = PACKAGE) 
                 file=sys.stderr,
             )
             if done.returncode:
-                print(done.stderr[-2000:], file=sys.stderr)
+                for tail in (done.stdout[-2000:], done.stderr[-2000:]):
+                    if tail.strip():
+                        print(tail, file=sys.stderr)
         reached = set()
         for name in os.listdir(out):
             with open(os.path.join(out, name)) as f:

@@ -18,8 +18,10 @@ The package provides:
   (Section 3.4) with per-agent timing accounting.
 - :mod:`repro.apps` — the dComp and pAccel applications (Section 5).
 - :mod:`repro.serving` — the resilient model-serving layer: versioned
-  registry with rollback, guarded queries with a tiered fallback chain,
-  circuit breakers / admission control, and data-quality quarantine.
+  registry with rollback, guarded queries with a tiered fallback chain
+  behind per-tier circuit breakers, and data-quality quarantine.
+- :mod:`repro.cli` — the ``repro`` command line; ``examples/cli_pipeline.py``
+  drives every subcommand.
 
 Quickstart
 ----------

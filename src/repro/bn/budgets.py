@@ -133,28 +133,6 @@ class BudgetAllocation:
             "budgets": [sb.to_dict() for sb in self.budgets],
         }
 
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "BudgetAllocation":
-        return cls(
-            sla=float(spec["sla"]),
-            target=float(spec["target"]),
-            slack=float(spec["slack"]),
-            composed=float(spec["composed"]),
-            tail_total=float(spec["tail_total"]),
-            feasible=bool(spec["feasible"]),
-            expression=str(spec["expression"]),
-            budgets=tuple(
-                ServiceBudget(
-                    service=str(b["service"]),
-                    budget=float(b["budget"]),
-                    mean=float(b["mean"]),
-                    std=float(b["std"]),
-                    tail_mass=float(b["tail_mass"]),
-                )
-                for b in spec["budgets"]
-            ),
-        )
-
 
 # --------------------------------------------------------------------- #
 # Composition (the structural inverse of the Cardoso reduction)

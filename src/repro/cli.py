@@ -13,26 +13,19 @@ Subcommands
 - ``build``            — build a KERT-BN or NRT-BN from workflow + data.
 - ``score``            — test log10-likelihood of a saved model.
 - ``assess``           — response-time assessment / violation probability.
+- ``localize``         — rank services by blame for an observed slowdown.
 - ``dcomp``            — posterior of an unobservable service.
-- ``corpus``           — scenario corpus: ``list`` the cells of the
-  (family × size × delay-regime) matrix, ``generate`` workflow JSON +
-  simulated CSV + manifest for cells, or ``run`` the KERT-BN vs NRT-BN
-  comparison per cell and print the summary.
+- ``slo budgets``      — per-service response-time budgets from a model.
 - ``registry``         — versioned model store: list/publish/activate/rollback.
 - ``serve``            — guarded one-shot query through the fallback chain.
-- ``obs``              — dump or reset this process's observability state
-  (``snapshot --format prom`` emits the same Prometheus text the HTTP
-  ``/metrics`` endpoint serves).
-- ``dashboard``        — render a snapshot (live state, ``--trace-out``
-  file, or a running endpoint's ``/snapshot`` URL) as a terminal
-  summary and/or a self-contained HTML report.
+- ``dashboard``        — render a snapshot (a ``--trace-out`` file, a
+  running endpoint's ``/snapshot`` URL, or this process's live state)
+  as a terminal summary and/or a self-contained HTML report.
 
 Every subcommand also accepts a global ``--trace-out PATH``: it enables
 :mod:`repro.obs` for the run, wraps the command in a ``cli.<command>``
 span, and writes the full observability snapshot (metrics + span tree)
-as JSON to ``PATH`` on exit.  A global ``--serve-metrics PORT`` likewise
-enables observability and serves ``/metrics`` + ``/snapshot`` over HTTP
-for the duration of the command, so long runs can be scraped live.
+as JSON to ``PATH`` on exit.
 
 Example
 -------
@@ -43,6 +36,9 @@ Example
     repro build --family kert --kind continuous \
         --workflow wf.json --data train.csv --out model.json
     repro assess --model model.json --threshold 2.0
+
+``examples/cli_pipeline.py`` runs every subcommand in order and checks
+each one's output.
 """
 
 from __future__ import annotations
@@ -226,30 +222,6 @@ def cmd_localize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_obs(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.obs.export import render
-
-    if args.action == "reset":
-        obs.reset()
-        print("observability state reset")
-        return 0
-    if args.action == "enable":
-        obs.enable()
-        print("observability enabled for this process")
-        return 0
-    # snapshot — one serialization path shared with the HTTP endpoint
-    fmt = "json" if args.json else args.format
-    text = render(fmt)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote observability snapshot to {args.out}")
-    else:
-        print(text)
-    return 0
-
-
 def cmd_slo(args: argparse.Namespace) -> int:
     # action == "budgets": invert a saved model into per-service budgets.
     import json as _json
@@ -311,83 +283,6 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         print(f"wrote dashboard summary to {args.out}")
     elif not args.html or args.print:
         print(render_terminal(snap))
-    return 0
-
-
-def _corpus_cells(args: argparse.Namespace):
-    from repro.corpus import default_corpus, spec_by_name
-
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else (10, 40)
-    corpus = default_corpus(sizes=sizes)
-    if args.cell:
-        return tuple(spec_by_name(name, corpus) for name in args.cell)
-    return corpus
-
-
-def cmd_corpus(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.bn.csvio import dataset_to_csv
-    from repro.corpus import build_scenario, format_cell_report, run_cell, summarize
-    from repro.workflow.parser import workflow_to_json
-
-    cells = _corpus_cells(args)
-    if args.action == "list":
-        for spec in cells:
-            print(spec.describe())
-        return 0
-    if args.action == "generate":
-        if not args.out_dir:
-            raise SystemExit("corpus generate needs --out-dir DIR")
-        for spec in cells:
-            scenario = build_scenario(spec, seed=args.seed)
-            cell_dir = os.path.join(args.out_dir, spec.name)
-            os.makedirs(cell_dir, exist_ok=True)
-            with open(os.path.join(cell_dir, "workflow.json"), "w") as fh:
-                fh.write(workflow_to_json(scenario.env.workflow, indent=2))
-            data = scenario.env.simulate(args.points, rng=args.seed + 1)
-            dataset_to_csv(data, os.path.join(cell_dir, "data.csv"))
-            manifest = {
-                "cell": spec.name,
-                "seed": args.seed,
-                "n_points": data.n_rows,
-                "family": spec.family,
-                "n_services": spec.n_services,
-                "delay": spec.delay,
-                "arrivals": spec.arrivals,
-                "failure_storm": spec.failure_storm,
-                "utilization": spec.utilization,
-                "f": scenario.f.to_string(),
-            }
-            with open(os.path.join(cell_dir, "scenario.json"), "w") as fh:
-                json.dump(manifest, fh, indent=2)
-                fh.write("\n")
-            print(
-                f"{spec.name}: wrote workflow.json, scenario.json and "
-                f"{data.n_rows} data points under {cell_dir}"
-            )
-        return 0
-    # run — the KERT-BN vs NRT-BN comparison per cell, plus the summary
-    results = {}
-    for spec in cells:
-        cell = run_cell(
-            spec, seed=args.seed, n_train=args.train, n_test=args.test
-        )
-        results[spec.name] = cell
-        print(format_cell_report(spec.name, cell))
-    summary = summarize(results)
-    print(
-        f"summary: {summary['n_cells']} cells, "
-        f"KERT-BN wins {summary['kert_win_fraction']:.0%}, "
-        f"median gap {summary['median_log10_gap_per_row']:+.3f} "
-        f"log10/row, median build ratio "
-        f"{summary['nrt_over_kert_build_median']:.1f}x"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"cells": results, "summary": summary}, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote corpus results to {args.json}")
     return 0
 
 
@@ -483,14 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable observability for this run and write the snapshot "
         "(metrics + span tree) as JSON to PATH",
     )
-    parser.add_argument(
-        "--serve-metrics",
-        metavar="PORT",
-        type=int,
-        default=None,
-        help="enable observability and serve /metrics + /snapshot on "
-        "this port (0 picks a free one) while the command runs",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect-workflow", help="derive f and structure")
@@ -553,32 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_dcomp)
 
-    p = sub.add_parser(
-        "corpus",
-        help="scenario corpus: list cells, generate scenario data, or "
-        "run the KERT-BN vs NRT-BN comparison matrix",
-    )
-    p.add_argument("action", choices=("list", "generate", "run"))
-    p.add_argument("--cell", action="append", metavar="NAME",
-                   help="restrict to this cell, e.g. mixed_n10_mmk "
-                   "(repeatable; default: every cell)")
-    p.add_argument("--sizes", metavar="N,N,...",
-                   help="environment sizes for the corpus grid "
-                   "(default: 10,40)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=200,
-                   help="dataset rows per cell (generate only)")
-    p.add_argument("--out-dir", metavar="DIR",
-                   help="write per-cell workflow.json / data.csv / "
-                   "scenario.json under DIR (generate only)")
-    p.add_argument("--train", type=int, default=60,
-                   help="training rows per cell (run only)")
-    p.add_argument("--test", type=int, default=120,
-                   help="test rows per cell (run only)")
-    p.add_argument("--json", metavar="PATH",
-                   help="also write cells + summary as JSON (run only)")
-    p.set_defaults(fn=cmd_corpus)
-
     p = sub.add_parser("registry", help="versioned model registry")
     p.add_argument("action", choices=("list", "publish", "activate", "rollback"))
     p.add_argument("--root", required=True, help="registry directory")
@@ -590,18 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reason", default="operator rollback",
                    help="reason recorded on rollback")
     p.set_defaults(fn=cmd_registry)
-
-    p = sub.add_parser(
-        "obs", help="dump or reset this process's observability state"
-    )
-    p.add_argument("action", choices=("snapshot", "reset", "enable"))
-    p.add_argument("--format", choices=("text", "json", "prom"), default="text",
-                   help="snapshot serialization: human text, JSON, or "
-                   "Prometheus exposition (same renderer as /metrics)")
-    p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json (kept for back-compat)")
-    p.add_argument("--out", help="write the snapshot here instead of stdout")
-    p.set_defaults(fn=cmd_obs)
 
     p = sub.add_parser(
         "slo",
@@ -658,21 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "Sequence[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    trace_out = getattr(args, "trace_out", None)
-    serve_port = getattr(args, "serve_metrics", None)
-    server = None
-    if trace_out or serve_port is not None:
+    trace_out = args.trace_out
+    if trace_out:
         from repro import obs
 
         obs.enable()
-    if serve_port is not None:
-        from repro.obs.export import ExportServer
-
-        server = ExportServer(port=serve_port)
-        server.start()
-        print(f"serving metrics at {server.url}/metrics", file=sys.stderr)
     try:
-        if trace_out or server is not None:
+        if trace_out:
             with obs.span(f"cli.{args.command}"):
                 code = args.fn(args)
         else:
@@ -689,8 +530,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
                 json.dump(obs.snapshot(), fh, indent=2, default=str)
                 fh.write("\n")
             print(f"wrote observability snapshot to {trace_out}", file=sys.stderr)
-        if server is not None:
-            server.stop()
     return code
 
 

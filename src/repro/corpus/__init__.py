@@ -28,7 +28,6 @@ from repro.corpus.spec import (
     FAMILY_KNOBS,
     ScenarioSpec,
     default_corpus,
-    spec_by_name,
 )
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "format_cell_report",
     "run_cell",
     "scenario_rng",
-    "spec_by_name",
     "summarize",
 ]

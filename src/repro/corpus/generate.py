@@ -53,14 +53,6 @@ class GeneratedScenario:
     f: ResponseTimeFunction
     structure: DAG
 
-    def describe(self) -> str:
-        return (
-            f"{self.spec.describe()}\n"
-            f"  f: {self.env.response} = {self.f.to_string()}\n"
-            f"  structure: {self.structure.n_nodes} nodes, "
-            f"{self.structure.n_edges} edges (derived, not learned)"
-        )
-
 
 def scenario_rng(spec: ScenarioSpec, seed: int) -> np.random.Generator:
     """The one RNG all of ``(spec, seed)``'s randomness flows from."""

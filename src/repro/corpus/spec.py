@@ -76,16 +76,6 @@ class ScenarioSpec:
         """Stable cell id, e.g. ``mixed_n10_mmk``."""
         return f"{self.family}_n{self.n_services}_{self.delay}"
 
-    def describe(self) -> str:
-        riders = [self.arrivals]
-        if self.failure_storm:
-            riders.append("failure-storm")
-        return (
-            f"{self.name}: {self.family} topology, "
-            f"{self.n_services} services, {self.delay} delays "
-            f"(util {self.utilization:g}), {'+'.join(riders)} arrivals"
-        )
-
 
 def default_corpus(
     families: tuple[str, ...] = ("sequence", "parallel", "mixed"),
@@ -114,16 +104,3 @@ def default_corpus(
                     )
                 )
     return tuple(specs)
-
-
-def spec_by_name(
-    name: str, corpus: "tuple[ScenarioSpec, ...] | None" = None
-) -> ScenarioSpec:
-    """Look up one cell of ``corpus`` (default corpus if omitted)."""
-    cells = corpus if corpus is not None else default_corpus()
-    for spec in cells:
-        if spec.name == name:
-            return spec
-    raise SimulationError(
-        f"unknown corpus cell {name!r} (known: {[s.name for s in cells]})"
-    )

@@ -5,12 +5,11 @@ autonomic system assumes (Kephart & Chess's MAPE loops watch
 themselves too):
 
 - :mod:`repro.obs.metrics` — process-local counters, gauges, and
-  fixed-bucket histograms with p50/p95/p99 summaries, snapshot/reset
-  semantics, and text + JSON exporters;
+  fixed-bucket histograms with p50/p95/p99 summaries and snapshot/reset
+  semantics;
 - :mod:`repro.obs.tracing` — ``span("name")`` context managers
   producing a parent-linked span tree with wall time and optional
-  ``tracemalloc`` peak-memory capture, exportable as JSON or a
-  flame-style text tree;
+  ``tracemalloc`` peak-memory capture, exported as JSON-ready dicts;
 - :mod:`repro.obs.runtime` — the module-level enable flag instrumented
   call sites guard on.  **Off by default**; the disabled cost on a hot
   path is a single attribute read.
@@ -55,7 +54,6 @@ from repro.obs.attribution import (
 from repro.obs.export import (
     ExportServer,
     JsonlEventSink,
-    render,
     render_prometheus,
 )
 from repro.obs.metrics import (
@@ -74,7 +72,6 @@ from repro.obs.runtime import (
     enable,
     is_enabled,
     iter_spans,
-    render_text,
     reset,
     snapshot,
     span,
@@ -112,9 +109,7 @@ __all__ = [
     "enable",
     "is_enabled",
     "iter_spans",
-    "render",
     "render_prometheus",
-    "render_text",
     "reset",
     "snapshot",
     "span",

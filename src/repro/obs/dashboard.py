@@ -6,8 +6,7 @@ JSON produced by :func:`repro.obs.runtime.snapshot` (optionally with the
 ``/snapshot`` endpoint adds) — the dashboard renders it, it never
 computes new statistics.  Sources, in the order ``repro dashboard``
 accepts them: the live in-process state, a snapshot file from
-``--trace-out`` / ``repro obs snapshot --out``, or a running export
-endpoint's ``/snapshot`` URL.
+``--trace-out``, or a running export endpoint's ``/snapshot`` URL.
 
 The HTML report is a single file with inline CSS and zero external
 assets, so it can be attached to a CI run or mailed around as-is.
@@ -105,8 +104,15 @@ def _span_lines(spans: list, lines: List[str], lead: str = "") -> None:
         label = lead + branch + str(sp.get("name", "?"))
         ms = float(sp.get("duration_seconds", 0.0)) * 1e3
         mark = ""
-        if sp.get("status", "ok") != "ok":
-            mark = f"  [!{sp['status']}]"
+        status = sp.get("status", "ok")
+        extra = sp.get("extra") or {}
+        if status != "ok":
+            error = sp.get("error")
+            mark = f"  [!{status}: {error}]" if error else f"  [!{status}]"
+        elif extra.get("status", "fresh") != "fresh":
+            mark = f"  [{extra['status']}]"
+        if sp.get("peak_memory_bytes") is not None:
+            mark += f"  [peak {sp['peak_memory_bytes'] / 1024.0:.1f} KiB]"
         lines.append(f"{label:<48} {ms:10.3f}ms{mark}")
         _span_lines(
             sp.get("children") or [], lines, lead + ("   " if last else "|  ")

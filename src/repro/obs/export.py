@@ -5,9 +5,8 @@ gets them *out* — the monitoring stream Sec. 3.4's per-service agents
 feed the management server, made concrete:
 
 - :func:`render_prometheus` — the text exposition format (version
-  0.0.4) rendered from a :meth:`MetricsRegistry.snapshot` dict, so the
-  HTTP endpoint and ``repro obs snapshot --format prom`` share one
-  serialization path;
+  0.0.4) rendered from a :meth:`MetricsRegistry.snapshot` dict, the
+  body of the HTTP endpoint's ``/metrics``;
 - :class:`ExportServer` — a stdlib :mod:`http.server` on a daemon
   thread serving ``/metrics`` (Prometheus text), ``/healthz`` (liveness
   JSON), and ``/snapshot`` (the full metrics + trace JSON a
@@ -36,7 +35,6 @@ from repro.obs.runtime import OBS
 
 __all__ = [
     "render_prometheus",
-    "render",
     "escape_label_value",
     "ExportServer",
     "JsonlEventSink",
@@ -180,22 +178,6 @@ def render_prometheus(
             f"{prom}_count{_labels(const_labels)} {int(summary.get('count', 0))}"
         )
     return "\n".join(lines) + "\n" if lines else "# (no metrics recorded)\n"
-
-
-def render(fmt: str = "text", const_labels: "Mapping[str, str] | None" = None) -> str:
-    """One serialization path for the CLI and the HTTP endpoint.
-
-    ``prom`` renders the live metrics registry as exposition text;
-    ``json`` the full observability snapshot; ``text`` the
-    human-readable metric listing + span tree.
-    """
-    if fmt == "prom":
-        return render_prometheus(OBS.metrics.snapshot(), const_labels)
-    if fmt == "json":
-        return json.dumps(runtime.snapshot(), indent=2, default=str)
-    if fmt == "text":
-        return runtime.render_text()
-    raise ValueError(f"unknown obs format {fmt!r} (expected prom|json|text)")
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,8 @@ CPD removes the most expensive learning step (Sec. 3.3) — so the
 runtime needs numbers, not logs.  This module is the zero-dependency
 metrics half of :mod:`repro.obs`: a :class:`MetricsRegistry` holding
 named :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-instruments with snapshot/reset semantics and text + JSON exporters.
+instruments with snapshot/reset semantics.  :meth:`MetricsRegistry.snapshot`
+is the one export: the Prometheus renderer and the dashboard read it.
 
 Design constraints, in order:
 
@@ -22,7 +23,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -355,35 +355,3 @@ class MetricsRegistry:
                 *self._histograms.values(),
             ):
                 instrument.reset()
-
-    # -- exporters ------------------------------------------------------ #
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
-
-    def render_text(self) -> str:
-        """Human-readable export, one instrument per line."""
-        snap = self.snapshot()
-        lines = []
-        if snap["counters"]:
-            lines.append("# counters")
-            width = max(len(n) for n in snap["counters"])
-            for name, value in snap["counters"].items():
-                lines.append(f"{name:<{width}}  {value}")
-        if snap["gauges"]:
-            lines.append("# gauges")
-            width = max(len(n) for n in snap["gauges"])
-            for name, value in snap["gauges"].items():
-                lines.append(f"{name:<{width}}  {value:.6g}")
-        if snap["histograms"]:
-            lines.append("# histograms")
-            for name, s in snap["histograms"].items():
-                if s["count"] == 0:
-                    lines.append(f"{name}  count=0")
-                    continue
-                lines.append(
-                    f"{name}  count={s['count']} mean={s['mean']:.6g} "
-                    f"p50={s['p50']:.6g} p95={s['p95']:.6g} "
-                    f"p99={s['p99']:.6g} max={s['max']:.6g}"
-                )
-        return "\n".join(lines) if lines else "(no metrics recorded)"

@@ -32,7 +32,6 @@ __all__ = [
     "reset",
     "snapshot",
     "span",
-    "render_text",
     "attach_sink",
     "detach_sink",
     "emit_event",
@@ -97,11 +96,6 @@ def snapshot() -> dict:
         "metrics": OBS.metrics.snapshot(),
         "trace": OBS.tracer.to_dict(),
     }
-
-
-def render_text() -> str:
-    """Text export: the metric listing followed by the span tree."""
-    return OBS.metrics.render_text() + "\n\n" + OBS.tracer.render_text()
 
 
 def attach_sink(sink) -> None:

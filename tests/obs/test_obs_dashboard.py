@@ -88,6 +88,30 @@ def test_terminal_summary_covers_every_section():
     assert "manager.analyze" in text and "[!error]" in text
 
 
+def test_terminal_span_marks_status_error_and_peak_memory(obs_active):
+    """Beyond its time, a span line shows a non-fresh ``status`` extra,
+    the error text of a failed span and a memory span's peak."""
+    with obs_active.span("decentralized.round"):
+        tracer = obs_active.OBS.tracer
+        tracer.record_span("agent:X1", 0.001).annotate(status="fresh")
+        tracer.record_span("agent:X2", 0.002).annotate(status="stale")
+        with obs_active.span("memory-probe", memory=True):
+            blob = bytearray(256 * 1024)
+            del blob
+    with pytest.raises(RuntimeError):
+        with obs_active.span("failing"):
+            raise RuntimeError("boom")
+    lines = render_terminal(obs_active.snapshot()).splitlines()
+    (x2,) = [line for line in lines if "agent:X2" in line]
+    assert x2.endswith("[stale]")
+    (x1,) = [line for line in lines if "agent:X1" in line]
+    assert x1.endswith("ms")
+    (failing,) = [line for line in lines if "failing" in line]
+    assert failing.endswith("[!error: RuntimeError: boom]")
+    (probe,) = [line for line in lines if "memory-probe" in line]
+    assert "[peak " in probe and probe.endswith(" KiB]")
+
+
 def test_terminal_summary_of_an_empty_snapshot():
     text = render_terminal({"enabled": False, "metrics": {}, "trace": []})
     assert "(no spans recorded)" in text
@@ -245,43 +269,3 @@ def test_cli_dashboard_writes_html(tmp_path, capsys):
     assert "response_p95" in html
     # without --print the terminal summary stays off stdout
     assert "repro observability dashboard" not in capsys.readouterr().out
-
-
-def test_cli_obs_snapshot_format_prom(obs_active, capsys):
-    from repro.cli import main
-    from repro.obs.runtime import OBS
-
-    OBS.metrics.counter("serving.queries").inc(9)
-    assert main(["obs", "snapshot", "--format", "prom"]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE repro_serving_queries_total counter" in out
-    assert "repro_serving_queries_total 9" in out
-
-
-def test_cli_obs_snapshot_format_json_matches_json_flag(obs_active, capsys):
-    from repro.cli import main
-
-    assert main(["obs", "snapshot", "--format", "json"]) == 0
-    via_format = json.loads(capsys.readouterr().out)
-    assert main(["obs", "snapshot", "--json"]) == 0
-    via_flag = json.loads(capsys.readouterr().out)
-    assert via_format["enabled"] == via_flag["enabled"] is True
-    assert via_format["metrics"].keys() == via_flag["metrics"].keys()
-
-
-def test_cli_serve_metrics_flag_serves_during_command(tmp_path, capsys):
-    """--serve-metrics enables obs and exposes /metrics for the run; the
-    dashboard subcommand itself is the long-running command here."""
-    from repro.cli import main
-    from repro.obs import runtime
-
-    was_enabled = runtime.OBS.enabled
-    try:
-        code = main(["--serve-metrics", "0", "obs", "snapshot", "--format",
-                     "prom"])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "serving metrics at http://127.0.0.1:" in err
-    finally:
-        runtime.OBS.enabled = was_enabled
-        runtime.reset()

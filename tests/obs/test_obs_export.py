@@ -19,7 +19,6 @@ from repro.obs.export import (
     ExportServer,
     JsonlEventSink,
     escape_label_value,
-    render,
     render_prometheus,
     sanitize_metric_name,
 )
@@ -142,11 +141,6 @@ def test_empty_registry_renders_a_comment_only():
     text = render_prometheus(MetricsRegistry().snapshot())
     assert text.startswith("#")
     assert parse_prometheus(text) == {}
-
-
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError, match="unknown obs format"):
-        render("yaml")
 
 
 # --------------------------------------------------------------------- #

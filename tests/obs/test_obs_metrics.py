@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.obs.dashboard import render_terminal
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -155,14 +156,15 @@ def test_registry_snapshot_and_exporters():
     assert snap["counters"] == {"hits": 3}
     assert snap["gauges"]["load"] == pytest.approx(0.75)
     assert snap["histograms"]["lat"]["count"] == 1
-    parsed = json.loads(reg.to_json())
+    parsed = json.loads(json.dumps(snap))
     assert parsed["counters"]["hits"] == 3
-    text = reg.render_text()
-    assert "hits" in text and "load" in text and "lat" in text
+    text = render_terminal({"metrics": snap})
+    assert "hits" in text and "load" in text and "lat  count=1" in text
 
 
 def test_registry_empty_render():
-    assert MetricsRegistry().render_text() == "(no metrics recorded)"
+    text = render_terminal({"metrics": MetricsRegistry().snapshot()})
+    assert "-- counters" not in text and "-- histograms" not in text
 
 
 def test_registry_snapshot_is_atomic_against_reset():

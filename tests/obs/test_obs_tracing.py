@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.dashboard import render_terminal
 from repro.obs.tracing import Tracer
 
 
@@ -91,10 +92,10 @@ def test_json_and_text_exports():
     tracer = Tracer(clock=FakeClock())
     with tracer.span("parent"):
         tracer.record_span("leaf", 0.001)
-    payload = json.loads(tracer.to_json())
+    payload = json.loads(json.dumps(tracer.to_dict()))
     assert payload[0]["name"] == "parent"
     assert payload[0]["children"][0]["name"] == "leaf"
-    text = tracer.render_text()
+    text = render_terminal({"trace": payload})
     assert "parent" in text
     assert "`- leaf" in text
     assert "ms" in text
@@ -106,7 +107,7 @@ def test_clear_drops_spans():
         pass
     tracer.clear()
     assert tracer.roots == []
-    assert tracer.render_text() == "(no spans recorded)"
+    assert "(no spans recorded)" in render_terminal({"trace": tracer.to_dict()})
 
 
 def test_memory_span_captures_tracemalloc_peak():
@@ -117,4 +118,4 @@ def test_memory_span_captures_tracemalloc_peak():
     (sp,) = tracer.roots
     assert sp.peak_memory_bytes is not None
     assert sp.peak_memory_bytes >= 8 * 64 * 1024
-    assert "peak" in tracer.render_text()
+    assert "KiB]" in render_terminal({"trace": tracer.to_dict()})

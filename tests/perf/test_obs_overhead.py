@@ -216,6 +216,47 @@ def test_scrape_render_latency_is_bounded():
         runtime.OBS.enabled = was_enabled
 
 
+def test_scrape_render_runs_the_same_lines_at_any_histogram_size():
+    """The counted twin of the scrape bound above: rendering histograms
+    that hold 50,000 observations runs the same traced ``repro`` lines
+    as rendering ones that hold 500, so a scrape does no per-sample work.
+
+    The larger histogram holds the same 500 values 100 times, so every
+    percentile lands in the same bucket.  A constant clock makes the
+    exporter's own ``scrape_seconds`` observation take one path too.
+    """
+    from repro.obs.export import ExportServer
+    from tests.perf.test_vectorization_contracts import _repro_events
+
+    base = np.linspace(1e-4, 2.0, 500)
+    was_enabled, clock = runtime.OBS.enabled, runtime.OBS.clock
+    obs.enable(clock=lambda: 0.0)
+    try:
+        server = ExportServer()
+        m = runtime.OBS.metrics
+
+        def scrape_events(repeats):
+            obs.reset()
+            for i in range(40):
+                m.counter(f"bench.counter_{i}").inc(i)
+                m.gauge(f"bench.gauge_{i}").set(i * 0.5)
+            hist = m.histogram("bench.latency_seconds")
+            hist.observe_many(np.tile(base, repeats))
+            return _repro_events(server.metrics_body)
+
+        scrape_events(1)  # creates the exporter's own instruments
+        few = scrape_events(1)
+        assert few
+        assert m.histogram("bench.latency_seconds").count == 500
+        many = scrape_events(100)
+        assert m.histogram("bench.latency_seconds").count == 50_000
+        assert many == few
+    finally:
+        obs.reset()
+        runtime.OBS.configure(clock=clock)
+        runtime.OBS.enabled = was_enabled
+
+
 def test_budget_derivation_amortizes_per_publish(ediamond_discrete_model):
     """Price the SLO-budget machinery on its two cadences.
 

@@ -2,9 +2,8 @@
 
 :class:`~repro.serving.server.ModelServer` is a thread-safe public API
 (``tests/serving/test_concurrency.py`` pins its invariants), so
-:class:`CircuitBreaker`, :class:`AdmissionController`,
-:class:`ServerStats` and the engine's plan cache each guard their state
-with a lock.  Those locks must stay *fine-grained*: hot-path critical
+:class:`CircuitBreaker`, :class:`ServerStats` and the engine's plan
+cache each guard their state with a lock.  Those locks must stay *fine-grained*: hot-path critical
 sections are a few dict/int operations, so threaded throughput through
 the guards should be within a small constant of the single-threaded
 rate, not serialized behind one coarse lock held across kernel work.
@@ -21,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.serving.breaker import AdmissionController, CircuitBreaker
+from repro.serving.breaker import CircuitBreaker
 from repro.serving.server import QueryResult, ServerStats
 
 N_OPS = 20_000
@@ -52,20 +51,18 @@ def _median_rates(fn, n):
     return float(np.median(single)), float(np.median(threaded))
 
 
-def test_breaker_admission_stats_guard_overhead_stays_cheap():
-    """One guarded decision (breaker + admission + stats count) must stay
+def test_breaker_stats_guard_overhead_stays_cheap():
+    """One guarded decision (breaker + stats count) must stay
     in the few-microsecond range — the locks add nanoseconds, not a
     syscall-shaped cliff."""
     breaker = CircuitBreaker(failure_threshold=3, cooldown=10)
-    ac = AdmissionController(window=50, rng=np.random.default_rng(0))
     stats = ServerStats()
     ok = QueryResult(status="ok", tier="compiled-einsum")
 
     def loop(n):
         for _ in range(n):
-            if breaker.allow() and ac.admit():
+            if breaker.allow():
                 breaker.record_success()
-                ac.record(False)
                 stats._count(ok)
 
     rate = _rate(loop, N_OPS)
@@ -79,15 +76,13 @@ def test_guards_scale_under_contention():
     ~half of the single-thread aggregate rate — a coarse lock held
     around anything expensive collapses this to ~1/N."""
     breaker = CircuitBreaker(failure_threshold=3, cooldown=10)
-    ac = AdmissionController(window=50, rng=np.random.default_rng(0))
     stats = ServerStats()
     ok = QueryResult(status="ok", tier="compiled-einsum")
 
     def loop(n):
         for _ in range(n):
-            if breaker.allow() and ac.admit():
+            if breaker.allow():
                 breaker.record_success()
-                ac.record(False)
                 stats._count(ok)
 
     single, contended = _median_rates(loop, N_OPS)

@@ -1,18 +1,9 @@
-"""Circuit breaker and admission control: deterministic state machines."""
+"""Circuit breaker: a deterministic, count-based state machine."""
 
-from collections import deque
-
-import numpy as np
 import pytest
 
 from repro.exceptions import ServingError
-from repro.serving.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    AdmissionController,
-    CircuitBreaker,
-)
+from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 
 def test_breaker_validation():
@@ -62,58 +53,3 @@ def test_successful_probe_closes():
     assert b.allow()              # half-open probe
     b.record_success()
     assert b.state == CLOSED and b.allow()
-
-
-def test_admission_validation():
-    with pytest.raises(ServingError):
-        AdmissionController(window=0)
-    with pytest.raises(ServingError):
-        AdmissionController(overload_threshold=0.0)
-    with pytest.raises(ServingError):
-        AdmissionController(shed_fraction=1.5)
-
-
-def test_admission_sheds_only_when_window_is_overloaded():
-    ac = AdmissionController(
-        window=10, overload_threshold=0.5, shed_fraction=1.0,
-        rng=np.random.default_rng(0),
-    )
-    for _ in range(9):
-        ac.record(True)
-    assert not ac.overloaded          # window not yet full
-    assert ac.admit()
-    ac.record(True)
-    assert ac.overloaded
-    assert not ac.admit() and ac.n_shed == 1
-    # recovery: healthy outcomes push the fraction back down
-    for _ in range(6):
-        ac.record(False)
-    assert not ac.overloaded
-    assert ac.admit()
-
-
-def test_admission_window_slides_like_a_bounded_deque():
-    """The ring buffer's running counts match a recount of the last
-    ``window`` outcomes after every record, through many wrap-arounds."""
-    ac = AdmissionController(window=7, overload_threshold=0.4)
-    ref = deque(maxlen=7)
-    signals = np.random.default_rng(3).random(100) < 0.4
-    for signal in signals:
-        ac.record(signal)
-        ref.append(bool(signal))
-        assert ac.overload_fraction == sum(ref) / len(ref)
-        assert ac.overloaded == (len(ref) == 7 and sum(ref) / 7 >= 0.4)
-
-def test_admission_is_deterministic_under_a_seed():
-    def run():
-        ac = AdmissionController(
-            window=5, overload_threshold=0.5, shed_fraction=0.5,
-            rng=np.random.default_rng(42),
-        )
-        for _ in range(5):
-            ac.record(True)
-        return [ac.admit() for _ in range(50)]
-
-    assert run() == run()
-    assert not all(run())  # some shed
-    assert any(run())      # but not a full outage: work keeps trickling

@@ -202,7 +202,7 @@ def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data):
 
 
 def test_chaos_run_is_deterministic(tmp_path, ediamond_env, ediamond_data):
-    """Same seed -> same shed/degrade/trip pattern (replayable chaos)."""
+    """Same seed -> same degrade/trip pattern (replayable chaos)."""
     train, _ = ediamond_data
     model = _build(ediamond_env, train)
 

@@ -1,8 +1,8 @@
 """Thread-safety of the serving substrate + batch/single accounting parity.
 
 A columnar batch tallies in :class:`ServerStats` like the same rows sent
-as single queries, and the breaker / admission controller / stats /
-engine plan cache keep their invariants under a thread pool.
+as single queries, and the breaker / stats / engine plan cache keep
+their invariants under a thread pool.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -12,13 +12,7 @@ import pytest
 
 from repro import obs
 from repro.bn.inference.engine import CompiledDiscreteModel
-from repro.serving.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    AdmissionController,
-    CircuitBreaker,
-)
+from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serving.fallback import TIER_COMPILED, TIER_SWEEP
 from repro.serving.server import (
     STATUS_REJECTED,
@@ -118,7 +112,7 @@ def test_rejected_batch_counts_its_reasons(fresh_discrete_model, obs_on):
 
 
 # --------------------------------------------------------------------- #
-# Thread-safety: breaker / admission / stats invariants under a pool
+# Thread-safety: breaker / stats invariants under a pool
 # --------------------------------------------------------------------- #
 
 
@@ -148,44 +142,15 @@ def test_circuit_breaker_invariants_under_threads():
     assert breaker.n_refused >= 0
 
 
-def test_admission_controller_counts_balance_under_threads():
-    ac = AdmissionController(
-        window=50, overload_threshold=0.3, shed_fraction=0.5,
-        rng=np.random.default_rng(0),
-    )
-    calls_per_worker = 3000
-
-    def worker(w):
-        rng = np.random.default_rng(100 + w)
-        for _ in range(calls_per_worker):
-            if ac.admit():
-                ac.record(rng.random() < 0.5)
-
-    with ThreadPoolExecutor(8) as ex:
-        list(ex.map(worker, range(8)))
-    # Every admit() incremented exactly one of the two counters.
-    assert ac.n_admitted + ac.n_shed == 8 * calls_per_worker
-    assert ac.n_shed > 0  # the overload regime was actually exercised
-    assert len(ac._outcomes) == ac.window
-    # The running counts the decisions read agree with the window.
-    assert ac._n_outcomes == ac.window
-    assert ac._n_overloaded == sum(ac._outcomes)
-    assert 0.0 <= ac.overload_fraction <= 1.0
-
-
 def test_server_stats_lose_no_counts_under_threads():
     stats = ServerStats()
-    per_worker = {
-        "ok": 500, "rejected": 300, "shed": 200, "failed": 100,
-    }
+    per_worker = {"ok": 500, "rejected": 300, "failed": 100}
 
     def worker(_):
         for _ in range(per_worker["ok"]):
             stats._count(QueryResult(status="ok", tier="compiled-einsum"))
         for _ in range(per_worker["rejected"]):
             stats._count(QueryResult(status="rejected"))
-        for _ in range(per_worker["shed"]):
-            stats._count(QueryResult(status="shed"))
         for _ in range(per_worker["failed"]):
             stats._count(
                 QueryResult(status="failed", deadline_exceeded=True)
@@ -201,10 +166,9 @@ def test_server_stats_lose_no_counts_under_threads():
         list(ex.map(worker, range(8)))
     assert stats.n_ok == 8 * (500 + 3)
     assert stats.n_rejected == 8 * (300 + 7)
-    assert stats.n_shed == 8 * 200
     assert stats.n_failed == 8 * 100
     assert stats.n_deadline_exceeded == 8 * 100
-    assert stats.n_queries == 8 * (1100 + 10)
+    assert stats.n_queries == 8 * (900 + 10)
     assert stats.n_rows_rejected == 8 * 7
     assert stats.tier_counts["compiled-einsum"] == 8 * (500 + 3)
 

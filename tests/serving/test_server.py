@@ -1,14 +1,13 @@
-"""ModelServer: guarded queries, deadlines, shedding, registry refresh."""
+"""ModelServer: guarded queries, deadlines, breakers, registry refresh."""
 
 import numpy as np
 import pytest
 
-from repro.serving.breaker import CLOSED, AdmissionController
+from repro.serving.breaker import CLOSED
 from repro.serving.fallback import TIER_COMPILED, TIER_PRIOR, TIER_SWEEP
 from repro.serving.registry import ModelRegistry
 from repro.serving.server import (
     STATUS_REJECTED,
-    STATUS_SHED,
     TIER_ANALYTIC,
     ModelServer,
 )
@@ -121,46 +120,28 @@ def test_expired_deadline_degrades_to_prior(fresh_discrete_model, ediamond_data)
 def test_expired_deadline_on_project_is_counted(fresh_discrete_model, ediamond_data):
     """A discrete projection answered from the prior after an overrun
     reports the overrun, like ``query`` and ``violation_prob``: in the
-    result, in the stats and to admission control."""
+    result and in the stats."""
     train, _ = ediamond_data
     model = fresh_discrete_model
-    ac = AdmissionController(window=5, overload_threshold=0.5)
-    srv = ModelServer(model, deadline_seconds=1e-9, admission=ac, rng=0)
+    srv = ModelServer(model, deadline_seconds=1e-9, rng=0)
     svc = _svc(model)
     r = srv.project({svc: _mean(train, svc)})
     assert r.ok and r.tier == TIER_PRIOR
     assert r.deadline_exceeded
     assert srv.stats.n_deadline_exceeded == 1
-    assert ac.overload_fraction == 1.0
 
 
 def test_expired_deadline_on_columns_is_not_an_open_circuit(fresh_discrete_model):
     """A batch whose deadline has passed says so while the breaker stays
-    closed, and admission control counts it as an overrun."""
+    closed, and the stats count each row as an overrun."""
     model = fresh_discrete_model
-    ac = AdmissionController(window=5, overload_threshold=0.5)
-    srv = ModelServer(model, deadline_seconds=1e-9, admission=ac, rng=0)
+    srv = ModelServer(model, deadline_seconds=1e-9, rng=0)
     cr = srv.query_batch_columns([model.response], _columns(model, 3))
     assert cr.ok and cr.n_valid == 3 and cr.tier == TIER_PRIOR
     assert cr.tier_errors[TIER_COMPILED] == "deadline exceeded"
     assert srv.breakers[TIER_COMPILED].state == CLOSED
     assert cr.deadline_exceeded
     assert srv.stats.n_deadline_exceeded == 3
-    assert ac.overload_fraction == 1.0
-
-
-def test_admission_control_sheds_under_overload(fresh_discrete_model):
-    model = fresh_discrete_model
-    ac = AdmissionController(
-        window=5, overload_threshold=0.5, shed_fraction=1.0,
-        rng=np.random.default_rng(0),
-    )
-    srv = ModelServer(model, admission=ac, rng=0)
-    for _ in range(5):
-        ac.record(True)
-    r = srv.query([model.response], {})
-    assert r.status == STATUS_SHED and r.reasons
-    assert srv.stats.n_shed == 1
 
 
 # --------------------------------------------------------------------- #
@@ -262,9 +243,7 @@ def test_columns_stats_count_every_row_once(fresh_discrete_model):
     assert s["n_queries"] == 6 + 5 + 4 + 3 + 2
     assert s["n_ok"] == 6 + 3 + 2
     assert s["n_rejected"] == 2 + 4 + 3
-    assert s["n_ok"] + s["n_rejected"] + s["n_shed"] + s["n_failed"] == (
-        s["n_queries"]
-    )
+    assert s["n_ok"] + s["n_rejected"] + s["n_failed"] == s["n_queries"]
     assert s["tier_counts"] == {TIER_COMPILED: 9, TIER_SWEEP: 2}
 
 
@@ -358,21 +337,6 @@ def test_degraded_batch_tier_is_the_deepest_row_tier(fresh_discrete_model):
     _, cr = _slow_first_row_batch(fresh_discrete_model)
     assert cr.tier == TIER_PRIOR and cr.approximate
     assert cr.tier_rows == {TIER_COMPILED: 1, TIER_PRIOR: 3}
-
-
-def test_columns_admission_shed_counts_every_row(fresh_discrete_model):
-    model = fresh_discrete_model
-    ac = AdmissionController(
-        window=5, overload_threshold=0.5, shed_fraction=1.0,
-        rng=np.random.default_rng(0),
-    )
-    srv = ModelServer(model, admission=ac, rng=0)
-    for _ in range(5):
-        ac.record(True)
-    cr = srv.query_batch_columns([model.response], _columns(model, 7))
-    assert cr.status == STATUS_SHED and cr.n_rows == 7 and cr.pmfs is None
-    assert "admission" in cr.reasons[0]
-    assert srv.stats.n_shed == srv.stats.n_queries == 7
 
 
 # --------------------------------------------------------------------- #

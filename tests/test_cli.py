@@ -170,52 +170,6 @@ def test_localize_subcommand(workspace, capsys):
         run("localize", "--model", model_path)
 
 
-def test_corpus_subcommand(workspace, capsys):
-    # list: every default cell, one line each.
-    assert run("corpus", "list", "--sizes", "10") == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") == 9
-    assert "mixed_n10_mmk" in out
-
-    # generate: workflow + data + manifest per requested cell.
-    out_dir = os.path.join(workspace, "cells")
-    assert run(
-        "corpus", "generate", "--cell", "mixed_n10_gg1",
-        "--points", "30", "--seed", "4", "--out-dir", out_dir,
-    ) == 0
-    cell_dir = os.path.join(out_dir, "mixed_n10_gg1")
-    assert os.path.exists(os.path.join(cell_dir, "workflow.json"))
-    assert os.path.exists(os.path.join(cell_dir, "data.csv"))
-    with open(os.path.join(cell_dir, "scenario.json")) as fh:
-        manifest = json.load(fh)
-    assert manifest["cell"] == "mixed_n10_gg1"
-    assert manifest["failure_storm"] is True
-    assert manifest["n_points"] == 30
-    capsys.readouterr()
-
-    # run: per-cell report plus the aggregate summary, JSON out.
-    results_path = os.path.join(workspace, "corpus.json")
-    assert run(
-        "corpus", "run", "--cell", "sequence_n10_lognormal",
-        "--train", "30", "--test", "40", "--json", results_path,
-    ) == 0
-    out = capsys.readouterr().out
-    assert "== corpus cell sequence_n10_lognormal ==" in out
-    assert "summary: 1 cells" in out
-    with open(results_path) as fh:
-        payload = json.load(fh)
-    assert "sequence_n10_lognormal" in payload["cells"]
-    assert payload["summary"]["n_cells"] == 1
-
-    # unknown cells are a clean error, not a traceback.
-    assert run("corpus", "run", "--cell", "no_such_cell") == 1
-
-
-def test_corpus_generate_requires_out_dir():
-    with pytest.raises(SystemExit, match="out-dir"):
-        run("corpus", "generate", "--cell", "mixed_n10_gg1")
-
-
 @pytest.mark.parametrize("kind", ["continuous", "discrete"])
 def test_slo_budgets_blame_follows_the_model_kind(workspace, capsys, kind):
     """Continuous models take blame from their cached assessor, discrete

@@ -105,3 +105,23 @@ def test_trace_reports_unreached_functions_and_leaves_checkout(tmp_path):
     assert summary["unreached_lines"] == 4
     assert summary["files"] == {"__init__.py": [0, 0], "mod.py": [4, 8 * 1 + 7]}
     assert summary["body_lines"] == 15
+
+
+def test_failed_command_reports_its_stdout_tail(tmp_path, capsys):
+    """pytest writes its failure report to stdout, so a failed command's
+    report must carry the tail of its stdout, not just its exit code."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "__init__.py").write_text("")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    failing = [
+        sys.executable, "-c",
+        "print('FAILED test_x.py::test_y - assert 1 == 2'); raise SystemExit(3)",
+    ]
+
+    reach.trace(str(repo), [failing], package=os.path.join("src", "pkg"))
+
+    err = capsys.readouterr().err
+    assert "exit 3" in err
+    assert "FAILED test_x.py::test_y - assert 1 == 2" in err
