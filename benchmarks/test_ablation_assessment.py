@@ -58,6 +58,7 @@ def assessment_rows():
         "ablation_assessment",
         "rapid analytic assessment vs Monte Carlo (eDiaMoND)",
         rows,
+        timing=("query_s",),
     )
     return rows, ra, pa
 

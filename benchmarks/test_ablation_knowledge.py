@@ -57,6 +57,7 @@ def ablation_rows():
         "ablation_knowledge",
         f"knowledge ladder ({N_SERVICES} services, N={N_TRAIN}, {N_REPS} reps)",
         rows,
+        timing=("build_s",),
     )
     return {r["variant"]: r for r in rows}
 

@@ -47,6 +47,7 @@ def leak_rows():
         "ablation_leak_model",
         f"Eq.-4 leak-spread variants (eDiaMoND, N={N_TRAIN}, {N_REPS} reps)",
         rows,
+        timing=("build_s",),
     )
     return {r["leak_model"]: r for r in rows}
 

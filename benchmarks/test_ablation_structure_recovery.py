@@ -47,6 +47,7 @@ def recovery_rows():
         f"K2 recovery of the workflow structure ({N_SERVICES} services, "
         f"{N_REPS} reps)",
         rows,
+        timing=(),
     )
     return rows
 

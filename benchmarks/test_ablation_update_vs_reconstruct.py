@@ -61,6 +61,7 @@ def drift_rows():
         f"model maintenance under WAN drift ({N_BEFORE}+{N_AFTER} batches "
         f"of {BATCH}, window={WINDOW} batches, {N_REPS} reps)",
         rows,
+        timing=(),
     )
     return {r["strategy"]: r["post_drift_test_log10"] for r in rows}
 

@@ -102,6 +102,7 @@ def test_corpus_summary():
         f"KERT-BN vs NRT-BN over {summary['n_cells']} corpus cells "
         f"(win fraction {summary['kert_win_fraction']:.2f})",
         rows,
+        timing=("kert_build_s", "nrt_build_s", "build_ratio"),
     )
 
 

@@ -37,4 +37,4 @@ def test_fig2_structure(benchmark):
 
     rows = [{"edge": f"{u} -> {v}"} for u, v in sorted(dag.edges)]
     rows.append({"edge": f"f: D = {f.to_string()}"})
-    emit_series("fig2", "KERT-BN structure for the eDiaMoND scenario", rows)
+    emit_series("fig2", "KERT-BN structure for the eDiaMoND scenario", rows, timing=())

@@ -62,6 +62,7 @@ def fig3_rows():
         f"construction time & accuracy vs training size "
         f"({N_SERVICES} services, {N_REPS} reps)",
         rows,
+        timing=("kert_build_s", "nrt_build_s", "speedup"),
     )
     return rows
 

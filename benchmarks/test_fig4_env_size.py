@@ -71,6 +71,7 @@ def fig4_rows():
         f"construction time & accuracy vs environment size "
         f"(N={N_TRAIN} training points, {N_REPS} reps)",
         rows,
+        timing=("kert_build_s", "nrt_build_s"),
     )
     return rows
 

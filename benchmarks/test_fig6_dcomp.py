@@ -61,7 +61,7 @@ def test_fig6_posterior_vs_prior(fig6_result, benchmark):
         }
     )
     rows.append({"bin_center": "actual_x4", "prior": "", "posterior": f"{actual_x4:.3f}"})
-    emit_series("fig6", "dComp posterior vs prior of X4 under WAN drift", rows)
+    emit_series("fig6", "dComp posterior vs prior of X4 under WAN drift", rows, timing=())
 
     # Shape assertions: shift toward the (higher) actual value...
     assert result.posterior_mean > result.prior_mean

@@ -70,6 +70,7 @@ def test_fig7_projection_tracks_observation(fig7_result, benchmark):
         "fig7",
         f"pAccel projection vs observation after X4 -> {SPEEDUP:.0%}",
         rows,
+        timing=(),
     )
 
     # The projection approximates the observed post-acceleration mean...

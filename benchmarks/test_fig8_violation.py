@@ -83,6 +83,7 @@ def fig8_rows():
         f"relative threshold-violation error after X4 -> {SPEEDUP:.0%} "
         f"({N_SEEDS} seeds, NRT-BN with {N_RESTARTS} K2 restarts)",
         rows,
+        timing=(),
     )
     return rows
 

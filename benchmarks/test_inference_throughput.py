@@ -186,6 +186,7 @@ def test_inference_throughput(discrete_model, training_data, benchmark):
         "BENCH_inference",
         f"eDiaMoND discrete KERT-BN, P({TARGET} | {', '.join(EVIDENCE_VARS)})",
         rows,
+        timing=("queries_per_s", "speedup"),
     )
     payload = {
         "model": "ediamond/discrete-kertbn(n_bins=5)",

@@ -12,14 +12,15 @@ The script runs one decentralized learning round on the eDiaMoND
 scenario, prints the per-agent costs and the communication bill, shows
 the Section-4.3 accounting (decentralized = max per-agent time,
 centralized = sum), and cross-checks the result against a centralized
-fit.
+fit.  The round runs with :mod:`repro.obs` on, and the script checks
+that its ``decentralized.round`` span carries the accounted round time.
 
 Run:  python examples/decentralized_learning.py
 """
 
 import numpy as np
 
-from repro import ediamond_scenario
+from repro import ediamond_scenario, obs
 from repro.bn.learning.mle import fit_gaussian_network
 from repro.bn.network import GaussianBayesianNetwork
 from repro.decentralized import Coordinator
@@ -33,7 +34,25 @@ def main() -> None:
     service_dag = dag.subgraph([n for n in dag.nodes if n != "D"])
 
     coordinator = Coordinator(service_dag, linear_gaussian_fitter())
-    result = coordinator.learn_round(data)
+    was_enabled = obs.is_enabled()
+    rounds = obs.OBS.metrics.counter("decentralized.rounds")
+    rounds_before = rounds.value
+    obs.enable()
+    try:
+        result = coordinator.learn_round(data)
+    finally:
+        if not was_enabled:
+            obs.disable()
+    # The observed round: one span holding one child per agent (and the
+    # response CPD's, when one is fitted), timed as the slowest agent.
+    round_span = obs.OBS.tracer.roots[-1]
+    expected = {f"agent:{name}" for name in coordinator.agents}
+    if coordinator.response is not None:
+        expected.add("response-cpd")
+    assert round_span.name == "decentralized.round"
+    assert sorted(c.name for c in round_span.children) == sorted(expected)
+    assert round_span.duration == result.decentralized_seconds
+    assert rounds.value - rounds_before == 1
 
     print("Per-agent CPD learning (each runs on its service's machine):")
     for service in sorted(result.per_agent_seconds):
@@ -59,6 +78,8 @@ def main() -> None:
     print(f"  centralized   (sum)        : {result.centralized_seconds * 1e3:.3f} ms")
     print(f"  speedup                    : "
           f"{result.centralized_seconds / result.decentralized_seconds:.1f}x")
+    print(f"  observed round span        : {round_span.duration * 1e3:.3f} ms "
+          f"over {len(round_span.children)} agent spans")
 
     # Cross-check: same parameters as a centralized fit.
     assembled = GaussianBayesianNetwork(service_dag, list(result.cpds.values()))

@@ -18,11 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.apps.violation import tail_probability_from_pmf
-from repro.bn.network import (
-    DiscreteBayesianNetwork,
-    GaussianBayesianNetwork,
-    HybridResponseNetwork,
-)
+from repro.bn.network import DiscreteBayesianNetwork, HybridResponseNetwork
 from repro.core.kertbn import KERTBN
 from repro.exceptions import InferenceError
 from repro.utils.rng import ensure_rng
@@ -66,9 +62,15 @@ class PAccelResult:
 
 
 class PAccel:
-    """Acceleration-impact projection on a built KERT-BN."""
+    """Acceleration-impact projection on a discrete BN or a continuous
+    KERT-BN."""
 
     def __init__(self, model: KERTBN):
+        network = model.network
+        if not isinstance(network, (DiscreteBayesianNetwork, HybridResponseNetwork)):
+            raise InferenceError(
+                f"pAccel does not support networks of type {type(network).__name__}"
+            )
         self.model = model
 
     def project(
@@ -84,28 +86,9 @@ class PAccel:
         response = self.model.response
         if response in predicted_means:
             raise InferenceError("cannot condition on the response itself")
-        network = self.model.network
-        if isinstance(network, HybridResponseNetwork):
+        if isinstance(self.model.network, HybridResponseNetwork):
             return self._hybrid(predicted_means, n_samples, rng)
-        if isinstance(network, GaussianBayesianNetwork):
-            return self._gaussian(predicted_means)
-        if isinstance(network, DiscreteBayesianNetwork):
-            return self._discrete(predicted_means)
-        raise InferenceError(
-            f"pAccel does not support networks of type {type(network).__name__}"
-        )
-
-    def _gaussian(self, predicted_means: Mapping[str, float]) -> PAccelResult:
-        """Projection on a pure linear-Gaussian (NRT-BN) network."""
-        network = self.model.network
-        assert isinstance(network, GaussianBayesianNetwork)
-        response = self.model.response
-        from repro.bn.inference.gaussian import conditional_of, joint_gaussian
-
-        names, mean, cov = joint_gaussian(network)
-        m, v = conditional_of(names, mean, cov, response,
-                              {k: float(x) for k, x in predicted_means.items()})
-        return _from_normal(dict(predicted_means), m, float(np.sqrt(max(v, 1e-18))))
+        return self._discrete(predicted_means)
 
     def baseline(self, n_samples: int = 40_000, rng=None) -> PAccelResult:
         """The current (no-action) response-time distribution, for
@@ -116,12 +99,6 @@ class PAccel:
             assert self.model.discretizer is not None
             pmf = network.compiled().prior(response).values
             return PAccelResult.from_pmf({}, pmf, self.model.discretizer, response)
-        if isinstance(network, GaussianBayesianNetwork):
-            from repro.bn.inference.gaussian import joint_gaussian, marginal_gaussian
-
-            names, mean, cov = joint_gaussian(network)
-            _, m, v = marginal_gaussian(names, mean, cov, [response])
-            return _from_normal({}, float(m[0]), float(np.sqrt(max(v[0, 0], 1e-18))))
         return self._hybrid({}, n_samples, rng)
 
     # ------------------------------------------------------------------ #
@@ -150,16 +127,6 @@ class PAccel:
             n_samples=n_samples, rng=rng, evidence=evidence
         )
         return _from_samples(dict(predicted_means), samples)
-
-
-def _from_normal(evidence: dict, mean: float, std: float) -> PAccelResult:
-    """A normal response on 80 bins spanning ``mean ± 5 std``."""
-    edges = np.linspace(mean - 5 * std, mean + 5 * std, 81)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = np.exp(-0.5 * ((centers - mean) / std) ** 2)
-    return PAccelResult(
-        evidence=evidence, edges=edges, pmf=dens / dens.sum(), mean=mean, std=std
-    )
 
 
 def _from_samples(evidence: dict, samples: np.ndarray) -> PAccelResult:

@@ -17,7 +17,6 @@
 from repro.bn.inference.gaussian import (
     joint_gaussian,
     condition_gaussian,
-    marginal_gaussian,
 )
 from repro.bn.inference.variable_elimination import query
 from repro.bn.inference.engine import CompiledDiscreteModel
@@ -26,7 +25,6 @@ from repro.bn.inference.sampling import likelihood_weighting
 __all__ = [
     "joint_gaussian",
     "condition_gaussian",
-    "marginal_gaussian",
     "query",
     "CompiledDiscreteModel",
     "likelihood_weighting",

@@ -4,15 +4,14 @@ A linear-Gaussian network is equivalent to one joint multivariate normal;
 :func:`joint_gaussian` builds it with one triangular solve and
 :func:`condition_gaussian` applies Gaussian conditioning, giving the exact
 posteriors that dComp (posterior of an unobservable service's elapsed
-time) and pAccel (posterior response time under a hypothetical
-acceleration) need in the continuous setting.
+time) and the continuous KERT-BN's assessor need.
 
 References: Shachter & Kenley (1989); Koller & Friedman §7.2.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -64,21 +63,6 @@ def joint_gaussian_of(cpds) -> tuple[list[str], np.ndarray, np.ndarray]:
     scaled = lower * np.sqrt([cpd.variance for cpd in cpds])
     # ``M @ M.T`` comes out exactly symmetric, like the recursion it replaces.
     return names, mean, scaled @ scaled.T
-
-
-def marginal_gaussian(
-    names: list[str],
-    mean: np.ndarray,
-    cov: np.ndarray,
-    variables: Iterable[str],
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Marginalize a joint MVN onto ``variables`` (order preserved)."""
-    variables = [str(v) for v in variables]
-    missing = [v for v in variables if v not in names]
-    if missing:
-        raise InferenceError(f"unknown variables {missing}")
-    idx = [names.index(v) for v in variables]
-    return variables, mean[idx].copy(), cov[np.ix_(idx, idx)].copy()
 
 
 def condition_gaussian(

@@ -170,17 +170,6 @@ class DiscreteBayesianNetwork(BayesianNetwork):
         """
         return self.compiled().query(variables, evidence or {})
 
-    def query_batch(
-        self, variables: Iterable[str], columns: Mapping[str, Iterable[int]]
-    ):
-        """Vectorized posterior over ``variables`` for N evidence rows.
-
-        ``columns`` maps each evidence variable to N integer states; see
-        :meth:`repro.bn.inference.engine.CompiledDiscreteModel.query_batch`.
-        Returns a float64 ``(N, ...)`` array of normalized posteriors.
-        """
-        return self.compiled().query_batch(variables, columns)
-
 
 class GaussianBayesianNetwork(BayesianNetwork):
     """All-linear-Gaussian network; the joint is multivariate normal."""

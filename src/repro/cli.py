@@ -18,14 +18,15 @@ Subcommands
 - ``slo budgets``      — per-service response-time budgets from a model.
 - ``registry``         — versioned model store: list/publish/activate/rollback.
 - ``serve``            — guarded one-shot query through the fallback chain.
-- ``dashboard``        — render a snapshot (a ``--trace-out`` file, a
-  running endpoint's ``/snapshot`` URL, or this process's live state)
-  as a terminal summary and/or a self-contained HTML report.
+- ``dashboard``        — render a snapshot (a ``--trace-out`` file or a
+  running endpoint's ``/snapshot`` URL) as a terminal summary and/or a
+  self-contained HTML report.
 
 Every subcommand also accepts a global ``--trace-out PATH``: it enables
-:mod:`repro.obs` for the run, wraps the command in a ``cli.<command>``
-span, and writes the full observability snapshot (metrics + span tree)
-as JSON to ``PATH`` on exit.
+:mod:`repro.obs` for the run, starts it from an empty state, wraps the
+command in a ``cli.<command>`` span, and writes the command's
+observability snapshot (metrics + span tree) as JSON to ``PATH`` on
+exit.
 
 Example
 -------
@@ -375,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="PATH",
         default=None,
-        help="enable observability for this run and write the snapshot "
-        "(metrics + span tree) as JSON to PATH",
+        help="enable observability for this run, from an empty state, and "
+        "write its snapshot (metrics + span tree) as JSON to PATH",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -474,12 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="render an observability snapshot as a terminal summary "
         "and/or self-contained HTML report",
     )
-    p.add_argument("--snapshot", metavar="PATH",
-                   help="snapshot JSON file (e.g. from --trace-out); "
-                   "default: this process's live state")
-    p.add_argument("--url", metavar="URL",
-                   help="scrape a running export endpoint's /snapshot "
-                   "instead of reading a file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--snapshot", metavar="PATH",
+                        help="snapshot JSON file (e.g. from --trace-out)")
+    source.add_argument("--url", metavar="URL",
+                        help="scrape a running export endpoint's /snapshot")
     p.add_argument("--html", metavar="PATH",
                    help="write a self-contained HTML report here")
     p.add_argument("--out", metavar="PATH",
@@ -511,6 +511,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     if trace_out:
         from repro import obs
 
+        obs.reset()
         obs.enable()
     try:
         if trace_out:

@@ -455,21 +455,6 @@ class AutonomicManager:
             raise ReproError("need >= 1 cycle")
         return [self.run_cycle() for _ in range(n_cycles)]
 
-    def model_server(self, **kwargs):
-        """A guarded :class:`repro.serving.ModelServer` over this
-        manager's models — registry-backed when a registry is attached
-        (so rollbacks propagate via ``refresh()``), otherwise over the
-        last healthy reference model."""
-        from repro.serving.server import ModelServer
-
-        if self.registry is not None and self.registry.active_version is not None:
-            return ModelServer(self.registry, **kwargs)
-        if self._reference_model is not None:
-            return ModelServer(self._reference_model, **kwargs)
-        raise ReproError(
-            "no model to serve yet: run a healthy cycle first"
-        )
-
     # ------------------------------------------------------------------ #
 
     def _apply_speedup(self, service: str, factor: float) -> None:

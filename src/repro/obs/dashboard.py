@@ -4,9 +4,10 @@ The consumption end of the telemetry pipe.  A *snapshot* here is the
 JSON produced by :func:`repro.obs.runtime.snapshot` (optionally with the
 ``slo`` status block the :class:`~repro.obs.export.ExportServer`'s
 ``/snapshot`` endpoint adds) — the dashboard renders it, it never
-computes new statistics.  Sources, in the order ``repro dashboard``
-accepts them: the live in-process state, a snapshot file from
-``--trace-out``, or a running export endpoint's ``/snapshot`` URL.
+computes new statistics.  Sources: a snapshot file from
+``--trace-out`` or a running export endpoint's ``/snapshot`` URL (the
+two ``repro dashboard`` accepts), or the live in-process state for
+in-process callers.
 
 The HTML report is a single file with inline CSS and zero external
 assets, so it can be attached to a CI run or mailed around as-is.

@@ -2,8 +2,9 @@
 
 Everything between a learned model and the autonomic components that
 query it: the versioned :class:`ModelRegistry`, the guarded
-:class:`ModelServer` front-end with its tiered :class:`FallbackChain`
-behind deterministic per-tier :class:`CircuitBreaker` objects, and the
+:class:`ModelServer` front-end for discrete models, with its tiered
+:class:`FallbackChain` behind deterministic per-tier
+:class:`CircuitBreaker` objects, and the
 :class:`DataQualityGate` + :class:`AccuracyTripwire` pair that keep
 poisoned monitoring windows and regressed models out of production.
 """
@@ -35,7 +36,6 @@ from repro.serving.server import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_REJECTED,
-    TIER_ANALYTIC,
     ColumnarBatchResult,
     ModelServer,
     QueryResult,
@@ -60,7 +60,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_REJECTED",
-    "TIER_ANALYTIC",
     "TIER_COMPILED",
     "TIER_PRIOR",
     "TIER_SAMPLING",

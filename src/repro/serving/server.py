@@ -14,6 +14,11 @@ model.  Every entry point:
 - **skips** a failing tier deterministically via its
   :class:`~repro.serving.breaker.CircuitBreaker`.
 
+It serves discrete models only.  A continuous KERT-BN answers its
+questions through its one cached ``KERTBN.assessor``
+(:class:`~repro.apps.assessment.RapidAssessor`); the constructor and
+:meth:`refresh` refuse it with :class:`~repro.exceptions.ServingError`.
+
 The server can wrap a bare model or a
 :class:`~repro.serving.registry.ModelRegistry` — in the latter case
 :meth:`refresh` follows the registry's active version, which is how a
@@ -33,19 +38,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.apps.paccel import PAccel, PAccelResult
+from repro.apps.paccel import PAccelResult
 from repro.apps.violation import tail_probability_from_pmf
-from repro.bn.network import DiscreteBayesianNetwork, HybridResponseNetwork
+from repro.bn.network import DiscreteBayesianNetwork
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.fallback import CHAIN, FallbackChain, TierAnswer, try_tier
+from repro.serving.fallback import CHAIN, FallbackChain, TierAnswer
 from repro.serving.guards import check_row
 from repro.serving.registry import ModelRegistry
 from repro.utils.rng import ensure_rng
-
-#: Backend label for non-chain (continuous/analytic) answers.
-TIER_ANALYTIC = "analytic"
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
@@ -181,19 +183,6 @@ class ServerStats:
         if result.elapsed_seconds:
             m.histogram("serving.query.seconds").observe(result.elapsed_seconds)
 
-    def as_dict(self) -> dict:
-        """Consistent point-in-time snapshot of every counter."""
-        with self._lock:
-            return {
-                "n_queries": self.n_queries,
-                "n_ok": self.n_ok,
-                "n_rejected": self.n_rejected,
-                "n_failed": self.n_failed,
-                "n_deadline_exceeded": self.n_deadline_exceeded,
-                "n_rows_rejected": self.n_rows_rejected,
-                "tier_counts": dict(self.tier_counts),
-            }
-
 
 @dataclass
 class _Served:
@@ -204,9 +193,9 @@ class _Served:
 
     model: object
     version: "int | None"
-    chain: "FallbackChain | None"   # None for continuous models
+    chain: FallbackChain
     known: frozenset                # node names, as strings
-    cards: dict                     # node -> cardinality (discrete only)
+    cards: dict                     # node -> cardinality
 
 
 class ModelServer:
@@ -229,7 +218,7 @@ class ModelServer:
         self.rng = ensure_rng(rng)
         self.breakers = {
             tier: CircuitBreaker(breaker_threshold, breaker_cooldown, name=tier)
-            for tier in (*CHAIN[:-1], TIER_ANALYTIC)
+            for tier in CHAIN[:-1]
         }
         self.stats = ServerStats()
         self._registry: "ModelRegistry | None" = None
@@ -253,10 +242,6 @@ class ModelServer:
         """Registry version currently served (None for a bare model)."""
         return self._served.version
 
-    @property
-    def registry(self) -> "ModelRegistry | None":
-        return self._registry
-
     def refresh(self) -> "int | None":
         """Follow the registry's active version (no-op for bare models,
         or when the active version is already the one being served)."""
@@ -270,18 +255,23 @@ class ModelServer:
         return self._served.version
 
     def _set_model(self, model, version: "int | None") -> None:
+        """Serve ``model``; a non-discrete one is refused before the
+        served version changes, so the previous version keeps serving."""
         if model is None:
             raise ServingError("ModelServer needs a model to serve")
         network = model.network
-        if isinstance(network, DiscreteBayesianNetwork):
-            chain = FallbackChain(
-                network,
-                rng=self.rng,
-                n_samples=self.n_fallback_samples,
-                breakers=self.breakers,
+        if not isinstance(network, DiscreteBayesianNetwork):
+            raise ServingError(
+                f"ModelServer serves discrete models only; the model is "
+                f"{model.report.model_kind!r}: ask a continuous KERT-BN "
+                f"through its KERTBN.assessor"
             )
-        else:
-            chain = None
+        chain = FallbackChain(
+            network,
+            rng=self.rng,
+            n_samples=self.n_fallback_samples,
+            breakers=self.breakers,
+        )
         # One reference assignment: a query in flight keeps the snapshot
         # it read, and the next one sees the whole new version.
         self._served = _Served(
@@ -289,12 +279,12 @@ class ModelServer:
             version=version,
             chain=chain,
             known=frozenset(map(str, network.nodes)),
-            cards=network.cardinalities if chain is not None else {},
+            cards=network.cardinalities,
         )
 
     @property
-    def chain(self) -> "FallbackChain | None":
-        """The discrete fallback chain (None for continuous models)."""
+    def chain(self) -> FallbackChain:
+        """The served version's fallback chain."""
         return self._served.chain
 
     # ------------------------------------------------------------------ #
@@ -318,7 +308,6 @@ class ModelServer:
         variables: "Sequence[str] | None",
         evidence: "Mapping | None",
         value=None,
-        analytic=None,
         *,
         binned: bool = False,
         reasons: "tuple[str, ...]" = (),
@@ -326,12 +315,11 @@ class ModelServer:
         """The guarded call behind :meth:`query`, :meth:`violation_prob`
         and :meth:`project`.
 
-        One read of the served snapshot first, then validation (``reasons`` are the caller's own), then compute and
-        :meth:`_finish`.  A discrete model answers ``variables`` (the
-        response when ``None``) through the fallback chain and
-        ``value(served, pmf)`` makes the result's value; a continuous
-        model runs ``analytic(served)`` behind its breaker, or rejects
-        the call when there is none.
+        One read of the served snapshot first, then validation
+        (``reasons`` are the caller's own), then compute and
+        :meth:`_finish`.  The fallback chain answers ``variables`` (the
+        response when ``None``) and ``value(served, pmf)`` makes the
+        result's value.  Raw evidence needs the model's discretizer.
         """
         started = time.monotonic()
         served = self._served
@@ -341,7 +329,8 @@ class ModelServer:
         else:
             variables = tuple(map(str, variables))
         known = served.known
-        reasons = reasons or _unsupported(served, what, binned, analytic is not None)
+        if not reasons and not binned and served.model.discretizer is None:
+            reasons = (f"{what} requires the model's discretizer for raw evidence",)
         if not reasons:
             reasons = check_row(
                 evidence,
@@ -361,8 +350,6 @@ class ModelServer:
                 reasons += ("need at least one query variable",)
         if reasons:
             result = QueryResult(status=STATUS_REJECTED, reasons=reasons)
-        elif served.chain is None:
-            result = self._analytic(analytic, served)
         else:
             # The call's one {str: int} state dict; the chain and the
             # engine read it as is.
@@ -378,15 +365,6 @@ class ModelServer:
                 **_provenance(answer),
             )
         return self._finish(result, started)
-
-    def _analytic(self, compute, served: _Served) -> QueryResult:
-        """Breaker-guarded single-backend (continuous) evaluation."""
-        errors: dict = {}
-        breaker = self.breakers[TIER_ANALYTIC]
-        value = try_tier(TIER_ANALYTIC, breaker, None, errors, compute, served)
-        if value is None:
-            return QueryResult(status=STATUS_FAILED, tier_errors=errors)
-        return QueryResult(status=STATUS_OK, value=value, tier=TIER_ANALYTIC)
 
     # ------------------------------------------------------------------ #
     # Query surface
@@ -447,21 +425,19 @@ class ModelServer:
         served = self._served
         known = served.known
         variables = tuple(map(str, variables))
-        reasons = _unsupported(served, "query_batch_columns", True, False)
-        if not reasons:
-            reasons = bad_cols
-            for v in variables:
-                if v not in known:
-                    reasons.append(f"unknown query variable {v!r}")
-                elif v in cols:
-                    reasons.append(f"variable {v!r} may not appear in evidence")
-            reasons += [f"unknown variable {v!r}" for v in cols if v not in known]
-            if not variables:
-                reasons.append("need at least one query variable")
-            if not cols and not reasons:
-                reasons.append("empty evidence columns")
-            if any(size != n_rows for size in sizes.values()):
-                reasons.append(f"evidence columns have mismatched lengths {sizes}")
+        reasons = bad_cols
+        for v in variables:
+            if v not in known:
+                reasons.append(f"unknown query variable {v!r}")
+            elif v in cols:
+                reasons.append(f"variable {v!r} may not appear in evidence")
+        reasons += [f"unknown variable {v!r}" for v in cols if v not in known]
+        if not variables:
+            reasons.append("need at least one query variable")
+        if not cols and not reasons:
+            reasons.append("empty evidence columns")
+        if any(size != n_rows for size in sizes.values()):
+            reasons.append(f"evidence columns have mismatched lengths {sizes}")
         if not reasons:
             # Vectorized per-row domain check — the columnar analogue of
             # check_row's bin-range validation.
@@ -496,7 +472,7 @@ class ModelServer:
         )
 
     # ------------------------------------------------------------------ #
-    # Assessment surface (all model families)
+    # Assessment surface
     # ------------------------------------------------------------------ #
 
     def violation_prob(
@@ -507,9 +483,8 @@ class ModelServer:
         """Guarded ``P(D > threshold)``, optionally under predicted
         service means (the pAccel projection).
 
-        Discrete models answer through the fallback chain (response-node
-        pmf tail); continuous models through the analytic assessor,
-        breaker-guarded.
+        The fallback chain answers the response-node pmf; the value is
+        its tail above ``threshold``.
         """
         means = dict(predicted_means or {})
         reasons = (
@@ -522,14 +497,7 @@ class ModelServer:
             edges = served.model.discretizer.edges(served.model.response)
             return tail_probability_from_pmf(pmf, edges, threshold)
 
-        return self._call(
-            "violation_prob",
-            None,
-            means,
-            tail,
-            lambda served: self._violation_analytic(served, threshold, means),
-            reasons=reasons,
-        )
+        return self._call("violation_prob", None, means, tail, reasons=reasons)
 
     def project(self, predicted_means: Mapping) -> QueryResult:
         """Guarded pAccel projection (``value`` is a ``PAccelResult``)."""
@@ -541,24 +509,8 @@ class ModelServer:
             lambda served, pmf: PAccelResult.from_pmf(
                 means, pmf, served.model.discretizer, served.model.response
             ),
-            lambda served: PAccel(served.model).project(means, rng=self.rng),
             reasons=() if means else ("empty evidence row",),
         )
-
-    def _violation_analytic(
-        self, served: _Served, threshold: float, means: dict
-    ) -> float:
-        if isinstance(served.model.network, HybridResponseNetwork):
-            return float(
-                served.model.assessor.violation_probability(
-                    threshold, means or None
-                )
-            )
-        pa = PAccel(served.model)
-        result = pa.project(means, rng=self.rng) if means else pa.baseline(
-            rng=self.rng
-        )
-        return float(result.violation_probability(threshold))
 
 
 def _provenance(answer: TierAnswer) -> dict:
@@ -571,18 +523,3 @@ def _provenance(answer: TierAnswer) -> dict:
         "approximate": answer.approximate,
     }
 
-
-def _unsupported(served: _Served, what: str, binned: bool, analytic: bool) -> tuple:
-    """Why the served model cannot answer ``what`` at all: a continuous
-    model without an analytic path, or raw evidence for a discrete model
-    that has no discretizer to bin it."""
-    if served.chain is None:
-        if analytic:
-            return ()
-        return (
-            f"{what} requires a discrete model; the active model is "
-            f"{served.model.report.model_kind!r}",
-        )
-    if not binned and served.model.discretizer is None:
-        return (f"{what} requires the model's discretizer for raw evidence",)
-    return ()

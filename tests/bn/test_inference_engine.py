@@ -111,7 +111,7 @@ def test_network_query_fast_path_uses_cached_engine():
     got = net.query([nodes[1]], {nodes[0]: 0})
     ref = ve_query(net, [nodes[1]], {nodes[0]: 0})
     np.testing.assert_allclose(got.values, ref.values, atol=1e-9)
-    batch = net.query_batch([nodes[1]], {nodes[0]: [0, 1]})
+    batch = net.compiled().query_batch([nodes[1]], {nodes[0]: [0, 1]})
     np.testing.assert_allclose(batch[0], got.values, atol=1e-9)
 
 

@@ -14,7 +14,6 @@ from repro.bn.inference.gaussian import (
     condition_gaussian,
     conditional_of,
     joint_gaussian,
-    marginal_gaussian,
 )
 from repro.bn.network import GaussianBayesianNetwork
 from repro.exceptions import InferenceError
@@ -116,18 +115,6 @@ def test_condition_agrees_with_lw_sampling(chain_gaussian_net):
     )
     lw_mean = weighted_mean(np.asarray(samples["a"]), weights)
     assert lw_mean == pytest.approx(m, abs=0.02)
-
-
-def test_marginal_gaussian():
-    names = ["x", "y", "z"]
-    mean = np.array([1.0, 2.0, 3.0])
-    cov = np.diag([1.0, 2.0, 3.0])
-    sub_names, sm, sc = marginal_gaussian(names, mean, cov, ["z", "x"])
-    assert sub_names == ["z", "x"]
-    np.testing.assert_allclose(sm, [3.0, 1.0])
-    np.testing.assert_allclose(sc, np.diag([3.0, 1.0]))
-    with pytest.raises(InferenceError):
-        marginal_gaussian(names, mean, cov, ["nope"])
 
 
 def test_conditional_of_errors(chain_gaussian_net):

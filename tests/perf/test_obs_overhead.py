@@ -28,7 +28,10 @@ from repro.obs import runtime
 from tests.perf._host import host_bound
 
 N_ROWS = 1_000
+N_ROWS_LARGE = 200_000
 N_SCRAPE_RENDERS = 50
+#: Seconds of batch calls each side of the paired timing spends at least.
+PAIRED_SECONDS = 0.05
 
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
@@ -83,25 +86,33 @@ def _time_batch(engine, target, columns, repeats=5):
     return best
 
 
-def _time_batch_paired(engine, target, columns, repeats=7):
+def _time_batch_paired(engine, target, columns, min_repeats=7):
     """Best-of-N disabled and enabled timings, interleaved.
 
     Timing the two modes in separate blocks lets machine drift (cpufreq
     transitions, a background process) land entirely on one side and
     produce a physically impossible sub-1.0 enabled/disabled ratio.
     Alternating disabled/enabled within each repeat exposes both modes
-    to the same drift, and best-of-N discards the outliers.
+    to the same drift, and best-of-N discards the outliers.  N grows
+    until each side has spent ``PAIRED_SECONDS`` (about a thousand
+    repeats of a ~50 us batch), so one interrupt or a short burst of
+    host load cannot spoil every repeat of one side.
     """
     disabled = enabled = float("inf")
-    for _ in range(repeats):
+    spent_disabled = spent_enabled = 0.0
+    repeats = 0
+    while repeats < min_repeats or min(spent_disabled, spent_enabled) < PAIRED_SECONDS:
         runtime.OBS.enabled = False
         t0 = time.perf_counter()
         engine.query_batch(target, columns)
-        disabled = min(disabled, time.perf_counter() - t0)
+        dt = time.perf_counter() - t0
+        disabled, spent_disabled = min(disabled, dt), spent_disabled + dt
         obs.enable()
         t0 = time.perf_counter()
         engine.query_batch(target, columns)
-        enabled = min(enabled, time.perf_counter() - t0)
+        dt = time.perf_counter() - t0
+        enabled, spent_enabled = min(enabled, dt), spent_enabled + dt
+        repeats += 1
     return disabled, enabled
 
 
@@ -160,6 +171,30 @@ def test_enabled_mode_stays_in_the_same_ballpark(batch_setup):
         f"enabled obs slowed query_batch {enabled / disabled:.2f}x "
         f"(disabled {disabled * 1e3:.2f}ms, enabled {enabled * 1e3:.2f}ms)"
     )
+
+
+def test_enabled_batch_runs_the_same_lines_at_any_size(batch_setup):
+    """The counted twin of the ballpark bound above: with observability
+    on, a ``N_ROWS_LARGE``-row batch runs the same traced ``repro`` lines
+    as a ``N_ROWS``-row one, so instrumentation does no per-row work.
+
+    A constant clock makes the latency observation take one path.
+    """
+    from tests.perf.test_vectorization_contracts import _repro_events
+
+    engine, target, columns = batch_setup
+    large = {v: np.tile(c, N_ROWS_LARGE // N_ROWS) for v, c in columns.items()}
+    was_enabled, clock = runtime.OBS.enabled, runtime.OBS.clock
+    obs.enable(clock=lambda: 0.0)
+    try:
+        engine.query_batch(target, columns)  # creates the engine's instruments
+        few = _repro_events(lambda: engine.query_batch(target, columns))
+        assert few
+        assert _repro_events(lambda: engine.query_batch(target, large)) == few
+    finally:
+        obs.reset()
+        runtime.OBS.configure(clock=clock)
+        runtime.OBS.enabled = was_enabled
 
 
 def test_scrape_render_latency_is_bounded():

@@ -6,11 +6,8 @@ import pytest
 from repro.serving.breaker import CLOSED
 from repro.serving.fallback import TIER_COMPILED, TIER_PRIOR, TIER_SWEEP
 from repro.serving.registry import ModelRegistry
-from repro.serving.server import (
-    STATUS_REJECTED,
-    TIER_ANALYTIC,
-    ModelServer,
-)
+from repro.exceptions import ServingError
+from repro.serving.server import STATUS_REJECTED, ModelServer
 
 
 def _svc(model, k=0):
@@ -239,12 +236,12 @@ def test_columns_stats_count_every_row_once(fresh_discrete_model):
     degraded = srv.query_batch_columns([resp], _columns(model, 2, seed=3))
     assert degraded.ok and degraded.tier == TIER_SWEEP  # 2 ok via the chain
 
-    s = srv.stats.as_dict()
-    assert s["n_queries"] == 6 + 5 + 4 + 3 + 2
-    assert s["n_ok"] == 6 + 3 + 2
-    assert s["n_rejected"] == 2 + 4 + 3
-    assert s["n_ok"] + s["n_rejected"] + s["n_failed"] == s["n_queries"]
-    assert s["tier_counts"] == {TIER_COMPILED: 9, TIER_SWEEP: 2}
+    s = srv.stats
+    assert s.n_queries == 6 + 5 + 4 + 3 + 2
+    assert s.n_ok == 6 + 3 + 2
+    assert s.n_rejected == 2 + 4 + 3
+    assert s.n_ok + s.n_rejected + s.n_failed == s.n_queries
+    assert s.tier_counts == {TIER_COMPILED: 9, TIER_SWEEP: 2}
 
 
 def test_columns_kernel_failure_runs_the_batch_kernel_once(
@@ -362,19 +359,29 @@ def test_violation_prob_discrete_goes_through_chain(
     assert bad.status == STATUS_REJECTED
 
 
-def test_violation_prob_continuous_uses_analytic_tier(
-    ediamond_continuous_model, ediamond_data
+def test_continuous_model_is_refused_and_the_served_version_stays(
+    tmp_path, fresh_discrete_model, ediamond_continuous_model, ediamond_data
 ):
+    """A continuous model is answered by its assessor, not served: the
+    constructor refuses it, and a refresh onto a continuous active
+    version is refused while the previous discrete version keeps
+    answering."""
+    with pytest.raises(ServingError, match="'kert-bn/continuous'.*assessor"):
+        ModelServer(ediamond_continuous_model, rng=0)
+
     train, _ = ediamond_data
-    srv = ModelServer(ediamond_continuous_model, rng=0)
-    h = float(np.percentile(train["D"], 80))
-    r = srv.violation_prob(h)
-    assert r.ok and r.tier == TIER_ANALYTIC
-    assert 0.0 <= r.value <= 1.0
-    # query() on a continuous model is a clean rejection, not a crash
-    q = srv.query(["D"], {})
-    assert q.status == STATUS_REJECTED
-    assert any("discrete" in reason for reason in q.reasons)
+    reg = ModelRegistry(str(tmp_path / "reg"))
+    reg.publish(fresh_discrete_model)
+    srv = ModelServer(reg, rng=0)
+    h = float(np.percentile(train[fresh_discrete_model.response], 80))
+    served, before = srv.model, srv.violation_prob(h)
+    reg.publish(ediamond_continuous_model)
+    with pytest.raises(ServingError, match="'kert-bn/continuous'"):
+        srv.refresh()
+    assert srv.version == 1 and srv.model is served
+    after = srv.violation_prob(h)
+    assert after.ok and after.tier == TIER_COMPILED
+    assert after.value == before.value
 
 
 def test_project_discrete(fresh_discrete_model, ediamond_data):

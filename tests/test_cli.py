@@ -91,6 +91,11 @@ def test_full_kert_pipeline(workspace, capsys):
     out = capsys.readouterr().out
     assert "posterior: mean=" in out
 
+    # A continuous model is asked through its assessor, not served.
+    assert run("serve", "--model", model_path, "--threshold", "2.0") == 1
+    err = capsys.readouterr().err
+    assert "'kert-bn/continuous'" in err and "KERTBN.assessor" in err
+
 
 def test_discrete_nrt_pipeline(workspace, capsys):
     data_path = os.path.join(workspace, "train.csv")
@@ -203,4 +208,48 @@ def test_slo_budgets_blame_follows_the_model_kind(workspace, capsys, kind):
     assert run(*args, "--no-blame") == 0
     with open(out_path) as fh:
         assert json.load(fh)["blame"] == {}
+    capsys.readouterr()
+
+
+@pytest.fixture
+def obs_restored():
+    """Observability as the test found it, once the test's traced
+    commands have enabled and filled it."""
+    from repro import obs
+
+    was_enabled = obs.is_enabled()
+    yield
+    obs.reset()
+    if not was_enabled:
+        obs.disable()
+
+
+def test_trace_out_holds_only_its_own_command(workspace, capsys, obs_restored):
+    """Two traced commands in one process: each file counts its own
+    served query, not the commands before it."""
+    data_path = os.path.join(workspace, "train.csv")
+    wf_path = os.path.join(workspace, "wf.json")
+    model_path = os.path.join(workspace, "disc.json")
+    run("simulate", "--points", "300", "--seed", "4",
+        "--out", data_path, "--workflow-out", wf_path)
+    run("build", "--family", "kert", "--kind", "discrete",
+        "--workflow", wf_path, "--data", data_path, "--out", model_path)
+    for i in range(2):
+        trace_path = os.path.join(workspace, f"trace{i}.json")
+        assert run("--trace-out", trace_path, "serve", "--model", model_path,
+                   "--observe", "X1=0.2") == 0
+        with open(trace_path) as fh:
+            snap = json.load(fh)
+        assert snap["metrics"]["counters"]["serving.queries"] == 1
+        assert [sp["name"] for sp in snap["trace"]] == ["cli.serve"]
+    capsys.readouterr()
+
+
+def test_dashboard_needs_a_snapshot_or_a_url(workspace, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("dashboard")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("dashboard", "--snapshot", "a.json", "--url", "http://localhost:1")
+    assert exc.value.code == 2
     capsys.readouterr()
