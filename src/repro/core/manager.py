@@ -189,9 +189,15 @@ class AutonomicManager:
             del self.history[0]
 
     def _unlearnable(self, data) -> "str | None":
-        """A window no rebuild can survive: some column has no finite data."""
+        """A window no rebuild can survive: some column has no finite data.
+
+        The columns are joined end to end: one contiguous copy, several
+        times cheaper than stacking them into a matrix, which only the
+        rebuild's design needs.
+        """
         names = (*self.env.service_names, self.env.response)
-        finite = np.isfinite(data.to_array(names)).any(axis=0)
+        flat = np.concatenate([data[name] for name in names])
+        finite = np.isfinite(flat).reshape(len(names), data.n_rows).any(axis=1)
         if finite.all():
             return None
         name = names[int(np.argmin(finite))]

@@ -20,8 +20,10 @@ class BuildReport:
 
     ``per_cpd_seconds`` times each CPD's own fit.  The continuous KERT-BN
     fits its service CPDs from one window-wide ``ZᵀZ`` moment pass
-    (:class:`~repro.bn.learning.mle.DesignMoments`); that shared pass
-    counts under ``parameter_seconds`` and not under any one CPD, so
+    (:class:`~repro.bn.learning.mle.DesignMoments`) and one stacked
+    ``np.linalg.solve`` per parent count; that shared work counts under
+    ``parameter_seconds`` and not under any one CPD, whose own entry
+    times only its variance floors and its ``LinearGaussianCPD``.  So
     ``parameter_seconds`` can exceed the per-CPD sum.
     """
 
@@ -56,16 +58,3 @@ class BuildReport:
     def centralized_parameter_seconds(self) -> float:
         """Sum of per-CPD learning times (single-node accounting)."""
         return sum(self.per_cpd_seconds.values())
-
-    def summary(self) -> dict:
-        return {
-            "model": self.model_kind,
-            "construction_s": self.construction_seconds,
-            "structure_s": self.structure_seconds,
-            "parameter_s": self.parameter_seconds,
-            "decentralized_param_s": self.decentralized_parameter_seconds,
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-            "n_parameters": self.n_parameters,
-            "n_training_rows": self.n_training_rows,
-        }

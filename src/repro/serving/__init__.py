@@ -33,7 +33,6 @@ from repro.serving.quality import (
 )
 from repro.serving.registry import ModelRegistry, VersionInfo
 from repro.serving.server import (
-    STATUS_FAILED,
     STATUS_OK,
     STATUS_REJECTED,
     ColumnarBatchResult,
@@ -57,7 +56,6 @@ __all__ = [
     "PublishOutcome",
     "QueryResult",
     "ServerStats",
-    "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_REJECTED",
     "TIER_COMPILED",

@@ -51,7 +51,6 @@ from repro.utils.rng import ensure_rng
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
-STATUS_FAILED = "failed"
 
 
 @dataclass
@@ -111,7 +110,6 @@ class ServerStats:
     n_queries: int = 0
     n_ok: int = 0
     n_rejected: int = 0
-    n_failed: int = 0
     n_deadline_exceeded: int = 0
     n_rows_rejected: int = 0
     tier_counts: dict = field(default_factory=dict)
@@ -154,10 +152,8 @@ class ServerStats:
                         self.tier_counts[tier] += n_answered
                     else:
                         self.tier_counts[tier] = n_answered
-            elif status == STATUS_REJECTED:
-                self.n_rejected += n
             else:
-                self.n_failed += n
+                self.n_rejected += n
             if result.deadline_exceeded:
                 self.n_deadline_exceeded += n
         if not _OBS.enabled:

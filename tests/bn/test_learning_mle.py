@@ -238,3 +238,182 @@ def test_block_fit_nan_window_behaves_like_per_cpd_fit():
     assert poisoned.intercept == reference.intercept
     np.testing.assert_array_equal(poisoned.coefficients, reference.coefficients)
     assert poisoned.variance == reference.variance
+
+
+# --------------------------------------------------------------------- #
+# Group solves against the per-block algorithm they replaced
+# --------------------------------------------------------------------- #
+
+
+def _per_block_oracle(columns, block, min_variance=1e-9, ridge=1e-10, share=1e-3):
+    """The per-CPD algorithm, restated independently: slice one block of
+    ``ZᵀZ``, ridge its diagonal, one ``np.linalg.solve`` per block and the
+    mean square of the explicit residuals, floored.  ``columns`` are the
+    design columns after the intercept; returns
+    ``(intercept, coefficients, variance)``."""
+    n = len(columns[0])
+    design = np.column_stack([np.ones(n), *columns])
+    gram = design.T @ design
+    centered = design - gram[0] / n
+    child = block[-1]
+    marginal = float(np.einsum("ij,ij->j", centered, centered)[child] / n)
+    if len(block) == 2:
+        return float(gram[0, child]) / n, np.empty(0), max(marginal, min_variance)
+    rows = block[:-1]
+    g = gram[rows[:, None], block]
+    g.flat[:: len(rows) + 2] += ridge
+    beta = np.linalg.solve(g[:, :-1], g[:, -1])
+    resid = design[:, child] - design[:, rows] @ beta
+    floor = max(min_variance, share * marginal)
+    return float(beta[0]), beta[1:], max(float(resid @ resid) / n, floor)
+
+
+def _assert_bitwise(cpd, expected):
+    intercept, coefficients, variance = expected
+    assert cpd.intercept == intercept
+    assert cpd.coefficients.shape == coefficients.shape
+    np.testing.assert_array_equal(cpd.coefficients, coefficients)
+    assert cpd.variance == variance
+
+
+def _corpus_env(shape, n_services):
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    if (shape, n_services) == ("mixed", 80):  # the perfbench cell
+        spec = ScenarioSpec(
+            "mixed", 80, "gg1", arrivals="diurnal", failure_storm=True
+        )
+        return build_scenario(spec, seed=20260808).env
+    return build_scenario(ScenarioSpec(shape, n_services, "gg1"), seed=7).env
+
+
+def _assert_build_matches_per_block(env, window):
+    from repro.core.kertbn import build_continuous_kertbn, derive_knowledge
+
+    knowledge = derive_knowledge(env.workflow, env.response)
+    model = build_continuous_kertbn(knowledge, window)
+    columns = [np.asarray(window[c], dtype=float) for c in knowledge.columns]
+    for (node, _), block in zip(knowledge.families, knowledge.blocks):
+        if block is not None:
+            _assert_bitwise(model.network.cpd(node), _per_block_oracle(columns, block))
+    return knowledge
+
+
+def test_group_solves_match_per_block_solves_on_mixed80_windows():
+    """Every service CPD of six mixed80 windows, bit for bit; the cell's
+    groups are 17 roots and 54 / 5 / 1 / 3 CPDs with 1-4 parents."""
+    env = _corpus_env("mixed", 80)
+    for seed in range(6):
+        knowledge = _assert_build_matches_per_block(env, env.simulate(120, rng=seed))
+    sizes = {len(stack[0]) - 2: len(members) for stack, members in knowledge.groups}
+    assert sizes == {0: 17, 1: 54, 2: 5, 3: 1, 4: 3}
+
+
+def test_group_solves_match_per_block_solves_on_ediamond(
+    ediamond_env, ediamond_data
+):
+    train, test = ediamond_data
+    for window in (train, test):
+        _assert_build_matches_per_block(ediamond_env, window)
+
+
+@pytest.mark.parametrize("shape", ["sequence", "parallel", "mixed"])
+@pytest.mark.parametrize("n_services", [40, 80])
+def test_group_solves_match_per_block_solves_on_corpus_cells(shape, n_services):
+    env = _corpus_env(shape, n_services)
+    _assert_build_matches_per_block(env, env.simulate(120, rng=3))
+
+
+# The fixture window's families by parent count: all-zero, collinear and
+# near-constant columns share their stacks with ordinary ones.
+_FIXTURE_GROUPS = {
+    0: [("a", ()), ("zero", ()), ("flat", ())],
+    1: [("b", ("a",)), ("zero", ("a",)), ("flat", ("a",)), ("c", ("b",))],
+    2: [("c", ("b", "a")), ("c", ("zero", "b")), ("b", ("a", "dup"))],
+}
+
+
+def _fixture_moments(columns):
+    from repro.bn.learning.mle import DesignMoments
+
+    names = list(columns)
+    window = DesignMoments([columns[c] for c in names])
+
+    def block(variable, parents):
+        index = [names.index(c) + 1 for c in (*parents, variable)]
+        return np.array([0, *index])
+
+    return window, [columns[c] for c in names], block
+
+
+def _fixture_window(seed):
+    rng = np.random.default_rng(seed)
+    columns = _window(rng)
+    columns["flat"] = 5.0 + 1e-6 * columns["a"] + 1e-12 * rng.normal(size=120)
+    return columns
+
+
+@pytest.mark.parametrize("k", sorted(_FIXTURE_GROUPS))
+def test_group_solve_matches_per_block_on_degenerate_columns(k):
+    window, design_columns, block = _fixture_moments(_fixture_window(16))
+    families = _FIXTURE_GROUPS[k]
+    stack = np.stack([block(v, p) for v, p in families])
+    betas, mean_squares = window.solve(stack)
+    assert betas.shape == (len(families), k + 1)
+    for (variable, parents), b, beta, mean_square in zip(
+        families, stack, betas, mean_squares
+    ):
+        cpd = window.cpd(variable, parents, b[-1], beta, mean_square)
+        _assert_bitwise(cpd, _per_block_oracle(design_columns, b))
+        single = window.fit(b, variable, parents)
+        _assert_bitwise(single, _per_block_oracle(design_columns, b))
+
+
+def test_group_solve_nan_poisons_only_its_own_members():
+    """A NaN in ``b`` poisons the stack members whose blocks read ``b``;
+    the other members of the same stack equal their clean-window fits."""
+    from repro.exceptions import CPDError
+
+    clean = _fixture_window(17)
+    columns = {k: v.copy() for k, v in clean.items()}
+    columns["b"][7] = np.nan
+    window, design_columns, block = _fixture_moments(columns)
+    clean_columns = [clean[c] for c in columns]
+    for families in _FIXTURE_GROUPS.values():
+        stack = np.stack([block(v, p) for v, p in families])
+        betas, mean_squares = window.solve(stack)
+        for (variable, parents), b, beta, mean_square in zip(
+            families, stack, betas, mean_squares
+        ):
+            if "b" in (variable, *parents):
+                with pytest.raises(CPDError, match=repr(variable)):
+                    window.cpd(variable, parents, b[-1], beta, mean_square)
+            else:
+                cpd = window.cpd(variable, parents, b[-1], beta, mean_square)
+                _assert_bitwise(cpd, _per_block_oracle(clean_columns, b))
+
+
+def test_nan_build_names_the_first_poisoned_cpd_in_family_order():
+    """A NaN in one mixed80 service column fails the refit with the
+    ``CPDError`` of the first family, in DAG node order, whose block
+    reads that column — the CPD the per-block path failed on first.
+    ``X5`` (2 parents) and ``X14`` (3 parents) each feed a 1-parent
+    child whose group is solved before their own."""
+    from repro.core.kertbn import build_continuous_kertbn, derive_knowledge
+    from repro.exceptions import CPDError
+
+    env = _corpus_env("mixed", 80)
+    knowledge = derive_knowledge(env.workflow, env.response)
+    window = env.simulate(120, rng=2)
+    for poisoned in ("X5", "X14"):
+        index = knowledge.columns.index(poisoned) + 1
+        first = next(
+            name
+            for (name, _), b in zip(knowledge.families, knowledge.blocks)
+            if b is not None and index in b
+        )
+        cols = {c: np.array(window[c], dtype=float) for c in window.columns}
+        cols[poisoned][5] = np.nan
+        with pytest.raises(CPDError, match=f"^{first!r}: variance"):
+            build_continuous_kertbn(knowledge, Dataset(cols))

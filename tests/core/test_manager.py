@@ -412,3 +412,42 @@ def test_corrupt_incumbent_bundle_does_not_crash_the_loop(tmp_path):
     assert not reg.info(1).healthy
     assert "failed to load" in reg.info(1).reason
     assert reg.previous_healthy() is None
+
+
+# The seeded 6-cycle mixed80 run as the per-block refit decided it, which
+# the stacked group solves must reproduce: (action, trigger,
+# violation_prob, projected_violation_prob) per cycle.
+_MIXED80_DECISIONS = [
+    (None, None, 0.020725681417188474, None),
+    (None, None, 0.013896115048633088, None),
+    (None, None, 0.015531035547393967, None),
+    (("X66", 0.9), "model", 0.34336106482401746, 0.002681683201770218),
+    (("X66", 0.9), "model", 0.33986484154967933, 0.009842228352957292),
+    (None, None, 0.12833991309543996, None),
+]
+
+
+def test_seeded_mixed80_decisions_are_pinned():
+    """Six cycles on the mixed80 cell, ``X66`` slowed 3x from cycle 3:
+    actions and triggers exactly, probabilities to 1e-12 relative.  CI
+    runs this file under two ``PYTHONHASHSEED`` values."""
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
+    env = build_scenario(spec, seed=20260808).env
+    sla = float(np.quantile(env.simulate(120, rng=0)[env.response], 0.9))
+    mgr = AutonomicManager(env, SLAPolicy(sla, 0.15), window_points=120, rng=0)
+    for cycle, (action, trigger, p, projected) in enumerate(_MIXED80_DECISIONS):
+        if cycle == 3:
+            env.scale_service("X66", 3.0)
+        report = mgr.run_cycle()
+        assert not report.degraded
+        assert (report.action, report.trigger) == (action, trigger)
+        assert report.violation_prob == pytest.approx(p, rel=1e-12, abs=0)
+        if projected is None:
+            assert report.projected_violation_prob is None
+        else:
+            assert report.projected_violation_prob == pytest.approx(
+                projected, rel=1e-12, abs=0
+            )

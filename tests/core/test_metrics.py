@@ -31,7 +31,3 @@ def test_decentralized_vs_centralized():
     empty.per_cpd_seconds = {}
     assert empty.decentralized_parameter_seconds == 0.0
 
-
-def test_summary_keys():
-    s = report().summary()
-    assert {"model", "construction_s", "n_parameters"} <= set(s)

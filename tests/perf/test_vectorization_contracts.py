@@ -144,9 +144,35 @@ def test_linear_gaussian_fit_is_one_solve(monkeypatch, big_gaussian_data):
         return events
 
     few = traced(data.head(1000))
-    assert solves == [(3, 3)]
+    assert solves == [(1, 3, 3)]
     assert traced(data) == few
-    assert solves == [(3, 3)] * 2
+    assert solves == [(1, 3, 3)] * 2
+
+
+def test_mixed80_refit_is_one_solve_per_parent_count(monkeypatch):
+    """A mixed80 refit solves its 63 non-root service CPDs in 4 stacked
+    ``np.linalg.solve`` calls, one per parent count (54 / 5 / 1 / 3 CPDs
+    with 1 / 2 / 3 / 4 parents), and still times every node's own step."""
+    from repro.core.kertbn import build_continuous_kertbn, derive_knowledge
+    from repro.corpus.generate import build_scenario
+    from repro.corpus.spec import ScenarioSpec
+
+    spec = ScenarioSpec("mixed", 80, "gg1", arrivals="diurnal", failure_storm=True)
+    env = build_scenario(spec, seed=20260808).env
+    knowledge = derive_knowledge(env.workflow, env.response)
+    window = env.simulate(120, rng=0)
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting(a, b):
+        solves.append(a.shape)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    model = build_continuous_kertbn(knowledge, window)
+    assert solves == [(54, 2, 2), (5, 3, 3), (1, 4, 4), (3, 5, 5)]
+    assert set(model.report.per_cpd_seconds) == set(model.network.nodes)
+    assert len(model.report.per_cpd_seconds) == 81
 
 
 def test_tabular_counting_vectorized(rng):

@@ -149,16 +149,16 @@ def test_circuit_breaker_invariants_under_threads():
 
 def test_server_stats_lose_no_counts_under_threads():
     stats = ServerStats()
-    per_worker = {"ok": 500, "rejected": 300, "failed": 100}
+    per_worker = {"ok": 500, "rejected": 300, "late": 100}
 
     def worker(_):
         for _ in range(per_worker["ok"]):
             stats._count(QueryResult(status="ok", tier="compiled-einsum"))
         for _ in range(per_worker["rejected"]):
             stats._count(QueryResult(status="rejected"))
-        for _ in range(per_worker["failed"]):
+        for _ in range(per_worker["late"]):
             stats._count(
-                QueryResult(status="failed", deadline_exceeded=True)
+                QueryResult(status="ok", tier="cached-prior", deadline_exceeded=True)
             )
         # One columnar batch: 3 rows answered, 7 masked out.
         stats._count(
@@ -169,13 +169,15 @@ def test_server_stats_lose_no_counts_under_threads():
 
     with ThreadPoolExecutor(8) as ex:
         list(ex.map(worker, range(8)))
-    assert stats.n_ok == 8 * (500 + 3)
+    assert stats.n_ok == 8 * (500 + 100 + 3)
     assert stats.n_rejected == 8 * (300 + 7)
-    assert stats.n_failed == 8 * 100
     assert stats.n_deadline_exceeded == 8 * 100
     assert stats.n_queries == 8 * (900 + 10)
     assert stats.n_rows_rejected == 8 * 7
-    assert stats.tier_counts["compiled-einsum"] == 8 * (500 + 3)
+    assert stats.tier_counts == {
+        "compiled-einsum": 8 * (500 + 3),
+        "cached-prior": 8 * 100,
+    }
 
 
 # --------------------------------------------------------------------- #

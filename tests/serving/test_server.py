@@ -240,7 +240,7 @@ def test_columns_stats_count_every_row_once(fresh_discrete_model):
     assert s.n_queries == 6 + 5 + 4 + 3 + 2
     assert s.n_ok == 6 + 3 + 2
     assert s.n_rejected == 2 + 4 + 3
-    assert s.n_ok + s.n_rejected + s.n_failed == s.n_queries
+    assert s.n_ok + s.n_rejected == s.n_queries
     assert s.tier_counts == {TIER_COMPILED: 9, TIER_SWEEP: 2}
 
 
