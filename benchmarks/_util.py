@@ -6,10 +6,12 @@ table, persists it under ``benchmarks/results/`` (so the data survives
 pytest's output capture), and times a representative unit of work with
 pytest-benchmark.
 
-With ``REPRO_RESULTS_CHECK=1`` a figure is checked instead of written:
-every cell outside its declared timing columns must equal the committed
-``benchmarks/results/<figure>.txt``, so a change that moves a figure's
-numbers fails until the file is regenerated.
+With ``REPRO_RESULTS_CHECK=1`` (:func:`results_check`) a figure is
+checked instead of written: every cell outside its declared timing
+columns must equal the committed ``benchmarks/results/<figure>.txt``, so
+a change that moves a figure's numbers fails until the file is
+regenerated.  A check run writes no file at all: the ``BENCH_*.json``
+payloads and the per-cell corpus reports stay as committed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import os
 from typing import Iterable, Mapping
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def results_check() -> bool:
+    """Whether ``REPRO_RESULTS_CHECK`` asks to check results, not write them."""
+    return os.environ.get("REPRO_RESULTS_CHECK", "0") not in ("", "0")
 
 
 def emit_series(
@@ -50,7 +57,7 @@ def emit_series(
     text = "\n".join(lines)
     print("\n" + text)
     path = os.path.join(RESULTS_DIR, f"{figure}.txt")
-    if os.environ.get("REPRO_RESULTS_CHECK", "0") not in ("", "0"):
+    if results_check():
         _check_committed(path, figure, lines[:2], keys, widths, table, timing)
         return text
     os.makedirs(RESULTS_DIR, exist_ok=True)

@@ -10,9 +10,10 @@ Three benchmark payloads are guarded:
   raw-evidence query relative to the same query on bin states, and its
   cost over the bare engine query under it (a ceiling).
 - ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` persists
-  ``benchmarks/results/BENCH_obs.json`` (enabled-vs-disabled instrumentation overhead and
-  ``/metrics`` scrape latency); the gate keeps the observability layer's
-  "near-zero overhead" contract from silently eroding.  The repo-root
+  ``benchmarks/results/BENCH_obs.json`` (enabled-vs-disabled
+  instrumentation overhead and ``/metrics`` scrape latency); the gate
+  keeps the observability layer's "near-zero overhead" contract from
+  silently eroding.  The repo-root
   ``BENCH_obs.json`` is the committed baseline; a test run never
   rewrites it.  Once the
   baseline carries the SLO-budget ``budgets`` section, the ratio of

@@ -8,7 +8,8 @@ The entry points are the repository's own drivers of the paper's claims:
 the three perfbench workloads (seed 1, ``--seconds 2``, untraced), one
 traced perfbench run (``ediamond_mape``, ``--trace 1``), every
 ``examples/*.py`` (``examples/cli_pipeline.py`` runs every ``repro``
-command, observability on) and ``pytest benchmarks``.
+command, observability on; ``examples/obs_export.py`` is CI's exporter
+scrape) and ``pytest benchmarks``.
 Each runs in a copy of the
 tracked files (``git ls-files``) under a temporary directory, with a
 function-entry profiler (``sys.setprofile``, every thread) installed by a
@@ -22,10 +23,6 @@ once.  Its *body lines* run from its first body statement (the docstring,
 if any) to its last line; a nested function's lines count for it and
 again for the function around it.  The trace sees function entry, not
 branches, and it does not count tests as entry points.
-
-``obs/export.py`` and ``obs/dashboard.py`` are left out of the report:
-CI drives them in a step the trace does not cover (the exporter scrape
-of the ``obs-export`` job).
 
 Output: one line per unreached function (``path:line name (n lines)``),
 then one line of JSON with the body-line total, the unreached total and
@@ -50,10 +47,6 @@ from typing import Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "repro")
-EXCLUDED = (
-    os.path.join("obs", "export.py"),
-    os.path.join("obs", "dashboard.py"),
-)
 WORKLOADS = ("ediamond_mape", "mixed80_mape", "ediamond_queries")
 # Installed as ``sitecustomize`` in every traced process.  It records the
 # code objects entered and, at exit, writes the (file, first line, name)
@@ -202,8 +195,6 @@ def report(root: str, reached: set, package: str = PACKAGE) -> tuple[list[str], 
             if not name.endswith(".py"):
                 continue
             rel = os.path.relpath(os.path.join(folder, name), base)
-            if rel in EXCLUDED:
-                continue
             with open(os.path.join(folder, name)) as f:
                 functions = function_lines(f.read())
             unreached = 0

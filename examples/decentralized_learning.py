@@ -67,7 +67,7 @@ def main() -> None:
     for channel in coordinator.network:
         print(
             f"  {channel.sender:3s} -> {channel.recipient:3s}: "
-            f"{channel.total_bytes} bytes"
+            f"{channel.bytes_delivered} bytes"
         )
     summary = result.network_summary
     print(f"  total: {summary['n_messages']} messages, "

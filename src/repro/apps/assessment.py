@@ -13,8 +13,7 @@ over Gaussian moments —
 
 - ``Sum``  → exact mean/variance/covariance propagation;
 - ``Max``  → Clark's (1961) second-order approximation for the maximum
-  of correlated Gaussians, applied pairwise down the operand list;
-- ``Scale`` / ``WeightedSum`` → linear maps.
+  of correlated Gaussians, applied pairwise down the operand list.
 
 The result is an estimate of ``E[D]``, ``Var[D]`` and ``P(D > h)``,
 available on any node that holds the (tiny) joint-Gaussian summary of
@@ -61,15 +60,7 @@ from scipy.special import ndtr
 from repro.bn.inference.gaussian import condition_gaussian
 from repro.core.kertbn import KERTBN
 from repro.exceptions import InferenceError
-from repro.workflow.expressions import (
-    Const,
-    Expression,
-    Max,
-    Scale,
-    Sum,
-    Var,
-    WeightedSum,
-)
+from repro.workflow.expressions import Expression, Max, Sum, Var
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -84,10 +75,9 @@ class _MomentPlan:
 
     Slots ``0..n-1`` hold the services (in ``names`` order); every inner
     node of the expression gets the next slot, in post-order, so a step
-    only reads slots below its own.  ``Sum``, ``Scale`` and
-    ``WeightedSum`` compile to one linear step ``(slots, weights)``;
-    ``Const`` to a zero-variance slot; an n-ary ``Max`` to a chain of
-    pairwise Clark steps.  ``Var`` creates no step, it names a slot.
+    only reads slots below its own.  A ``Sum`` compiles to one linear
+    step ``(slots, weights)`` with unit weights; an n-ary ``Max`` to a
+    chain of pairwise Clark steps.  ``Var`` creates no step, it names a slot.
     """
 
     def __init__(self, expr: Expression, names: "list[str]"):
@@ -106,18 +96,9 @@ class _MomentPlan:
             if expr.name not in index:
                 raise InferenceError(f"no moments for variable {expr.name!r}")
             return index[expr.name]
-        if isinstance(expr, Const):
-            return self._emit(("const", expr.value))
-        if isinstance(expr, (Sum, Scale, WeightedSum)):
-            if isinstance(expr, Sum):
-                pairs = [(1.0, t) for t in expr.terms]
-            elif isinstance(expr, Scale):
-                pairs = [(expr.factor, expr.term)]
-            else:
-                pairs = list(expr.weighted_terms)
-            slots = [self._compile(t, index) for _, t in pairs]
-            weights = np.array([w for w, _ in pairs])
-            return self._emit(("lin", np.array(slots), weights))
+        if isinstance(expr, Sum):
+            slots = [self._compile(t, index) for t in expr.terms]
+            return self._emit(("lin", np.array(slots), np.ones(len(slots))))
         if isinstance(expr, Max):
             slots = [self._compile(t, index) for t in expr.terms]
             current = slots[0]
@@ -151,11 +132,7 @@ class _MomentPlan:
         means[:, :n] = mean
         covs[:, :n, :n] = cov
         for k, step in enumerate(self.steps, start=n):
-            kind = step[0]
-            if kind == "const":
-                means[:, k] = step[1]
-                continue
-            if kind == "lin":
+            if step[0] == "lin":
                 _, slots, w = step
                 row = w @ covs[:, slots, :k]
                 means[:, k] = means[:, slots] @ w
@@ -210,11 +187,7 @@ class _MomentPlan:
         means[:n] = mean
         covs[:n, :n] = cov
         for k, step in enumerate(self.steps, start=n):
-            kind = step[0]
-            if kind == "const":
-                means[k] = step[1]
-                continue
-            if kind == "lin":
+            if step[0] == "lin":
                 _, slots, w = step
                 row = w @ covs[slots, :k]
                 means[k] = means[slots] @ w

@@ -68,11 +68,6 @@ def branch_dominance(
             )
         for child in getattr(expr, "terms", ()):
             visit(child)
-        if hasattr(expr, "term"):
-            visit(expr.term)
-        if hasattr(expr, "weighted_terms"):
-            for _, t in expr.weighted_terms:
-                visit(t)
 
     visit(model.f.expression)
     if not results:

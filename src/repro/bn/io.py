@@ -32,15 +32,7 @@ from repro.bn.network import (
     HybridResponseNetwork,
 )
 from repro.exceptions import DataError
-from repro.workflow.expressions import (
-    Const,
-    Expression,
-    Max,
-    Scale,
-    Sum,
-    Var,
-    WeightedSum,
-)
+from repro.workflow.expressions import Expression, Max, Sum, Var
 
 
 # --------------------------------------------------------------------- #
@@ -54,40 +46,20 @@ def expression_to_dict(expr) -> dict:
         expr = expr.expression
     if isinstance(expr, Var):
         return {"var": expr.name}
-    if isinstance(expr, Const):
-        return {"const": expr.value}
     if isinstance(expr, Sum):
         return {"sum": [expression_to_dict(t) for t in expr.terms]}
     if isinstance(expr, Max):
         return {"max": [expression_to_dict(t) for t in expr.terms]}
-    if isinstance(expr, Scale):
-        return {"scale": expr.factor, "term": expression_to_dict(expr.term)}
-    if isinstance(expr, WeightedSum):
-        return {
-            "weighted_sum": [
-                {"weight": w, "term": expression_to_dict(t)}
-                for w, t in expr.weighted_terms
-            ]
-        }
     raise DataError(f"cannot serialize expression {type(expr)!r}")
 
 
 def expression_from_dict(spec: dict) -> Expression:
     if "var" in spec:
         return Var(spec["var"])
-    if "const" in spec:
-        return Const(spec["const"])
     if "sum" in spec:
         return Sum([expression_from_dict(t) for t in spec["sum"]])
     if "max" in spec:
         return Max([expression_from_dict(t) for t in spec["max"]])
-    if "scale" in spec:
-        return Scale(spec["scale"], expression_from_dict(spec["term"]))
-    if "weighted_sum" in spec:
-        return WeightedSum(
-            [(e["weight"], expression_from_dict(e["term"]))
-             for e in spec["weighted_sum"]]
-        )
     raise DataError(f"unknown expression spec keys {sorted(spec)}")
 
 

@@ -4,9 +4,10 @@ The paper's two evaluation metrics (Section 4.1) are *construction time*
 — "the time it takes to build the entire Bayesian network (i.e.
 including the structure and parameter values)" — and *data-fitting
 accuracy* — ``log10 p(TestData | BN)``.  :class:`BuildReport` carries the
-former (split by phase, with per-CPD detail for the decentralized
-accounting of Section 4.3); the benchmarks score accuracy on the
-networks themselves.
+former, split by phase and by CPD; the benchmarks score accuracy on the
+networks themselves.  Section 4.3's decentralized accounting comes from
+:meth:`repro.decentralized.coordinator.Coordinator.learn_round`, whose
+agents fit one CPD each.
 """
 
 from __future__ import annotations
@@ -41,20 +42,3 @@ class BuildReport:
     def construction_seconds(self) -> float:
         """The paper's construction-time metric: structure + parameters."""
         return self.structure_seconds + self.parameter_seconds
-
-    @property
-    def decentralized_parameter_seconds(self) -> float:
-        """Max per-CPD learning time — Section 4.3's decentralized cost.
-
-        "Since these CPDs will be computed in parallel on monitoring
-        agents in practice, the decentralized learning time is the
-        maximum of individual learning times across all CPDs."
-        """
-        if not self.per_cpd_seconds:
-            return 0.0
-        return max(self.per_cpd_seconds.values())
-
-    @property
-    def centralized_parameter_seconds(self) -> float:
-        """Sum of per-CPD learning times (single-node accounting)."""
-        return sum(self.per_cpd_seconds.values())

@@ -18,8 +18,6 @@ import json
 import os
 from typing import Any
 
-import numpy as np
-
 from repro.bn.discretize import Discretizer
 from repro.bn.io import network_from_dict, network_to_dict
 from repro.core.kertbn import KERTBN
@@ -144,7 +142,7 @@ def model_from_dict(spec: dict) -> "KERTBN | NRTBN":
         from repro.bn.io import expression_from_dict
 
         expr = expression_from_dict(spec["f_expression"])
-        f = ResponseTimeFunction(workflow=None, expression=expr, mode="loaded")
+        f = ResponseTimeFunction(workflow=None, expression=expr)
         return KERTBN(
             network=network,
             f=f,

@@ -27,7 +27,7 @@ seeded RNG, so chaos experiments are deterministic and replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -161,10 +161,6 @@ class Channel:
             out.append(self._deliver(msg))
         return out
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_delivered
-
 
 # Counter names aggregated by Network totals / round deltas.
 _COUNTERS = (
@@ -212,14 +208,6 @@ class Network:
     def __iter__(self) -> Iterator[Channel]:
         return iter(self._channels.values())
 
-    @property
-    def n_messages(self) -> int:
-        return sum(c.n_delivered for c in self._channels.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(c.bytes_delivered for c in self._channels.values())
-
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
@@ -231,20 +219,6 @@ class Network:
             for name in _COUNTERS:
                 totals[name] += getattr(c, name)
         return totals
-
-    def summary(self) -> dict:
-        """Cumulative traffic since the network was created."""
-        totals = self._totals()
-        return {
-            "n_channels": len(self._channels),
-            "n_messages": totals["n_delivered"],
-            "total_bytes": totals["bytes_delivered"],
-            "n_sent": totals["n_sent"],
-            "n_dropped": totals["n_dropped"],
-            "n_duplicated": totals["n_duplicated"],
-            "n_delayed": totals["n_delayed"],
-            "delay_seconds": totals["delay_seconds"],
-        }
 
     def begin_round(self) -> None:
         """Snapshot cumulative counters; the next round reports deltas."""

@@ -8,8 +8,8 @@ themselves too):
   fixed-bucket histograms with p50/p95/p99 summaries and snapshot/reset
   semantics;
 - :mod:`repro.obs.tracing` — ``span("name")`` context managers
-  producing a parent-linked span tree with wall time and optional
-  ``tracemalloc`` peak-memory capture, exported as JSON-ready dicts;
+  producing a parent-linked span tree with wall time, exported as
+  JSON-ready dicts;
 - :mod:`repro.obs.runtime` — the module-level enable flag instrumented
   call sites guard on.  **Off by default**; the disabled cost on a hot
   path is a single attribute read.
@@ -17,8 +17,7 @@ themselves too):
 Built on those, the egress/consumption layer:
 
 - :mod:`repro.obs.export` — Prometheus text exposition (HTTP
-  ``/metrics`` via a stdlib daemon-thread server) and a rotating JSONL
-  event sink with per-category sampling;
+  ``/metrics`` via a stdlib daemon-thread server);
 - :mod:`repro.obs.slo` — windowed p95/p99 + error-rate objectives with
   burn-rate alerting, feeding ``SLOBreach`` events to the autonomic
   manager;
@@ -51,11 +50,7 @@ from repro.obs.attribution import (
     BUDGET_STREAM_BUCKETS,
     BudgetTracker,
 )
-from repro.obs.export import (
-    ExportServer,
-    JsonlEventSink,
-    render_prometheus,
-)
+from repro.obs.export import ExportServer, render_prometheus
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -65,13 +60,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.runtime import (
     OBS,
-    attach_sink,
-    detach_sink,
     disable,
-    emit_event,
     enable,
     is_enabled,
-    iter_spans,
     reset,
     snapshot,
     span,
@@ -94,7 +85,6 @@ __all__ = [
     "ExportServer",
     "Gauge",
     "Histogram",
-    "JsonlEventSink",
     "LatencyObjective",
     "MetricsRegistry",
     "OBS",
@@ -102,13 +92,9 @@ __all__ = [
     "SLOMonitor",
     "Span",
     "Tracer",
-    "attach_sink",
-    "detach_sink",
     "disable",
-    "emit_event",
     "enable",
     "is_enabled",
-    "iter_spans",
     "render_prometheus",
     "reset",
     "snapshot",

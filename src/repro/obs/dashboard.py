@@ -112,8 +112,6 @@ def _span_lines(spans: list, lines: List[str], lead: str = "") -> None:
             mark = f"  [!{status}: {error}]" if error else f"  [!{status}]"
         elif extra.get("status", "fresh") != "fresh":
             mark = f"  [{extra['status']}]"
-        if sp.get("peak_memory_bytes") is not None:
-            mark += f"  [peak {sp['peak_memory_bytes'] / 1024.0:.1f} KiB]"
         lines.append(f"{label:<48} {ms:10.3f}ms{mark}")
         _span_lines(
             sp.get("children") or [], lines, lead + ("   " if last else "|  ")

@@ -1,4 +1,4 @@
-"""Telemetry egress: Prometheus exposition, HTTP endpoint, JSONL sink.
+"""Telemetry egress: Prometheus exposition and its HTTP endpoint.
 
 :mod:`repro.obs` (PR 4) keeps metrics and spans in-process; this module
 gets them *out* — the monitoring stream Sec. 3.4's per-service agents
@@ -10,10 +10,7 @@ feed the management server, made concrete:
 - :class:`ExportServer` — a stdlib :mod:`http.server` on a daemon
   thread serving ``/metrics`` (Prometheus text), ``/healthz`` (liveness
   JSON), and ``/snapshot`` (the full metrics + trace JSON a
-  ``repro dashboard --url`` pulls);
-- :class:`JsonlEventSink` — a rotating JSONL file of structured events
-  (finished trace trees, SLO breaches) with deterministic per-category
-  sampling so a long-running deployment bounds its disk footprint.
+  ``repro dashboard --url`` pulls).
 
 Everything here is read-side: the exporter never mutates instruments,
 and a scrape is itself metered (``obs.export.scrapes`` /
@@ -24,10 +21,9 @@ very stream it exports.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.obs import runtime
 from repro.obs.attribution import BUDGET_GAUGE_FAMILIES
@@ -37,7 +33,6 @@ __all__ = [
     "render_prometheus",
     "escape_label_value",
     "ExportServer",
-    "JsonlEventSink",
 ]
 
 #: Prometheus text-exposition content type.
@@ -317,103 +312,3 @@ def _make_handler(server: ExportServer):
             pass  # scrapes are metered, not logged
 
     return Handler
-
-
-# --------------------------------------------------------------------- #
-# JSONL event sink
-# --------------------------------------------------------------------- #
-
-
-class JsonlEventSink:
-    """Rotating JSONL file of structured observability events.
-
-    Events are ``{"category", "seq", ...payload}`` objects, one per
-    line.  ``sample`` maps a category to *keep one in N* (deterministic
-    counter-based sampling — the first of every N is kept, so a short
-    run still records its first trace).  Rotation renames ``path`` →
-    ``path.1`` → … keeping at most ``max_files`` rotated files.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        max_bytes: int = 1_000_000,
-        max_files: int = 3,
-        sample: "Mapping[str, int] | None" = None,
-    ):
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        if max_files < 1:
-            raise ValueError(f"max_files must be >= 1, got {max_files}")
-        self.path = str(path)
-        self.max_bytes = int(max_bytes)
-        self.max_files = int(max_files)
-        self.sample = {str(k): int(v) for k, v in (sample or {}).items()}
-        for category, n in self.sample.items():
-            if n < 1:
-                raise ValueError(
-                    f"sample rate for {category!r} must be >= 1, got {n}"
-                )
-        self._lock = threading.Lock()
-        self._seen: Dict[str, int] = {}
-        self._emitted = 0
-        self._sampled_out = 0
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    # -- write side ----------------------------------------------------- #
-
-    def emit(self, category: str, payload: "Mapping[str, object]") -> bool:
-        """Write one event (unless sampled out); returns whether it was
-        written.  Never raises on a closed sink — egress is best-effort."""
-        category = str(category)
-        with self._lock:
-            if self._fh.closed:
-                return False
-            seen = self._seen.get(category, 0)
-            self._seen[category] = seen + 1
-            rate = self.sample.get(category, 1)
-            if seen % rate:
-                self._sampled_out += 1
-                return False
-            event = {"category": category, "seq": seen}
-            event.update(payload)
-            self._fh.write(json.dumps(event, default=str) + "\n")
-            self._fh.flush()
-            self._emitted += 1
-            if self._fh.tell() >= self.max_bytes:
-                self._rotate()
-            return True
-
-    def _rotate(self) -> None:
-        self._fh.close()
-        oldest = f"{self.path}.{self.max_files}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.max_files - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
-
-    def __enter__(self) -> "JsonlEventSink":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- read side ------------------------------------------------------ #
-
-    @property
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "emitted": self._emitted,
-                "sampled_out": self._sampled_out,
-                "per_category": dict(self._seen),
-            }

@@ -24,7 +24,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -61,8 +61,9 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (n={n})")
+        n = int(n)  # no call inside the lock: a thread switch there stalls
         with self._lock:
-            self._value += int(n)
+            self._value += n
 
     def reset(self) -> None:
         with self._lock:
@@ -272,6 +273,9 @@ class Histogram:
             self._max = float("-inf")
 
 
+_I = TypeVar("_I")
+
+
 class MetricsRegistry:
     """Named instruments with get-or-create access and atomic snapshots."""
 
@@ -283,19 +287,24 @@ class MetricsRegistry:
 
     # -- get-or-create ------------------------------------------------- #
 
+    def _instrument(
+        self, table: Dict[str, _I], make: Callable[..., _I], name: str, *args: Any
+    ) -> _I:
+        # An existing instrument is found without the lock: a dict read is
+        # atomic, and a lookup under a contended lock stalls every thread.
+        instrument = table.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = table.get(name)
+                if instrument is None:
+                    instrument = table[name] = make(name, *args)
+        return instrument
+
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter(name)
-            return instrument
+        return self._instrument(self._counters, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
+        return self._instrument(self._gauges, Gauge, name)
 
     def remove_gauge(self, name: str) -> None:
         """Drop a gauge so it stops appearing in snapshots/exports.
@@ -312,11 +321,7 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(name, buckets)
-            return instrument
+        return self._instrument(self._histograms, Histogram, name, buckets)
 
     def __iter__(self) -> Iterator[str]:
         with self._lock:

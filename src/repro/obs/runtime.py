@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 __all__ = [
     "OBS",
@@ -32,25 +32,19 @@ __all__ = [
     "reset",
     "snapshot",
     "span",
-    "attach_sink",
-    "detach_sink",
-    "emit_event",
 ]
 
 
 class ObsState:
-    """Singleton bundle: enable flag + registry + tracer + clock + sink."""
+    """Singleton bundle: enable flag + registry + tracer + clock."""
 
-    __slots__ = ("enabled", "clock", "metrics", "tracer", "sink")
+    __slots__ = ("enabled", "clock", "metrics", "tracer")
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.enabled = False
         self.clock = clock
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=clock)
-        #: Optional :class:`repro.obs.export.JsonlEventSink` — attach
-        #: via :func:`attach_sink`, never written directly by hot paths.
-        self.sink = None
 
     def configure(self, clock: Optional[Callable[[], float]] = None) -> None:
         """Swap the clock (tests); metric values are preserved."""
@@ -98,32 +92,6 @@ def snapshot() -> dict:
     }
 
 
-def attach_sink(sink) -> None:
-    """Stream structured events to a :class:`repro.obs.export.
-    JsonlEventSink`: every finished root span tree is emitted under the
-    ``trace`` category, and subsystems (SLO monitor, manager) emit their
-    own categories via :func:`emit_event`."""
-    OBS.sink = sink
-    OBS.tracer.on_close = lambda sp: sink.emit("trace", sp.to_dict())
-
-
-def detach_sink() -> None:
-    """Stop streaming (the sink itself is left open for the caller)."""
-    OBS.sink = None
-    OBS.tracer.on_close = None
-
-
-def emit_event(category: str, payload: dict) -> bool:
-    """Best-effort structured-event emission to the attached sink."""
-    sink = OBS.sink
-    if sink is None:
-        return False
-    try:
-        return sink.emit(category, payload)
-    except Exception:
-        return False  # egress must never take down the instrumented path
-
-
 class _NullSpan:
     """Inert span handed out while observability is disabled."""
 
@@ -150,19 +118,10 @@ _NULL_SPAN = _NullSpan()
 _NULL_CONTEXT = _NullSpanContext()
 
 
-def span(name: str, memory: bool = False):
+def span(name: str):
     """``with span("..."):`` — a real tracer span when enabled, a
     shared no-op context otherwise (no allocation on the disabled
     path)."""
     if not OBS.enabled:
         return _NULL_CONTEXT
-    return OBS.tracer.span(name, memory=memory)
-
-
-def iter_spans() -> Iterator[Span]:
-    """Depth-first iteration over all recorded spans."""
-    pending = OBS.tracer.roots
-    while pending:
-        sp = pending.pop(0)
-        yield sp
-        pending = sp.children + pending
+    return OBS.tracer.span(name)

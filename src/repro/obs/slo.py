@@ -30,7 +30,6 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs import runtime
 from repro.obs.runtime import OBS
 
 __all__ = [
@@ -84,18 +83,6 @@ class SLOBreach:
     window_intervals: int
     detail: str = ""
     service: Optional[str] = None  # set for kind="budget" breaches
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "kind": self.kind,
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "burn_rate": self.burn_rate,
-            "window_intervals": self.window_intervals,
-            "detail": self.detail,
-            "service": self.service,
-        }
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SLOBreach":
@@ -319,11 +306,10 @@ class SLOMonitor:
         return breaches
 
     def _publish(self, breach: SLOBreach) -> None:
-        """Count one breach and emit its event."""
+        """Count one breach."""
         m = self.registry
         m.counter("slo.breaches").inc()
         m.counter(f"slo.{breach.objective}.breaches").inc()
-        runtime.emit_event("slo_breach", breach.to_dict())
 
     def publish_gauges(self) -> None:
         """(Re)write the ``slo.*`` gauges from the last evaluation —

@@ -4,21 +4,15 @@ The tracing half of :mod:`repro.obs`.  A :class:`Tracer` maintains a
 per-thread stack of open :class:`Span` objects; ``with tracer.span(...)``
 nests automatically, exceptions unwind cleanly (the span is marked
 ``error`` and still closed), and finished trees export through one
-serializer, :meth:`Span.to_dict`: what an attached event sink streams,
-what ``--trace-out`` writes and what
-:func:`repro.obs.dashboard.render_terminal` draws as a tree.
+serializer, :meth:`Span.to_dict`: what ``--trace-out`` writes and what
+:func:`repro.obs.dashboard.render_terminal` draws as a tree.  Readers
+walk :attr:`Tracer.roots` and each span's ``children``.
 
-Two features exist specifically for this codebase:
-
-- :meth:`Span.override_duration` — the decentralized coordinator's
-  agents run *conceptually* concurrently but are simulated in-process,
-  so their spans carry the paper's accounted per-agent cost (fit +
-  delivery wait) and the round span carries the Sec.-3.4
-  ``max``-over-agents time rather than the sequential wall clock;
-- optional ``memory=True`` spans sample :mod:`tracemalloc`'s peak so a
-  trace can show where allocation spikes happen (best effort: the peak
-  is process-wide between reset points, so nested memory spans share
-  attribution).
+:meth:`Span.override_duration` exists for the decentralized
+coordinator: its agents run *conceptually* concurrently but are
+simulated in-process, so their spans carry the paper's accounted
+per-agent cost (fit + delivery wait) and the round span carries the
+Sec.-3.4 ``max``-over-agents time rather than the sequential wall clock.
 
 Clocks are injectable (``Tracer(clock=...)``) so tests are
 deterministic.
@@ -28,7 +22,6 @@ from __future__ import annotations
 
 import threading
 import time
-import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -46,7 +39,6 @@ class Span:
         "end",
         "status",
         "error",
-        "peak_memory_bytes",
         "extra",
         "_duration_override",
     )
@@ -59,7 +51,6 @@ class Span:
         self.end: Optional[float] = None
         self.status = "ok"
         self.error: Optional[str] = None
-        self.peak_memory_bytes: Optional[int] = None
         self.extra: Dict[str, Any] = {}
         self._duration_override: Optional[float] = None
         if parent is not None:
@@ -98,8 +89,6 @@ class Span:
         }
         if self.error is not None:
             out["error"] = self.error
-        if self.peak_memory_bytes is not None:
-            out["peak_memory_bytes"] = self.peak_memory_bytes
         if self.extra:
             out["extra"] = dict(self.extra)
         if self.children:
@@ -115,10 +104,6 @@ class Tracer:
         self._roots: List[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        #: Called with each *root* span as it closes (whole tree
-        #: finished) — the event-sink hook.  Must never raise into the
-        #: traced code; failures are swallowed.
-        self.on_close: Optional[Callable[[Span], None]] = None
 
     # -- span lifecycle ------------------------------------------------ #
 
@@ -134,7 +119,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     @contextmanager
-    def span(self, name: str, memory: bool = False) -> Iterator[Span]:
+    def span(self, name: str) -> Iterator[Span]:
         """Open a child of the current span (or a new root)."""
         stack = self._stack()
         parent = stack[-1] if stack else None
@@ -143,12 +128,6 @@ class Tracer:
             with self._lock:
                 self._roots.append(sp)
         stack.append(sp)
-        started_tracing = False
-        if memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                started_tracing = True
-            tracemalloc.reset_peak()
         try:
             yield sp
         except BaseException as exc:
@@ -156,18 +135,9 @@ class Tracer:
             sp.error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            if memory:
-                sp.peak_memory_bytes = tracemalloc.get_traced_memory()[1]
-                if started_tracing:
-                    tracemalloc.stop()
             sp.end = self.clock()
             if stack and stack[-1] is sp:
                 stack.pop()
-            if sp.parent is None and self.on_close is not None:
-                try:
-                    self.on_close(sp)
-                except Exception:
-                    pass  # sinks are best-effort; never break traced code
 
     def record_span(
         self,
@@ -198,16 +168,6 @@ class Tracer:
     def roots(self) -> List[Span]:
         with self._lock:
             return list(self._roots)
-
-    def find(self, name: str) -> Optional[Span]:
-        """Depth-first search for the first span with ``name``."""
-        pending = self.roots
-        while pending:
-            sp = pending.pop(0)
-            if sp.name == name:
-                return sp
-            pending = sp.children + pending
-        return None
 
     def clear(self) -> None:
         with self._lock:

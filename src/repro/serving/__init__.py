@@ -38,7 +38,6 @@ from repro.serving.server import (
     ColumnarBatchResult,
     ModelServer,
     QueryResult,
-    ServerStats,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "OPEN",
     "PublishOutcome",
     "QueryResult",
-    "ServerStats",
     "STATUS_OK",
     "STATUS_REJECTED",
     "TIER_COMPILED",

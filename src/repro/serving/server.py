@@ -26,12 +26,15 @@ rollback propagates to the serving path.  The served version is one
 :class:`_Served` snapshot that a swap replaces with a single attribute
 assignment; every entry point reads it once, so a concurrent
 :meth:`refresh` never mixes two versions in one answer.
+
+Each outcome is counted once, in the process metrics registry
+(``serving.queries``, ``serving.status.*``, ``serving.tier.*`` and the
+``serving.query.seconds`` histogram), while observability is enabled.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -51,6 +54,13 @@ from repro.utils.rng import ensure_rng
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
+
+#: Draws of the fallback chain's sampling tier per answer.
+N_FALLBACK_SAMPLES = 1500
+#: Each tier's breaker opens after this many consecutive failures and
+#: stays open for this many calls.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN = 25
 
 
 @dataclass
@@ -104,83 +114,6 @@ class ColumnarBatchResult:
 
 
 @dataclass
-class ServerStats:
-    """Monotonic counters over the server's lifetime (thread-safe)."""
-
-    n_queries: int = 0
-    n_ok: int = 0
-    n_rejected: int = 0
-    n_deadline_exceeded: int = 0
-    n_rows_rejected: int = 0
-    tier_counts: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def _count(self, result: "QueryResult | ColumnarBatchResult") -> None:
-        """Count one outcome, here and in the process metrics registry.
-
-        A :class:`QueryResult` is one row; a :class:`ColumnarBatchResult`
-        is ``n_rows`` rows, each counted like one :meth:`ModelServer.query`
-        call: its masked-out rows as rejected (and in ``n_rows_rejected``),
-        each answered row under the tier that answered it and, when the
-        batch was refused, every row with the batch.
-        """
-        tier_rows = None
-        if isinstance(result, ColumnarBatchResult):
-            n, n_answered = result.n_rows, result.n_valid
-            tier_rows = result.tier_rows
-        else:
-            n = n_answered = 1
-        status, tier = result.status, result.tier
-        ok = status == STATUS_OK
-        n_masked = n - n_answered if ok else 0
-        # No call inside the lock (a degraded batch's per-tier loop
-        # aside): one would let the interpreter switch threads while it
-        # is held, and concurrent queries would queue.
-        with self._lock:
-            self.n_queries += n
-            if ok:
-                self.n_ok += n_answered
-                self.n_rejected += n_masked
-                self.n_rows_rejected += n_masked
-                if tier_rows is not None:
-                    for t, k in tier_rows.items():
-                        self.tier_counts[t] = self.tier_counts.get(t, 0) + k
-                elif tier is not None:
-                    if tier in self.tier_counts:
-                        self.tier_counts[tier] += n_answered
-                    else:
-                        self.tier_counts[tier] = n_answered
-            else:
-                self.n_rejected += n
-            if result.deadline_exceeded:
-                self.n_deadline_exceeded += n
-        if not _OBS.enabled:
-            return
-        m = _OBS.metrics
-        m.counter("serving.queries").inc(n)
-        m.counter(f"serving.status.{status}").inc(n_answered if ok else n)
-        if n_masked:
-            m.counter(f"serving.status.{STATUS_REJECTED}").inc(n_masked)
-            m.counter("serving.rows_rejected").inc(n_masked)
-        if ok and tier is not None:
-            if tier_rows is None:
-                m.counter(f"serving.tier.{tier}").inc(n_answered)
-            else:
-                for t, k in tier_rows.items():
-                    m.counter(f"serving.tier.{t}").inc(k)
-            if result.tier_errors:
-                m.counter("serving.degraded_answers").inc(n_answered)
-        if status == STATUS_REJECTED:
-            m.counter("serving.rejection_reasons").inc(len(result.reasons))
-        if result.deadline_exceeded:
-            m.counter("serving.deadline_misses").inc(n)
-        if result.elapsed_seconds:
-            m.histogram("serving.query.seconds").observe(result.elapsed_seconds)
-
-
-@dataclass
 class _Served:
     """One served model version and what the entry points derive from it.
 
@@ -202,21 +135,16 @@ class ModelServer:
         source,
         *,
         deadline_seconds: "float | None" = None,
-        n_fallback_samples: int = 1500,
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 25,
         rng=None,
     ):
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ServingError("deadline_seconds must be > 0 when set")
         self.deadline_seconds = deadline_seconds
-        self.n_fallback_samples = int(n_fallback_samples)
         self.rng = ensure_rng(rng)
         self.breakers = {
-            tier: CircuitBreaker(breaker_threshold, breaker_cooldown, name=tier)
+            tier: CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN, name=tier)
             for tier in CHAIN[:-1]
         }
-        self.stats = ServerStats()
         self._registry: "ModelRegistry | None" = None
         self._served: "_Served | None" = None
         if isinstance(source, ModelRegistry):
@@ -265,7 +193,7 @@ class ModelServer:
         chain = FallbackChain(
             network,
             rng=self.rng,
-            n_samples=self.n_fallback_samples,
+            n_samples=N_FALLBACK_SAMPLES,
             breakers=self.breakers,
         )
         # One reference assignment: a query in flight keeps the snapshot
@@ -295,7 +223,8 @@ class ModelServer:
     def _finish(self, result, started: float):
         """Time and count one outcome."""
         result.elapsed_seconds = time.monotonic() - started
-        self.stats._count(result)
+        if _OBS.enabled:
+            _count(result)
         return result
 
     def _call(
@@ -403,7 +332,7 @@ class ModelServer:
         when it fails, its breaker is open or the deadline has passed,
         one :meth:`FallbackChain.answer` walk per row, exactly like a
         :meth:`query` call.  Accounting is bulk but row-equivalent: each
-        input row counts as one query in :class:`ServerStats`.
+        input row counts as one query in the ``serving.*`` counters.
         """
         started = time.monotonic()
         cols: dict[str, np.ndarray] = {}
@@ -507,6 +436,47 @@ class ModelServer:
             ),
             reasons=() if means else ("empty evidence row",),
         )
+
+
+def _count(result: "QueryResult | ColumnarBatchResult") -> None:
+    """Count one outcome in the process metrics registry.
+
+    A :class:`QueryResult` is one row; a :class:`ColumnarBatchResult`
+    is ``n_rows`` rows, each counted like one :meth:`ModelServer.query`
+    call: its masked-out rows as rejected (and in
+    ``serving.rows_rejected``), each answered row under the tier that
+    answered it and, when the batch was refused, every row with the
+    batch.
+    """
+    tier_rows = None
+    if isinstance(result, ColumnarBatchResult):
+        n, n_answered = result.n_rows, result.n_valid
+        tier_rows = result.tier_rows
+    else:
+        n = n_answered = 1
+    status, tier = result.status, result.tier
+    ok = status == STATUS_OK
+    n_masked = n - n_answered if ok else 0
+    m = _OBS.metrics
+    m.counter("serving.queries").inc(n)
+    m.counter(f"serving.status.{status}").inc(n_answered if ok else n)
+    if n_masked:
+        m.counter(f"serving.status.{STATUS_REJECTED}").inc(n_masked)
+        m.counter("serving.rows_rejected").inc(n_masked)
+    if ok and tier is not None:
+        if tier_rows is None:
+            m.counter(f"serving.tier.{tier}").inc(n_answered)
+        else:
+            for t, k in tier_rows.items():
+                m.counter(f"serving.tier.{t}").inc(k)
+        if result.tier_errors:
+            m.counter("serving.degraded_answers").inc(n_answered)
+    if status == STATUS_REJECTED:
+        m.counter("serving.rejection_reasons").inc(len(result.reasons))
+    if result.deadline_exceeded:
+        m.counter("serving.deadline_misses").inc(n)
+    if result.elapsed_seconds:
+        m.histogram("serving.query.seconds").observe(result.elapsed_seconds)
 
 
 def _provenance(answer: TierAnswer) -> dict:

@@ -35,13 +35,10 @@ class Degradation:
         if not self.factor > 0:
             raise SimulationError(f"factor must be > 0, got {self.factor}")
 
-    def active_at(self, t: float) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass
 class FaultSchedule:
-    """A set of degradations, queryable by (service, time)."""
+    """A set of degradations, looked up by service."""
 
     degradations: tuple = ()
     _by_service: dict = field(default_factory=dict, repr=False)
@@ -53,45 +50,20 @@ class FaultSchedule:
                 raise SimulationError(f"expected Degradation, got {type(d)!r}")
             self._by_service.setdefault(d.service, []).append(d)
 
-    def active(self, service: str, t: float) -> tuple:
-        """The degradations of ``service`` active at time ``t``.
-
-        Window semantics are half-open: a degradation is active at
-        ``t == start`` and inactive at ``t == end``, so back-to-back
-        windows ``[a, b)`` + ``[b, c)`` never double-apply at ``b``.
-        """
-        return tuple(
-            d for d in self._by_service.get(service, ()) if d.active_at(t)
-        )
-
     def for_service(self, service: str) -> tuple:
         """All degradations of ``service``, in declaration order."""
         return tuple(self._by_service.get(service, ()))
-
-    def factor_at(self, service: str, t: float) -> float:
-        """Combined slowdown factor for ``service`` at simulation time ``t``.
-
-        Overlapping windows multiply (two concurrent faults compound).
-        """
-        return combined_factor(self._by_service.get(service, ()), t)
-
-    @property
-    def services(self) -> tuple[str, ...]:
-        return tuple(self._by_service)
-
-    @classmethod
-    def outage(
-        cls, service: str, start: float, duration: float, factor: float = 5.0
-    ) -> "FaultSchedule":
-        """Convenience single-window schedule."""
-        return cls((Degradation(service, start, start + duration, factor),))
 
 
 def combined_factor(windows: Iterable[Degradation], t: float) -> float:
     """Product of the factors of the ``windows`` active at ``t``.
 
-    Multiplies in the order given, without building the active set, so
-    the engine can call it per job on a list it resolved once per run.
+    Windows are half-open: one is active at ``t == start`` and inactive
+    at ``t == end``, so back-to-back windows ``[a, b)`` + ``[b, c)`` never
+    double-apply at ``b``; overlapping windows multiply (two concurrent
+    faults compound).  Multiplies in the order given, without building
+    the active set, so the engine can call it per job on a list it
+    resolved once per run.
     """
     factor = 1.0
     for d in windows:

@@ -8,7 +8,7 @@ reused across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
 from repro.simulator.delays import DelayDistribution

@@ -18,15 +18,7 @@ from repro.workflow.constructs import (
     Sequence,
     WorkflowNode,
 )
-from repro.workflow.expressions import (
-    Const,
-    Expression,
-    Max,
-    Scale,
-    Sum,
-    Var,
-    WeightedSum,
-)
+from repro.workflow.expressions import Expression, Max, Sum, Var
 from repro.workflow.generator import random_workflow
 from repro.workflow.parser import workflow_from_dict, workflow_to_dict
 from repro.workflow.response_time import ResponseTimeFunction, response_time_function
@@ -42,11 +34,8 @@ __all__ = [
     "Loop",
     "Expression",
     "Var",
-    "Const",
     "Sum",
     "Max",
-    "WeightedSum",
-    "Scale",
     "ResponseTimeFunction",
     "response_time_function",
     "timeout_count_function",

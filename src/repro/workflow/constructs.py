@@ -176,8 +176,7 @@ class Choice(WorkflowNode):
 class Loop(WorkflowNode):
     """Body repeats; after each iteration it continues with ``continue_prob``.
 
-    The expected iteration count is ``1 / (1 - continue_prob)`` (geometric,
-    at least one execution), the reduction Cardoso et al. use for loops.
+    The iteration count is geometric with at least one execution.
     """
 
     def __init__(self, body: WorkflowNode, continue_prob: float):
@@ -188,10 +187,6 @@ class Loop(WorkflowNode):
             raise WorkflowError(
                 f"continue_prob must be in [0, 1), got {continue_prob}"
             )
-
-    @property
-    def expected_iterations(self) -> float:
-        return 1.0 / (1.0 - self.continue_prob)
 
     def services(self) -> tuple[str, ...]:
         return self.body.services()

@@ -10,7 +10,7 @@ no per-row Python loop.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -64,25 +64,6 @@ class Var(Expression):
         return self.name
 
 
-class Const(Expression):
-    """A constant (broadcast to the evaluation length)."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    @property
-    def inputs(self) -> frozenset[str]:
-        return frozenset()
-
-    def __call__(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        lengths = {np.asarray(v).shape[0] for v in values.values()} or {1}
-        n = max(lengths)
-        return np.full(n, self.value)
-
-    def to_string(self) -> str:
-        return f"{self.value:g}"
-
-
 class Sum(Expression):
     """Sum of sub-expressions — sequential composition."""
 
@@ -102,10 +83,7 @@ class Sum(Expression):
         return total
 
     def to_string(self) -> str:
-        return " + ".join(
-            t.to_string() if not isinstance(t, WeightedSum) else f"({t.to_string()})"
-            for t in self.terms
-        )
+        return " + ".join(t.to_string() for t in self.terms)
 
 
 class Max(Expression):
@@ -130,55 +108,8 @@ class Max(Expression):
         return "max(" + ", ".join(t.to_string() for t in self.terms) + ")"
 
 
-class WeightedSum(Expression):
-    """Probability-weighted sum — choice composition in expectation mode."""
-
-    def __init__(self, weighted_terms: Iterable[tuple[float, Expression]]):
-        self.weighted_terms: tuple[tuple[float, Expression], ...] = tuple(
-            (float(w), t) for w, t in weighted_terms
-        )
-        if not self.weighted_terms:
-            raise WorkflowError("WeightedSum needs at least one term")
-        if any(w < 0 for w, _ in self.weighted_terms):
-            raise WorkflowError("WeightedSum weights must be nonnegative")
-
-    @property
-    def inputs(self) -> frozenset[str]:
-        return frozenset().union(*(t.inputs for _, t in self.weighted_terms))
-
-    def __call__(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        w0, t0 = self.weighted_terms[0]
-        total = w0 * t0(values)
-        for w, t in self.weighted_terms[1:]:
-            total = total + w * t(values)
-        return total
-
-    def to_string(self) -> str:
-        return " + ".join(f"{w:g}*({t.to_string()})" for w, t in self.weighted_terms)
-
-
-class Scale(Expression):
-    """Scalar multiple — loop composition (expected iteration count)."""
-
-    def __init__(self, factor: float, term: Expression):
-        self.factor = float(factor)
-        self.term = term
-        if self.factor < 0:
-            raise WorkflowError("Scale factor must be nonnegative")
-
-    @property
-    def inputs(self) -> frozenset[str]:
-        return self.term.inputs
-
-    def __call__(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self.factor * self.term(values)
-
-    def to_string(self) -> str:
-        return f"{self.factor:g}*({self.term.to_string()})"
-
-
 def simplify(expr: Expression) -> Expression:
-    """Flatten nested Sums/Maxes and collapse single-child wrappers.
+    """Flatten nested Sums/Maxes and collapse single-term ones.
 
     Keeps the printable form close to the paper's
     ``X1 + X2 + max(X3 + X5, X4 + X6)``.
@@ -199,13 +130,4 @@ def simplify(expr: Expression) -> Expression:
             else:
                 flat.append(t)
         return flat[0] if len(flat) == 1 else Max(flat)
-    if isinstance(expr, Scale):
-        inner = simplify(expr.term)
-        if expr.factor == 1.0:
-            return inner
-        if isinstance(inner, Scale):
-            return Scale(expr.factor * inner.factor, inner.term)
-        return Scale(expr.factor, inner)
-    if isinstance(expr, WeightedSum):
-        return WeightedSum([(w, simplify(t)) for w, t in expr.weighted_terms])
     return expr

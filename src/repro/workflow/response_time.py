@@ -5,23 +5,17 @@ any workflow formed by any combination of four key workflow constructs:
 sequence, parallel, choice and loop"*.  For the eDiaMoND workflow the
 result is ``D = X1 + X2 + max(X3 + X5, X4 + X6)``.
 
-Two reduction modes exist because ``f`` is consumed in two ways:
-
-- ``mode="measurement"`` (default) — ``f`` evaluated on *monitored*
-  per-transaction totals.  Under the monitoring convention that ``X_i``
-  is the total elapsed time spent at service *i* during one transaction
-  (0 if not invoked), a Choice reduces to a plain Sum of its branches
-  (exactly one branch is nonzero) and a Loop to its body (repetitions
-  already accumulated into the totals).  This mode is *exact* per
-  transaction — with one documented exception: a Parallel nested inside
-  a Loop, where the true response is a sum of per-iteration maxima while
-  ``f`` computes the maximum of the summed totals, so ``f(X) <= D``
-  (use :func:`has_parallel_under_loop` to detect the case).  The paper's
-  evaluation workflows (sequence/parallel) are always exact.
-- ``mode="expectation"`` — the symbolic expected-value reduction of
-  Cardoso et al.: Choice becomes a probability-weighted sum, Loop scales
-  its body by the expected iteration count ``1/(1-p)``.  Used for a
-  priori capacity analysis when no measurements exist yet.
+Under the monitoring convention that ``X_i`` is the total elapsed time
+spent at service *i* during one transaction (0 if not invoked), ``f`` is
+evaluated on *measured* per-transaction totals: a Choice reduces to a
+plain Sum of its branches (exactly one branch is nonzero) and a Loop to
+its body (repetitions already accumulated into the totals).  The
+reduction is *exact* per transaction — with one documented exception: a
+Parallel nested inside a Loop, where the true response is a sum of
+per-iteration maxima while ``f`` computes the maximum of the summed
+totals, so ``f(X) <= D`` (use :func:`has_parallel_under_loop` to detect
+the case).  The paper's evaluation workflows (sequence/parallel) are
+always exact.
 """
 
 from __future__ import annotations
@@ -39,38 +33,22 @@ from repro.workflow.constructs import (
     Sequence,
     WorkflowNode,
 )
-from repro.workflow.expressions import (
-    Expression,
-    Max,
-    Scale,
-    Sum,
-    Var,
-    WeightedSum,
-    simplify,
-)
-
-_MODES = ("measurement", "expectation")
+from repro.workflow.expressions import Expression, Max, Sum, Var, simplify
 
 
-def _reduce(node: WorkflowNode, mode: str) -> Expression:
+def _reduce(node: WorkflowNode) -> Expression:
     if isinstance(node, Activity):
         return Var(node.name)
     if isinstance(node, Sequence):
-        return Sum([_reduce(s, mode) for s in node.steps])
+        return Sum([_reduce(s) for s in node.steps])
     if isinstance(node, Parallel):
-        return Max([_reduce(b, mode) for b in node.branches])
+        return Max([_reduce(b) for b in node.branches])
     if isinstance(node, Choice):
-        if mode == "measurement":
-            # Exactly one branch ran; the others measured 0.
-            return Sum([_reduce(b, mode) for b in node.branches])
-        return WeightedSum(
-            [(p, _reduce(b, mode)) for p, b in zip(node.probabilities, node.branches)]
-        )
+        # Exactly one branch ran; the others measured 0.
+        return Sum([_reduce(b) for b in node.branches])
     if isinstance(node, Loop):
-        if mode == "measurement":
-            # Totals already include every iteration.
-            return _reduce(node.body, mode)
-        return Scale(node.expected_iterations, _reduce(node.body, mode))
+        # Totals already include every iteration.
+        return _reduce(node.body)
     raise WorkflowError(f"unknown workflow node {type(node)!r}")
 
 
@@ -81,10 +59,9 @@ class ResponseTimeFunction:
     end-to-end response times the workflow implies.
     """
 
-    def __init__(self, workflow: WorkflowNode, expression: Expression, mode: str):
+    def __init__(self, workflow: WorkflowNode, expression: Expression):
         self.workflow = workflow
         self.expression = expression
-        self.mode = mode
 
     @property
     def inputs(self) -> frozenset[str]:
@@ -103,7 +80,7 @@ class ResponseTimeFunction:
 def has_parallel_under_loop(workflow: WorkflowNode) -> bool:
     """True if some Parallel construct lies inside a Loop body.
 
-    In that configuration the measurement-mode ``f`` lower-bounds the
+    In that configuration ``f`` lower-bounds the
     true response time (sum of per-iteration maxima >= max of sums).
     """
     def visit(node: WorkflowNode, inside_loop: bool) -> bool:
@@ -116,20 +93,15 @@ def has_parallel_under_loop(workflow: WorkflowNode) -> bool:
     return visit(workflow, False)
 
 
-def response_time_function(
-    workflow: WorkflowNode, mode: str = "measurement"
-) -> ResponseTimeFunction:
+def response_time_function(workflow: WorkflowNode) -> ResponseTimeFunction:
     """Reduce ``workflow`` to its deterministic response-time function.
 
-    See the module docstring for the two modes.  The workflow is
-    validated first; the returned function's ``inputs`` equal the
-    workflow's service set (loops/choices included).
+    The workflow is validated first; the returned function's ``inputs``
+    equal the workflow's service set (loops/choices included).
     """
-    if mode not in _MODES:
-        raise WorkflowError(f"mode must be one of {_MODES}, got {mode!r}")
     workflow.validate()
-    expr = simplify(_reduce(workflow, mode))
-    fn = ResponseTimeFunction(workflow, expr, mode)
+    expr = simplify(_reduce(workflow))
+    fn = ResponseTimeFunction(workflow, expr)
     if fn.inputs != frozenset(workflow.services()):
         raise WorkflowError(
             "reduction lost services: "

@@ -18,4 +18,4 @@ def timeout_count_function(workflow: WorkflowNode) -> ResponseTimeFunction:
     """``f(X) = Σ_i X_i`` over the workflow's services."""
     workflow.validate()
     expr = simplify(Sum([Var(s) for s in workflow.services()]))
-    return ResponseTimeFunction(workflow, expr, mode="count")
+    return ResponseTimeFunction(workflow, expr)

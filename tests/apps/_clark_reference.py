@@ -1,8 +1,8 @@
 """Scalar reference for Clark moment propagation (test-only oracle).
 
 A plain-Python, one-state-at-a-time propagation of Gaussian moments
-through a workflow expression: ``Sum``/``Scale``/``WeightedSum`` as exact
-linear maps and ``Max`` as Clark's (1961) pairwise approximation, with
+through a workflow expression: ``Sum`` as an exact linear map and
+``Max`` as Clark's (1961) pairwise approximation, with
 ``scipy.stats.norm`` for Φ/φ.  It shares no code with
 :mod:`repro.apps.assessment`; the differential tests compare the
 compiled NumPy plan against it.
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.exceptions import InferenceError
-from repro.workflow.expressions import Const, Max, Scale, Sum, Var, WeightedSum
+from repro.workflow.expressions import Max, Sum, Var
 
 
 class MomentState:
@@ -69,30 +69,12 @@ def propagate(expr, state):
         if expr.name not in state.index:
             raise InferenceError(f"no moments for variable {expr.name!r}")
         return state.index[expr.name]
-    if isinstance(expr, Const):
-        k = len(state.mean)
-        return state.add(("const", expr.value, k), expr.value, [0.0] * k, 0.0)
     if isinstance(expr, Sum):
         idxs = [propagate(t, state) for t in expr.terms]
         mean = sum(state.mean[i] for i in idxs)
         covs = [sum(state.cov[i][k] for i in idxs) for k in range(len(state.mean))]
         var = sum(state.cov[i][j] for i in idxs for j in idxs)
         return state.add(("sum", id(expr)), mean, covs, max(var, 0.0))
-    if isinstance(expr, Scale):
-        i = propagate(expr.term, state)
-        f = expr.factor
-        covs = [f * state.cov[i][k] for k in range(len(state.mean))]
-        _, v = state.get(i)
-        return state.add(("scale", id(expr)), f * state.mean[i], covs, f * f * v)
-    if isinstance(expr, WeightedSum):
-        idxs = [(w, propagate(t, state)) for w, t in expr.weighted_terms]
-        mean = sum(w * state.mean[i] for w, i in idxs)
-        covs = [
-            sum(w * state.cov[i][k] for w, i in idxs)
-            for k in range(len(state.mean))
-        ]
-        var = sum(wi * wj * state.cov[i][j] for wi, i in idxs for wj, j in idxs)
-        return state.add(("wsum", id(expr)), mean, covs, max(var, 0.0))
     if isinstance(expr, Max):
         idxs = [propagate(t, state) for t in expr.terms]
         current = idxs[0]

@@ -18,9 +18,8 @@ from repro.core.kertbn import build_continuous_kertbn
 from repro.simulator.delays import LogNormal
 from repro.simulator.environment import SimulatedEnvironment
 from repro.simulator.service import ServiceSpec
-from repro.workflow.expressions import Const, Max, Sum, Var
+from repro.workflow.expressions import Max, Sum, Var
 from repro.workflow.generator import random_workflow
-from repro.workflow.response_time import response_time_function
 
 from tests.apps._clark_reference import reference_state
 
@@ -75,21 +74,6 @@ def test_response_moments_match_reference(topology):
         i = state.index[name]
         expected = [state.mean[i], state.cov[i][i], state.cov[i][idx]]
         assert _close([mean, var, cov_d], expected)
-
-
-def test_expectation_mode_plan_matches_reference(topology):
-    """WeightedSum/Scale/Const steps, on the fitted service Gaussian."""
-    model, assessor, _ = topology
-    f = response_time_function(model.f.workflow, mode="expectation")
-    expr = Sum([f.expression, Const(0.25)])
-    names, mean, cov = assessor.joint
-    plan = _MomentPlan(expr, names)
-    means, covs = plan.run(mean[None], cov[None])
-    state, idx = reference_state(expr, names, mean, cov)
-    assert _close(means[0, plan.root], state.mean[idx])
-    assert _close(covs[0, plan.root, plan.root], state.cov[idx][idx])
-    k = plan.size
-    assert _close(covs[0], np.array(state.cov)[:k, :k])
 
 
 def test_assess_with_evidence_matches_reference(topology):

@@ -14,17 +14,11 @@ from repro.bn.io import (
     network_to_dict,
 )
 from repro.exceptions import DataError
-from repro.workflow.expressions import Const, Max, Scale, Sum, Var, WeightedSum
+from repro.workflow.expressions import Max, Sum, Var
 
 
 def test_expression_roundtrip_all_kinds():
-    expr = Sum(
-        [
-            Var("a"),
-            Scale(2.0, Max([Var("b"), Const(1.5)])),
-            WeightedSum([(0.3, Var("c")), (0.7, Var("d"))]),
-        ]
-    )
+    expr = Sum([Var("a"), Max([Var("b"), Sum([Var("c"), Var("d")])])])
     loaded = expression_from_dict(json.loads(json.dumps(expression_to_dict(expr))))
     vals = {k: np.array([2.0]) for k in "abcd"}
     np.testing.assert_allclose(loaded(vals), expr(vals))
@@ -34,6 +28,19 @@ def test_expression_roundtrip_all_kinds():
 def test_expression_unknown_spec():
     with pytest.raises(DataError):
         expression_from_dict({"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"scale": 2.0, "term": {"var": "a"}},
+        {"weighted_sum": [{"weight": 1.0, "term": {"var": "a"}}]},
+    ],
+)
+def test_expression_without_a_workflow_reduction_is_refused(spec):
+    """``f`` reduces to Var, Sum and Max only; other node kinds do not load."""
+    with pytest.raises(DataError):
+        expression_from_dict(spec)
 
 
 def test_tabular_cpd_roundtrip(rng):

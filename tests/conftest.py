@@ -12,9 +12,11 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bn.cpd import LinearGaussianCPD
 from repro.bn.dag import DAG
 from repro.bn.network import GaussianBayesianNetwork
+from repro.obs import runtime
 from repro.simulator.scenarios.ediamond import ediamond_scenario
 
 
@@ -28,14 +30,23 @@ def _obs_snapshot_artifact():
     if not out:
         yield
         return
-    from repro import obs
-
     obs.enable()
     obs.reset()
     yield
     with open(out, "w") as fh:
         json.dump(obs.snapshot(), fh, indent=2, default=str)
     obs.disable()
+
+
+@pytest.fixture
+def obs_on():
+    """Observability enabled and empty for one test, then restored."""
+    was_enabled = runtime.OBS.enabled
+    obs.enable()
+    obs.reset()
+    yield
+    obs.reset()
+    runtime.OBS.enabled = was_enabled
 
 
 @pytest.fixture

@@ -22,12 +22,3 @@ def test_construction_time_sum():
     r = report()
     assert r.construction_seconds == pytest.approx(1.5)
 
-
-def test_decentralized_vs_centralized():
-    r = report(per_cpd={"a": 0.2, "b": 0.3, "c": 0.1})
-    assert r.decentralized_parameter_seconds == pytest.approx(0.3)
-    assert r.centralized_parameter_seconds == pytest.approx(0.6)
-    empty = report(per_cpd={})
-    empty.per_cpd_seconds = {}
-    assert empty.decentralized_parameter_seconds == 0.0
-

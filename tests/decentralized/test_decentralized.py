@@ -21,7 +21,7 @@ def test_channel_records_payload_sizes():
     msg = ch.send("a", np.zeros(100))
     assert msg.n_values == 100
     assert msg.n_bytes == 800
-    assert ch.total_bytes == 800
+    assert ch.bytes_delivered == 800
 
 
 def test_network_dedupes_channels():
@@ -32,8 +32,8 @@ def test_network_dedupes_channels():
     with pytest.raises(SimulationError):
         net.channel("a", "a")
     c1.send("a", np.zeros(10))
-    assert net.n_messages == 1
-    assert net.summary()["n_channels"] == 1
+    summary = net.round_summary()
+    assert summary["n_messages"] == 1 and summary["n_channels"] == 1
 
 
 # --------------------------------------------------------------------- #

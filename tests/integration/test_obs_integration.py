@@ -73,8 +73,9 @@ def test_snapshot_after_serving_and_learning(
     # The round span carries the paper's max-over-agents time: with no
     # response CPD in this round, its duration equals the slowest
     # agent-span duration exactly.
-    round_span = obs.OBS.tracer.find("decentralized.round")
-    assert round_span is not None
+    (round_span,) = [
+        sp for sp in obs.OBS.tracer.roots if sp.name == "decentralized.round"
+    ]
     agent_spans = [
         c for c in round_span.children if c.name.startswith("agent:")
     ]
@@ -131,8 +132,9 @@ def test_coordinator_round_with_live_exporter(obs_active, ediamond_env,
             scrape = r.read().decode()
 
     # Agent spans sit under the round span, which carries the max agent cost.
-    round_span = obs.OBS.tracer.find("decentralized.round")
-    assert round_span is not None
+    (round_span,) = [
+        sp for sp in obs.OBS.tracer.roots if sp.name == "decentralized.round"
+    ]
     agent_spans = [
         c for c in round_span.children if c.name.startswith("agent:")
     ]

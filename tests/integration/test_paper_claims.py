@@ -77,15 +77,21 @@ def test_claim_nrtbn_construction_superlinear_kert_flat():
 
 
 def test_claim_decentralized_learning_faster(comparison_30):
-    """Fig. 5: max-per-CPD (decentralized) < sum (centralized)."""
-    _, _, _, kert, _ = comparison_30
-    rep = kert.report
-    assert rep.decentralized_parameter_seconds < rep.centralized_parameter_seconds
-    # With ~31 CPDs there must be a real gap even at sub-millisecond fit
+    """Fig. 5: max-per-agent (decentralized) < sum (centralized), from the
+    round whose agents each fit one service CPD."""
+    from repro.decentralized.agent import linear_gaussian_fitter
+    from repro.decentralized.coordinator import Coordinator
+
+    env, train, _, _, _ = comparison_30
+    dag = env.knowledge_structure()
+    service_dag = dag.subgraph([n for n in dag.nodes if n != "D"])
+    result = Coordinator(service_dag, linear_gaussian_fitter()).learn_round(train)
+    assert result.decentralized_seconds < result.centralized_seconds
+    # With 30 agents there must be a real gap even at sub-millisecond fit
     # times (the full-scale sweep is benchmarks/test_fig5_decentralized.py,
     # where the ratio grows with environment size).
-    assert rep.centralized_parameter_seconds / max(
-        rep.decentralized_parameter_seconds, 1e-9
+    assert result.centralized_seconds / max(
+        result.decentralized_seconds, 1e-9
     ) > 1.5
 
 

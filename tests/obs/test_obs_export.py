@@ -1,4 +1,4 @@
-"""Prometheus wire format, HTTP endpoint, and JSONL sink contracts.
+"""Prometheus wire format and HTTP endpoint contracts.
 
 The exposition rules checked here are the ones a real Prometheus server
 parses by: ``_total``-suffixed counters, cumulative ``_bucket`` series
@@ -9,7 +9,6 @@ asserts semantics (sample values) rather than just bytes.
 """
 
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -17,7 +16,6 @@ import pytest
 from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     ExportServer,
-    JsonlEventSink,
     escape_label_value,
     render_prometheus,
     sanitize_metric_name,
@@ -195,116 +193,3 @@ def test_server_port_zero_picks_a_free_port_and_stop_is_idempotent():
     srv.stop()
     srv.stop()  # second stop is a no-op
 
-
-# --------------------------------------------------------------------- #
-# JSONL event sink
-# --------------------------------------------------------------------- #
-
-
-def _read_events(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def test_sink_writes_categorized_events(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with JsonlEventSink(str(path)) as sink:
-        assert sink.emit("trace", {"name": "root"}) is True
-        assert sink.emit("slo_breach", {"objective": "p95"}) is True
-    events = _read_events(path)
-    assert [e["category"] for e in events] == ["trace", "slo_breach"]
-    assert events[0]["name"] == "root"
-    assert events[0]["seq"] == 0
-
-
-def test_sink_sampling_keeps_one_in_n_deterministically(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with JsonlEventSink(str(path), sample={"trace": 3}) as sink:
-        written = [sink.emit("trace", {"i": i}) for i in range(9)]
-        # unsampled categories are untouched
-        assert sink.emit("slo_breach", {}) is True
-    assert written == [True, False, False] * 3
-    kept = [e["i"] for e in _read_events(path) if e["category"] == "trace"]
-    assert kept == [0, 3, 6]
-    assert sink.stats["sampled_out"] == 6
-    assert sink.stats["per_category"]["trace"] == 9
-
-
-def test_sink_rotation_bounds_disk(tmp_path):
-    path = tmp_path / "events.jsonl"
-    sink = JsonlEventSink(str(path), max_bytes=200, max_files=2)
-    for i in range(50):
-        sink.emit("trace", {"i": i, "pad": "x" * 40})
-    sink.close()
-    rotated = sorted(p.name for p in tmp_path.iterdir())
-    assert "events.jsonl" in rotated
-    assert "events.jsonl.1" in rotated
-    assert "events.jsonl.3" not in rotated  # max_files caps rotation depth
-    # every surviving file stays parseable line-by-line
-    for p in tmp_path.iterdir():
-        _read_events(p)
-
-
-def test_sink_never_raises_after_close(tmp_path):
-    sink = JsonlEventSink(str(tmp_path / "e.jsonl"))
-    sink.close()
-    assert sink.emit("trace", {}) is False
-
-
-def test_sink_is_thread_safe(tmp_path):
-    path = tmp_path / "events.jsonl"
-    sink = JsonlEventSink(str(path), max_bytes=10_000_000)
-    n_threads, per_thread = 8, 50
-
-    def worker(tid):
-        for i in range(per_thread):
-            sink.emit("trace", {"tid": tid, "i": i})
-
-    threads = [
-        threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    sink.close()
-    events = _read_events(path)
-    assert len(events) == n_threads * per_thread
-    assert sink.stats["emitted"] == n_threads * per_thread
-
-
-def test_sink_validates_configuration(tmp_path):
-    with pytest.raises(ValueError, match="max_bytes"):
-        JsonlEventSink(str(tmp_path / "a"), max_bytes=0)
-    with pytest.raises(ValueError, match="max_files"):
-        JsonlEventSink(str(tmp_path / "b"), max_files=0)
-    with pytest.raises(ValueError, match="sample rate"):
-        JsonlEventSink(str(tmp_path / "c"), sample={"trace": 0})
-
-
-def test_attached_sink_streams_finished_root_spans(obs_active, tmp_path):
-    from repro import obs
-    from repro.obs import runtime
-
-    path = tmp_path / "spans.jsonl"
-    sink = JsonlEventSink(str(path))
-    runtime.attach_sink(sink)
-    try:
-        with obs.span("outer"):
-            with obs.span("inner"):
-                pass
-        with obs.span("second"):
-            pass
-    finally:
-        runtime.detach_sink()
-        sink.close()
-    events = _read_events(path)
-    assert [e["name"] for e in events] == ["outer", "second"]
-    assert events[0]["children"][0]["name"] == "inner"
-    # Each event is the sink's envelope around the span's one
-    # serialization, and nothing else.
-    roots = runtime.OBS.tracer.roots
-    assert [e.pop("category") for e in events] == ["trace", "trace"]
-    assert [e.pop("seq") for e in events] == [0, 1]
-    assert events == [json.loads(json.dumps(sp.to_dict())) for sp in roots]
-    assert runtime.OBS.tracer.on_close is None

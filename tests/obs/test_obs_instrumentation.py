@@ -116,8 +116,9 @@ def test_coordinator_round_metrics_and_span(
     assert c["decentralized.agents.failed"] == 0
     h = obs_active.snapshot()["metrics"]["histograms"]
     assert h["decentralized.agent_fit_seconds"]["count"] == len(result.fresh)
-    round_span = obs_active.OBS.tracer.find("decentralized.round")
-    assert round_span is not None
+    (round_span,) = [
+        sp for sp in obs_active.OBS.tracer.roots if sp.name == "decentralized.round"
+    ]
     assert round_span.duration == pytest.approx(result.decentralized_seconds)
     assert len(round_span.children) == len(result.per_agent_seconds)
 

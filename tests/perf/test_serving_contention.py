@@ -2,8 +2,9 @@
 
 :class:`~repro.serving.server.ModelServer` is a thread-safe public API
 (``tests/serving/test_concurrency.py`` pins its invariants), so
-:class:`CircuitBreaker`, :class:`ServerStats` and the engine's plan
-cache each guard their state with a lock.  Those locks must stay *fine-grained*: hot-path critical
+:class:`CircuitBreaker`, the metrics registry's ``serving.*`` counters
+and the engine's plan cache each guard their state with a lock.  Those
+locks must stay *fine-grained*: hot-path critical
 sections are a few dict/int operations, so threaded throughput through
 the guards should be within a small constant of the single-threaded
 rate, not serialized behind one coarse lock held across kernel work.
@@ -20,8 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.serving import server
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.server import QueryResult, ServerStats
+from repro.serving.server import QueryResult
 
 N_OPS = 20_000
 N_THREADS = 4
@@ -51,19 +53,18 @@ def _median_rates(fn, n):
     return float(np.median(single)), float(np.median(threaded))
 
 
-def test_breaker_stats_guard_overhead_stays_cheap():
-    """One guarded decision (breaker + stats count) must stay
+def test_breaker_stats_guard_overhead_stays_cheap(obs_on):
+    """One guarded decision (breaker + ``serving.*`` counts) must stay
     in the few-microsecond range — the locks add nanoseconds, not a
     syscall-shaped cliff."""
     breaker = CircuitBreaker(failure_threshold=3, cooldown=10)
-    stats = ServerStats()
     ok = QueryResult(status="ok", tier="compiled-einsum")
 
     def loop(n):
         for _ in range(n):
             if breaker.allow():
                 breaker.record_success()
-                stats._count(ok)
+                server._count(ok)
 
     rate = _rate(loop, N_OPS)
     # Locked guard stack: comfortably >50k decisions/s on any hardware
@@ -71,19 +72,18 @@ def test_breaker_stats_guard_overhead_stays_cheap():
     assert rate > 50_000, f"guard stack too slow: {rate:,.0f} ops/s"
 
 
-def test_guards_scale_under_contention():
+def test_guards_scale_under_contention(obs_on):
     """4 threads hammering the same guard objects must retain at least
     ~half of the single-thread aggregate rate — a coarse lock held
     around anything expensive collapses this to ~1/N."""
     breaker = CircuitBreaker(failure_threshold=3, cooldown=10)
-    stats = ServerStats()
     ok = QueryResult(status="ok", tier="compiled-einsum")
 
     def loop(n):
         for _ in range(n):
             if breaker.allow():
                 breaker.record_success()
-                stats._count(ok)
+                server._count(ok)
 
     single, contended = _median_rates(loop, N_OPS)
 

@@ -20,6 +20,7 @@ Everything is seeded (CHAOS_SEED) so failures replay exactly.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.bn.data import Dataset
 from repro.serving.breaker import OPEN
 from repro.serving.fallback import (
@@ -43,20 +44,14 @@ def _build(env, data, n_bins=4):
     return build_discrete_kertbn(env.workflow, data, n_bins=n_bins)
 
 
-def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data):
+def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data, obs_on):
     train, test = ediamond_data
     rng = np.random.default_rng(CHAOS_SEED)
 
     model = _build(ediamond_env, train)
     registry = ModelRegistry(str(tmp_path / "reg"), keep=4)
     registry.publish(model)
-    server = ModelServer(
-        registry,
-        rng=np.random.default_rng(CHAOS_SEED),
-        n_fallback_samples=300,
-        breaker_threshold=3,
-        breaker_cooldown=8,
-    )
+    server = ModelServer(registry, rng=np.random.default_rng(CHAOS_SEED))
     response = server.model.response
     services = [n for n in server.model.network.nodes if n != response]
 
@@ -154,8 +149,9 @@ def test_chaos_serving_end_to_end(tmp_path, ediamond_env, ediamond_data):
     # The compiled breaker tripped within threshold during the bursts.
     breaker = server.breakers[TIER_COMPILED]
     assert breaker.n_trips >= 1
-    assert server.stats.n_ok == n_answered
-    assert server.stats.n_rejected + server.stats.n_rows_rejected >= n_rejected
+    counters = obs.snapshot()["metrics"]["counters"]
+    assert counters["serving.status.ok"] == n_answered
+    assert counters["serving.status.rejected"] >= n_rejected
 
     # Expired deadlines degrade to the cached prior, still answering.
     slow_server = ModelServer(model, deadline_seconds=1e-9, rng=0)
@@ -209,10 +205,7 @@ def test_chaos_run_is_deterministic(tmp_path, ediamond_env, ediamond_data):
     def run(tag):
         reg = ModelRegistry(str(tmp_path / tag), keep=3)
         reg.publish(model)
-        srv = ModelServer(
-            reg, rng=np.random.default_rng(CHAOS_SEED),
-            n_fallback_samples=200, breaker_threshold=2, breaker_cooldown=5,
-        )
+        srv = ModelServer(reg, rng=np.random.default_rng(CHAOS_SEED))
         phase = {"down": False}
 
         def hook(kind, *args):

@@ -1,8 +1,8 @@
 """Thread-safety of the serving substrate + batch/single accounting parity.
 
-A columnar batch tallies in :class:`ServerStats` like the same rows sent
-as single queries, and the breaker / stats / engine plan cache keep
-their invariants under a thread pool.
+A columnar batch tallies in the ``serving.*`` counters like the same
+rows sent as single queries, and the breaker / counters / engine plan
+cache keep their invariants under a thread pool.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.bn.inference.engine import CompiledDiscreteModel
+from repro.serving import server
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serving.fallback import TIER_COMPILED, TIER_SWEEP
 from repro.serving.server import (
@@ -19,7 +20,6 @@ from repro.serving.server import (
     ColumnarBatchResult,
     ModelServer,
     QueryResult,
-    ServerStats,
 )
 
 
@@ -29,11 +29,6 @@ def _svc(model, k=0):
 
 def _mean(data, name):
     return float(np.mean(data[name]))
-
-
-def _counts(stats):
-    """Every counter of a ``ServerStats`` whose threads have joined."""
-    return {k: v for k, v in vars(stats).items() if k != "_lock"}
 
 
 # --------------------------------------------------------------------- #
@@ -54,7 +49,7 @@ def _serving_counters():
 
 def test_batch_and_single_paths_tally_identically(fresh_discrete_model, obs_on):
     """The accounting-equivalence contract: N rows sent as one columnar
-    batch produce the same ServerStats and serving metrics as N binned
+    batch produce the same serving metrics as N binned
     single queries, on a healthy engine and on one whose kernels fail."""
     model = fresh_discrete_model
     svc = _svc(model)
@@ -88,14 +83,10 @@ def test_batch_and_single_paths_tally_identically(fresh_discrete_model, obs_on):
             if not r.ok:
                 assert r.status == STATUS_REJECTED
 
-        b, s = _counts(batch_srv.stats), _counts(single_srv.stats)
-        # n_rows_rejected is the one deliberate asymmetry: it counts rows
-        # rejected *inside batches* and has no single-query analogue.
-        assert b.pop("n_rows_rejected") == 2
-        assert s.pop("n_rows_rejected") == 0
-        assert b == s
-        # Its metric twin is the same asymmetry, and a masked batch row
-        # carries no reasons of its own, where a rejected single does.
+        # serving.rows_rejected is the one deliberate asymmetry: it counts
+        # rows rejected *inside batches* and has no single-query analogue;
+        # and a masked batch row carries no reasons of its own, where a
+        # rejected single does.
         assert batch_counters.pop("serving.rows_rejected") == 2
         assert single_counters.pop("serving.rejection_reasons") == 2
         assert batch_counters == single_counters
@@ -117,7 +108,7 @@ def test_rejected_batch_counts_its_reasons(fresh_discrete_model, obs_on):
 
 
 # --------------------------------------------------------------------- #
-# Thread-safety: breaker / stats invariants under a pool
+# Thread-safety: breaker / counter invariants under a pool
 # --------------------------------------------------------------------- #
 
 
@@ -147,21 +138,22 @@ def test_circuit_breaker_invariants_under_threads():
     assert breaker.n_refused >= 0
 
 
-def test_server_stats_lose_no_counts_under_threads():
-    stats = ServerStats()
+def test_server_stats_lose_no_counts_under_threads(obs_on):
+    """Eight threads counting outcomes at once: the ``serving.*``
+    counters hold every row."""
     per_worker = {"ok": 500, "rejected": 300, "late": 100}
 
     def worker(_):
         for _ in range(per_worker["ok"]):
-            stats._count(QueryResult(status="ok", tier="compiled-einsum"))
+            server._count(QueryResult(status="ok", tier="compiled-einsum"))
         for _ in range(per_worker["rejected"]):
-            stats._count(QueryResult(status="rejected"))
+            server._count(QueryResult(status="rejected"))
         for _ in range(per_worker["late"]):
-            stats._count(
+            server._count(
                 QueryResult(status="ok", tier="cached-prior", deadline_exceeded=True)
             )
         # One columnar batch: 3 rows answered, 7 masked out.
-        stats._count(
+        server._count(
             ColumnarBatchResult(
                 status="ok", n_rows=10, n_valid=3, tier="compiled-einsum"
             )
@@ -169,14 +161,14 @@ def test_server_stats_lose_no_counts_under_threads():
 
     with ThreadPoolExecutor(8) as ex:
         list(ex.map(worker, range(8)))
-    assert stats.n_ok == 8 * (500 + 100 + 3)
-    assert stats.n_rejected == 8 * (300 + 7)
-    assert stats.n_deadline_exceeded == 8 * 100
-    assert stats.n_queries == 8 * (900 + 10)
-    assert stats.n_rows_rejected == 8 * 7
-    assert stats.tier_counts == {
-        "compiled-einsum": 8 * (500 + 3),
-        "cached-prior": 8 * 100,
+    assert _serving_counters() == {
+        "serving.queries": 8 * (900 + 10),
+        "serving.status.ok": 8 * (500 + 100 + 3),
+        "serving.status.rejected": 8 * (300 + 7),
+        "serving.rows_rejected": 8 * 7,
+        "serving.deadline_misses": 8 * 100,
+        "serving.tier.compiled-einsum": 8 * (500 + 3),
+        "serving.tier.cached-prior": 8 * 100,
     }
 
 
@@ -227,7 +219,7 @@ def test_plan_cache_consistent_under_concurrent_mixed_signatures(
 
 
 def test_threaded_server_queries_match_single_thread(
-    fresh_discrete_model, ediamond_data
+    fresh_discrete_model, ediamond_data, obs_on
 ):
     train, _ = ediamond_data
     model = fresh_discrete_model
@@ -242,6 +234,7 @@ def test_threaded_server_queries_match_single_thread(
         ModelServer(model, rng=0).query([model.response], ev).value
         for ev in evs
     ]
+    obs.reset()  # count the threaded queries only
 
     def worker(w):
         for j in range(60):
@@ -252,4 +245,5 @@ def test_threaded_server_queries_match_single_thread(
 
     with ThreadPoolExecutor(6) as ex:
         list(ex.map(worker, range(6)))
-    assert srv.stats.n_ok == 6 * 60 == srv.stats.n_queries
+    counters = _serving_counters()
+    assert counters["serving.status.ok"] == 6 * 60 == counters["serving.queries"]

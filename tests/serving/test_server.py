@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.serving.breaker import CLOSED
 from repro.serving.fallback import TIER_COMPILED, TIER_PRIOR, TIER_SWEEP
 from repro.serving.registry import ModelRegistry
@@ -18,13 +19,27 @@ def _mean(data, name):
     return float(np.mean(data[name]))
 
 
+def _counter(name):
+    """The ``serving.<name>`` counter's total so far (0 if never written)."""
+    return obs.snapshot()["metrics"]["counters"].get(f"serving.{name}", 0)
+
+
+def _tiers():
+    """The tiers that answered rows, from the ``serving.tier.*`` counters."""
+    counters = obs.snapshot()["metrics"]["counters"]
+    prefix = "serving.tier."
+    return {
+        k[len(prefix):]: v for k, v in counters.items() if v and k.startswith(prefix)
+    }
+
+
 # --------------------------------------------------------------------- #
 # Single queries
 # --------------------------------------------------------------------- #
 
 
 def test_query_matches_engine_when_healthy(
-    fresh_discrete_model, ediamond_data
+    fresh_discrete_model, ediamond_data, obs_on
 ):
     train, _ = ediamond_data
     model = fresh_discrete_model
@@ -37,8 +52,8 @@ def test_query_matches_engine_when_healthy(
         [model.response], {svc: disc.state_of(svc, _mean(train, svc))}
     ).values
     np.testing.assert_allclose(r.value, expected)
-    assert srv.stats.n_ok == 1
-    assert srv.stats.tier_counts[TIER_COMPILED] == 1
+    assert _counter("status.ok") == 1
+    assert _counter(f"tier.{TIER_COMPILED}") == 1
 
 
 def test_compiled_answer_is_read_only(fresh_discrete_model, ediamond_data):
@@ -61,7 +76,9 @@ def test_compiled_answer_is_read_only(fresh_discrete_model, ediamond_data):
     np.testing.assert_array_equal(again.value, before)
 
 
-def test_bad_evidence_rejected_with_reasons_not_crash(fresh_discrete_model):
+def test_bad_evidence_rejected_with_reasons_not_crash(
+    fresh_discrete_model, obs_on
+):
     model = fresh_discrete_model
     srv = ModelServer(model, rng=0)
     r = srv.query([model.response], {"martian": 1.0})
@@ -74,7 +91,7 @@ def test_bad_evidence_rejected_with_reasons_not_crash(fresh_discrete_model):
     # unknown query variable
     r = srv.query(["martian"], {})
     assert r.status == STATUS_REJECTED
-    assert srv.stats.n_rejected == 4 and srv.stats.n_queries == 4
+    assert _counter("status.rejected") == 4 and _counter("queries") == 4
 
 
 def test_binned_evidence_validated_against_cardinalities(fresh_discrete_model):
@@ -103,7 +120,9 @@ def test_engine_fault_answers_through_fallback(fresh_discrete_model, ediamond_da
     assert TIER_COMPILED in r.tier_errors
 
 
-def test_expired_deadline_degrades_to_prior(fresh_discrete_model, ediamond_data):
+def test_expired_deadline_degrades_to_prior(
+    fresh_discrete_model, ediamond_data, obs_on
+):
     train, _ = ediamond_data
     model = fresh_discrete_model
     srv = ModelServer(model, deadline_seconds=1e-9, rng=0)
@@ -111,13 +130,15 @@ def test_expired_deadline_degrades_to_prior(fresh_discrete_model, ediamond_data)
     r = srv.query([model.response], {svc: _mean(train, svc)})
     assert r.ok and r.tier == TIER_PRIOR and r.approximate
     assert r.deadline_exceeded
-    assert srv.stats.n_deadline_exceeded == 1
+    assert _counter("deadline_misses") == 1
 
 
-def test_expired_deadline_on_project_is_counted(fresh_discrete_model, ediamond_data):
+def test_expired_deadline_on_project_is_counted(
+    fresh_discrete_model, ediamond_data, obs_on
+):
     """A discrete projection answered from the prior after an overrun
     reports the overrun, like ``query`` and ``violation_prob``: in the
-    result and in the stats."""
+    result and in the ``serving.*`` counters."""
     train, _ = ediamond_data
     model = fresh_discrete_model
     srv = ModelServer(model, deadline_seconds=1e-9, rng=0)
@@ -125,12 +146,14 @@ def test_expired_deadline_on_project_is_counted(fresh_discrete_model, ediamond_d
     r = srv.project({svc: _mean(train, svc)})
     assert r.ok and r.tier == TIER_PRIOR
     assert r.deadline_exceeded
-    assert srv.stats.n_deadline_exceeded == 1
+    assert _counter("deadline_misses") == 1
 
 
-def test_expired_deadline_on_columns_is_not_an_open_circuit(fresh_discrete_model):
+def test_expired_deadline_on_columns_is_not_an_open_circuit(
+    fresh_discrete_model, obs_on
+):
     """A batch whose deadline has passed says so while the breaker stays
-    closed, and the stats count each row as an overrun."""
+    closed, and the counters count each row as an overrun."""
     model = fresh_discrete_model
     srv = ModelServer(model, deadline_seconds=1e-9, rng=0)
     cr = srv.query_batch_columns([model.response], _columns(model, 3))
@@ -138,7 +161,7 @@ def test_expired_deadline_on_columns_is_not_an_open_circuit(fresh_discrete_model
     assert cr.tier_errors[TIER_COMPILED] == "deadline exceeded"
     assert srv.breakers[TIER_COMPILED].state == CLOSED
     assert cr.deadline_exceeded
-    assert srv.stats.n_deadline_exceeded == 3
+    assert _counter("deadline_misses") == 3
 
 
 # --------------------------------------------------------------------- #
@@ -170,7 +193,7 @@ def test_columns_match_query_batch_row_by_row(fresh_discrete_model):
         np.testing.assert_allclose(pmf, r.value, rtol=0, atol=1e-12)
 
 
-def test_columns_mask_out_of_range_rows(fresh_discrete_model):
+def test_columns_mask_out_of_range_rows(fresh_discrete_model, obs_on):
     model = fresh_discrete_model
     srv = ModelServer(model, rng=0)
     cols = _columns(model, 12, seed=1)
@@ -188,11 +211,11 @@ def test_columns_mask_out_of_range_rows(fresh_discrete_model):
         cr.pmfs, clean.pmfs[expected_valid], rtol=0, atol=1e-12
     )
     # The second call added 9 answered rows and 3 rejected ones.
-    assert srv.stats.n_ok == 12 + 9
-    assert srv.stats.n_rejected == srv.stats.n_rows_rejected == 3
+    assert _counter("status.ok") == 12 + 9
+    assert _counter("status.rejected") == _counter("rows_rejected") == 3
 
 
-def test_columns_reject_non_integer_column(fresh_discrete_model):
+def test_columns_reject_non_integer_column(fresh_discrete_model, obs_on):
     model = fresh_discrete_model
     srv = ModelServer(model, rng=0)
     calls = []
@@ -203,7 +226,7 @@ def test_columns_reject_non_integer_column(fresh_discrete_model):
     assert cr.status == STATUS_REJECTED and cr.pmfs is None
     assert any("not integer-typed" in r for r in cr.reasons)
     assert calls == []  # rejected before the kernel
-    assert srv.stats.n_queries == srv.stats.n_rejected == 3
+    assert _counter("queries") == _counter("status.rejected") == 3
 
     # A longer float column beside an int column: the length mismatch is
     # reported with every column's size, and the call counts the longest.
@@ -214,10 +237,10 @@ def test_columns_reject_non_integer_column(fresh_discrete_model):
     assert f"evidence columns have mismatched lengths {({a: 5, b: 3})}" in (
         cr.reasons
     )
-    assert srv.stats.n_queries == srv.stats.n_rejected == 3 + 5
+    assert _counter("queries") == _counter("status.rejected") == 3 + 5
 
 
-def test_columns_stats_count_every_row_once(fresh_discrete_model):
+def test_columns_stats_count_every_row_once(fresh_discrete_model, obs_on):
     model = fresh_discrete_model
     srv = ModelServer(model, rng=0)
     resp = model.response
@@ -236,12 +259,10 @@ def test_columns_stats_count_every_row_once(fresh_discrete_model):
     degraded = srv.query_batch_columns([resp], _columns(model, 2, seed=3))
     assert degraded.ok and degraded.tier == TIER_SWEEP  # 2 ok via the chain
 
-    s = srv.stats
-    assert s.n_queries == 6 + 5 + 4 + 3 + 2
-    assert s.n_ok == 6 + 3 + 2
-    assert s.n_rejected == 2 + 4 + 3
-    assert s.n_ok + s.n_rejected == s.n_queries
-    assert s.tier_counts == {TIER_COMPILED: 9, TIER_SWEEP: 2}
+    assert _counter("queries") == 6 + 5 + 4 + 3 + 2
+    assert _counter("status.ok") == 6 + 3 + 2
+    assert _counter("status.rejected") == 2 + 4 + 3
+    assert _tiers() == {TIER_COMPILED: 9, TIER_SWEEP: 2}
 
 
 def test_columns_kernel_failure_runs_the_batch_kernel_once(
@@ -266,7 +287,7 @@ def test_columns_kernel_failure_runs_the_batch_kernel_once(
 
 
 def test_deadline_passing_during_a_degraded_batch_is_counted(
-    fresh_discrete_model,
+    fresh_discrete_model, obs_on
 ):
     """The batch kernel fails after the deadline has passed, so every
     row answers from the prior: the batch reports the kernel's error and
@@ -287,7 +308,7 @@ def test_deadline_passing_during_a_degraded_batch_is_counted(
     assert "injected batch fault" in cr.tier_errors[TIER_COMPILED]
     assert cr.tier_errors[TIER_SWEEP] == "deadline exceeded"
     assert cr.deadline_exceeded
-    assert srv.stats.n_deadline_exceeded == 4
+    assert _counter("deadline_misses") == 4
 
 
 def _slow_first_row_batch(model):
@@ -316,15 +337,10 @@ def _slow_first_row_batch(model):
 def test_degraded_batch_counts_each_row_under_its_own_tier(
     fresh_discrete_model, obs_on
 ):
-    """Each row of a degraded batch is counted where it answered, in
-    ServerStats and in the ``serving.tier.*`` counters."""
-    from repro import obs
-
-    srv, cr = _slow_first_row_batch(fresh_discrete_model)
-    assert srv.stats.tier_counts == {TIER_COMPILED: 1, TIER_PRIOR: 3}
-    counters = obs.snapshot()["metrics"]["counters"]
-    assert counters[f"serving.tier.{TIER_COMPILED}"] == 1
-    assert counters[f"serving.tier.{TIER_PRIOR}"] == 3
+    """Each row of a degraded batch is counted where it answered, in the
+    ``serving.tier.*`` counters."""
+    _, cr = _slow_first_row_batch(fresh_discrete_model)
+    assert _tiers() == {TIER_COMPILED: 1, TIER_PRIOR: 3}
     assert cr.tier_rows == {TIER_COMPILED: 1, TIER_PRIOR: 3}
 
 
@@ -399,7 +415,7 @@ def test_project_discrete(fresh_discrete_model, ediamond_data):
 
 
 def test_every_entry_point_rejects_raw_evidence_without_a_discretizer(
-    fresh_discrete_model, ediamond_data
+    fresh_discrete_model, ediamond_data, obs_on
 ):
     """A discrete model without a discretizer cannot bin raw means:
     ``project`` refuses the call like ``query`` and ``violation_prob``,
@@ -419,7 +435,7 @@ def test_every_entry_point_rejects_raw_evidence_without_a_discretizer(
     for r in results:
         assert r.status == STATUS_REJECTED
         assert any("discretizer" in reason for reason in r.reasons)
-    assert srv.stats.n_rejected == srv.stats.n_queries == 3
+    assert _counter("status.rejected") == _counter("queries") == 3
     # Binned evidence needs no discretizer.
     assert srv.query([model.response], {svc: 1}, binned=True).ok
 

@@ -44,8 +44,9 @@ def test_choice_cdf_draw_equals_generator_choice(p, seed):
 
 def product_over_active(schedule, service, t):
     factor = 1.0
-    for d in schedule.active(service, t):
-        factor *= d.factor
+    for d in schedule.degradations:
+        if d.service == service and d.start <= t < d.end:
+            factor *= d.factor
     return factor
 
 
@@ -68,9 +69,9 @@ def test_factor_at_equals_product_over_active_windows():
     for service in ("a", "b", "c"):
         for t in times:
             expected = product_over_active(schedule, service, t)
-            assert schedule.factor_at(service, t) == expected
             assert combined_factor(schedule.for_service(service), t) == expected
-    assert schedule.factor_at("a", 16.0) == 1.1 * 2.7 * 0.3
-    assert schedule.factor_at("b", 5.0) == 1.7  # never double-applied
-    assert schedule.factor_at("b", 9.0) == 4.1
+    assert combined_factor(schedule.for_service("a"), 16.0) == 1.1 * 2.7 * 0.3
+    # Never double-applied at a seam.
+    assert combined_factor(schedule.for_service("b"), 5.0) == 1.7
+    assert combined_factor(schedule.for_service("b"), 9.0) == 4.1
     assert schedule.for_service("c") == ()

@@ -6,9 +6,17 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.simulator.delays import Deterministic
 from repro.simulator.engine import Engine
-from repro.simulator.faults import Degradation, FaultSchedule
+from repro.simulator.faults import Degradation, FaultSchedule, combined_factor
 from repro.simulator.service import ServiceSpec
 from repro.workflow.constructs import Activity
+
+
+def factor_at(sched, service, t):
+    return combined_factor(sched.for_service(service), t)
+
+
+def active(sched, service, t):
+    return tuple(d for d in sched.for_service(service) if d.start <= t < d.end)
 
 
 def test_degradation_validation():
@@ -28,13 +36,12 @@ def test_factor_at_windows():
             Degradation("b", 0.0, 5.0, 10.0),
         )
     )
-    assert sched.factor_at("a", 5.0) == 1.0
-    assert sched.factor_at("a", 12.0) == 3.0
-    assert sched.factor_at("a", 17.0) == 6.0  # overlapping faults compound
-    assert sched.factor_at("a", 24.0) == 2.0
-    assert sched.factor_at("a", 25.0) == 1.0  # end exclusive
-    assert sched.factor_at("zzz", 12.0) == 1.0
-    assert set(sched.services) == {"a", "b"}
+    assert factor_at(sched, "a", 5.0) == 1.0
+    assert factor_at(sched, "a", 12.0) == 3.0
+    assert factor_at(sched, "a", 17.0) == 6.0  # overlapping faults compound
+    assert factor_at(sched, "a", 24.0) == 2.0
+    assert factor_at(sched, "a", 25.0) == 1.0  # end exclusive
+    assert factor_at(sched, "zzz", 12.0) == 1.0
 
 
 def test_window_boundaries_half_open():
@@ -46,31 +53,31 @@ def test_window_boundaries_half_open():
             Degradation("a", 20.0, 30.0, 2.0),
         )
     )
-    assert sched.factor_at("a", 10.0) == 3.0        # t == start: active
-    assert sched.factor_at("a", 20.0) == 2.0        # seam: only the second
-    assert sched.factor_at("a", 30.0) == 1.0        # t == end: inactive
-    assert sched.active("a", 10.0) == (sched.degradations[0],)
-    assert sched.active("a", 20.0) == (sched.degradations[1],)
-    assert sched.active("a", 30.0) == ()
+    assert factor_at(sched, "a", 10.0) == 3.0        # t == start: active
+    assert factor_at(sched, "a", 20.0) == 2.0        # seam: only the second
+    assert factor_at(sched, "a", 30.0) == 1.0        # t == end: inactive
+    assert active(sched, "a", 10.0) == (sched.degradations[0],)
+    assert active(sched, "a", 20.0) == (sched.degradations[1],)
+    assert active(sched, "a", 30.0) == ()
 
 
 def test_overlapping_windows_compound_and_report():
     first = Degradation("a", 0.0, 10.0, 2.0)
     second = Degradation("a", 5.0, 15.0, 3.0)
     sched = FaultSchedule((first, second))
-    assert sched.active("a", 7.0) == (first, second)
-    assert sched.factor_at("a", 7.0) == 6.0
-    assert sched.factor_at("a", 5.0) == 6.0          # second starts: both on
-    assert sched.factor_at("a", 10.0) == 3.0         # first ends: one left
-    assert sched.active("b", 7.0) == ()
+    assert active(sched, "a", 7.0) == (first, second)
+    assert factor_at(sched, "a", 7.0) == 6.0
+    assert factor_at(sched, "a", 5.0) == 6.0          # second starts: both on
+    assert factor_at(sched, "a", 10.0) == 3.0         # first ends: one left
+    assert active(sched, "b", 7.0) == ()
 
 
-def test_outage_convenience_and_merge():
-    s1 = FaultSchedule.outage("a", 10.0, 5.0, factor=4.0)
-    s2 = FaultSchedule.outage("b", 0.0, 1.0)
+def test_schedules_merge():
+    s1 = FaultSchedule((Degradation("a", 10.0, 15.0, 4.0),))
+    s2 = FaultSchedule((Degradation("b", 0.0, 1.0, 5.0),))
     merged = FaultSchedule(s1.degradations + s2.degradations)
-    assert merged.factor_at("a", 12.0) == 4.0
-    assert merged.factor_at("b", 0.5) == 5.0
+    assert factor_at(merged, "a", 12.0) == 4.0
+    assert factor_at(merged, "b", 0.5) == 5.0
     assert merged.for_service("a") == (Degradation("a", 10.0, 15.0, 4.0),)
     assert merged.for_service("c") == ()
 
@@ -78,7 +85,7 @@ def test_outage_convenience_and_merge():
 def test_engine_applies_fault_windows():
     wf = Activity("a")
     spec = [ServiceSpec("a", Deterministic(1.0), queueing=False)]
-    faults = FaultSchedule.outage("a", 100.0, 50.0, factor=3.0)
+    faults = FaultSchedule((Degradation("a", 100.0, 150.0, 3.0),))
     eng = Engine(wf, spec, rng=0, faults=faults)
     arrivals = np.array([10.0, 120.0, 200.0])
     records = eng.run(arrivals)
@@ -94,7 +101,7 @@ def test_fault_visible_in_learned_model():
     from repro.simulator.traces import trace_to_dataset
 
     env = ediamond_scenario()
-    faults = FaultSchedule.outage("X5", 0.0, 1e9, factor=4.0)
+    faults = FaultSchedule((Degradation("X5", 0.0, 1e9, 4.0),))
     eng = Engine(env.workflow, env.services, env.hosts,
                  demand_sigma=env.demand_sigma, rng=1, faults=faults)
     arrivals = np.cumsum(np.random.default_rng(2).exponential(2.5, size=300))

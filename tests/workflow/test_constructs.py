@@ -54,8 +54,7 @@ def test_loop_validation():
         Loop(Activity("a"), 1.0)
     with pytest.raises(WorkflowError):
         Loop(Activity("a"), -0.1)
-    loop = Loop(Activity("a"), 0.5)
-    assert loop.expected_iterations == pytest.approx(2.0)
+    assert Loop(Activity("a"), 0.5).continue_prob == 0.5
 
 
 def test_non_workflow_child_rejected():

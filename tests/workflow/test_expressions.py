@@ -5,29 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import WorkflowError
-from repro.workflow.expressions import (
-    Const,
-    Max,
-    Scale,
-    Sum,
-    Var,
-    WeightedSum,
-    simplify,
-)
+from repro.workflow.expressions import Max, Sum, Var, simplify
 
 
 def vals(**kw):
     return {k: np.asarray(v, dtype=float) for k, v in kw.items()}
 
 
-def test_var_and_const():
+def test_var():
     v = Var("x")
     np.testing.assert_allclose(v(vals(x=[1, 2])), [1, 2])
     with pytest.raises(WorkflowError):
         v(vals(y=[1]))
-    c = Const(3.0)
-    np.testing.assert_allclose(c(vals(x=[1, 2])), [3, 3])
-    assert c.inputs == frozenset()
+    assert v.inputs == frozenset({"x"})
 
 
 def test_sum_and_max():
@@ -40,20 +30,6 @@ def test_sum_and_max():
         Sum([])
     with pytest.raises(WorkflowError):
         Max([Var("a")])
-
-
-def test_weighted_sum():
-    w = WeightedSum([(0.25, Var("a")), (0.75, Var("b"))])
-    np.testing.assert_allclose(w(vals(a=[4], b=[0])), [1.0])
-    with pytest.raises(WorkflowError):
-        WeightedSum([(-0.1, Var("a"))])
-
-
-def test_scale():
-    s = Scale(2.5, Var("a"))
-    np.testing.assert_allclose(s(vals(a=[2])), [5.0])
-    with pytest.raises(WorkflowError):
-        Scale(-1.0, Var("a"))
 
 
 def test_operator_sugar():
@@ -80,11 +56,8 @@ def test_simplify_flattens_nested_maxes():
     assert s.to_string() == "max(a, b, c)"
 
 
-def test_simplify_collapses_unit_scale():
-    e = Scale(1.0, Var("a"))
-    assert simplify(e).to_string() == "a"
-    e2 = Scale(2.0, Scale(3.0, Var("a")))
-    assert simplify(e2).to_string() == "6*(a)"
+def test_simplify_collapses_single_term_sum():
+    assert simplify(Sum([Var("a")])).to_string() == "a"
 
 
 @given(
@@ -93,7 +66,7 @@ def test_simplify_collapses_unit_scale():
 )
 @settings(max_examples=100, deadline=None)
 def test_simplify_preserves_semantics(xs):
-    raw = Sum([Sum([Var("a"), Max([Var("b"), Var("c")])]), Scale(1.0, Var("a"))])
+    raw = Sum([Sum([Var("a"), Max([Var("b"), Var("c")])]), Sum([Var("a")])])
     simp = simplify(raw)
     v = vals(a=[xs[0]], b=[xs[1]], c=[xs[2]])
     np.testing.assert_allclose(raw(v), simp(v))

@@ -45,35 +45,18 @@ def test_inputs_cover_all_services():
     assert f.inputs == frozenset({"X1", "X2", "X3", "X4", "X5", "X6"})
 
 
-def test_mode_validation():
-    with pytest.raises(WorkflowError):
-        response_time_function(ediamond_wf(), mode="nonsense")
-
-
 def test_choice_measurement_mode_is_sum():
     wf = Choice([Activity("a"), Activity("b")], [0.5, 0.5])
-    f = response_time_function(wf, mode="measurement")
+    f = response_time_function(wf)
     # Exactly one branch is nonzero per transaction.
     np.testing.assert_allclose(f({"a": np.array([3.0]), "b": np.array([0.0])}), [3.0])
     np.testing.assert_allclose(f({"a": np.array([0.0]), "b": np.array([5.0])}), [5.0])
 
 
-def test_choice_expectation_mode_weights():
-    wf = Choice([Activity("a"), Activity("b")], [0.25, 0.75])
-    f = response_time_function(wf, mode="expectation")
-    np.testing.assert_allclose(f({"a": np.array([4.0]), "b": np.array([8.0])}), [7.0])
-
-
 def test_loop_measurement_mode_identity():
     wf = Loop(Activity("a"), 0.5)
-    f = response_time_function(wf, mode="measurement")
+    f = response_time_function(wf)
     np.testing.assert_allclose(f({"a": np.array([6.0])}), [6.0])
-
-
-def test_loop_expectation_mode_scales():
-    wf = Loop(Activity("a"), 0.5)  # E[iters] = 2
-    f = response_time_function(wf, mode="expectation")
-    np.testing.assert_allclose(f({"a": np.array([6.0])}), [12.0])
 
 
 def test_invalid_workflow_rejected():
@@ -86,7 +69,6 @@ def test_timeout_count_is_plain_sum():
     f = timeout_count_function(ediamond_wf())
     v = {f"X{i}": np.array([1.0]) for i in range(1, 7)}
     np.testing.assert_allclose(f(v), [6.0])
-    assert f.mode == "count"
 
 
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10**6))
