@@ -8,7 +8,8 @@ Three benchmark payloads are guarded:
   and batched (22x) speedups from silently eroding and, once the
   baseline carries the ``serving`` section, the speed of a guarded
   raw-evidence query relative to the same query on bin states, and its
-  cost over the bare engine query under it (a ceiling).
+  cost over the bare engine query and over the engine kernel it runs
+  (two ceilings).
 - ``--suite obs`` — ``tests/perf/test_obs_overhead.py`` persists
   ``benchmarks/results/BENCH_obs.json`` (enabled-vs-disabled
   instrumentation overhead and ``/metrics`` scrape latency); the gate
@@ -95,12 +96,18 @@ SUITES = {
         "optional_lower": OPTIONAL_RATIO_METRICS,
         "upper": (),
         "upper_absolute": (),
-        # The guarded call's cost over the bare engine query under it.
+        # The guarded call's cost over the bare engine query, and over
+        # the engine kernel it actually runs.
         "optional_upper": (
             (
                 "serving",
                 "guarded_over_kernel",
                 "guarded raw-evidence query vs bare engine query",
+            ),
+            (
+                "serving",
+                "guarded_over_pmf",
+                "guarded raw-evidence query vs the engine kernel it runs",
             ),
         ),
     },

@@ -10,9 +10,11 @@ it measures queries/sec for
 - a per-row loop of compiled queries vs one vectorized
   ``query_batch`` pass over 1k evidence rows, and
 - a guarded ``ModelServer.query`` with raw service means as evidence vs
-  the same call on their bin states (the raw call also bins each value)
-  and vs the bare ``CompiledDiscreteModel.query`` under it
-  (``guarded_over_kernel``),
+  the same call on their bin states (the raw call also bins each value),
+  vs the bare ``CompiledDiscreteModel.query`` (``guarded_over_kernel``)
+  and vs ``CompiledDiscreteModel.pmf``, the kernel the guarded call
+  actually runs (``guarded_over_pmf``; ``query`` also wraps the answer
+  in a ``DiscreteFactor``),
 
 asserts the compiled/batched posteriors match scratch VE to 1e-9, and
 persists the numbers to ``BENCH_inference.json`` (repo root and
@@ -59,8 +61,8 @@ def _qps(seconds: float, n: int) -> float:
 
 def _guarded_query_seconds(discrete_model, train) -> dict:
     """Per-call seconds of a guarded raw-evidence query, of the same
-    query on pre-binned states and of the bare engine ``query`` on those
-    states, rounds alternated so drift hits all three."""
+    query on pre-binned states and of the bare engine ``query`` and
+    ``pmf`` on those states, rounds alternated so drift hits all four."""
     server = ModelServer(discrete_model, rng=0)
     engine = server.chain.engine
     raw = {
@@ -77,19 +79,22 @@ def _guarded_query_seconds(discrete_model, train) -> dict:
     np.testing.assert_array_equal(
         raw_answer.value, engine.query([TARGET], states).values
     )
+    target = (TARGET,)
+    np.testing.assert_array_equal(raw_answer.value, engine.pmf(target, states))
     calls = (
         lambda: server.query([TARGET], raw),
         lambda: server.query([TARGET], states, binned=True),
         lambda: engine.query([TARGET], states),
+        lambda: engine.pmf(target, states),
     )
-    spent = [0.0, 0.0, 0.0]
+    spent = [0.0, 0.0, 0.0, 0.0]
     for _ in range(N_SERVING_ROUNDS):
         for i, call in enumerate(calls):
             t0 = time.perf_counter()
             for _ in range(N_SERVING_CALLS):
                 call()
             spent[i] += time.perf_counter() - t0
-    raw_s, binned_s, kernel_s = spent
+    raw_s, binned_s, kernel_s, pmf_s = spent
     n_calls = N_SERVING_ROUNDS * N_SERVING_CALLS
     return {
         "n_calls": n_calls,
@@ -99,6 +104,7 @@ def _guarded_query_seconds(discrete_model, train) -> dict:
         "kernel_query_seconds": kernel_s / n_calls,
         "raw_call_speed_vs_binned": binned_s / raw_s,
         "guarded_over_kernel": raw_s / kernel_s,
+        "guarded_over_pmf": raw_s / pmf_s,
     }
 
 

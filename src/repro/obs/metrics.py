@@ -24,6 +24,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -137,15 +138,11 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:  # bisect: first bucket whose bound >= value
-            mid = (lo + hi) // 2
-            if value <= self.buckets[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        # First bucket whose bound >= value; NaN compares false with
+        # every bound, so it goes to the overflow bucket by hand.
+        i = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
-            self._counts[lo] += 1
+            self._counts[i] += 1
             self._n += 1
             self._sum += value
             if value < self._min:

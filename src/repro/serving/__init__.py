@@ -24,7 +24,6 @@ from repro.serving.fallback import (
     FallbackChain,
     TierAnswer,
 )
-from repro.serving.guards import check_row
 from repro.serving.quality import (
     AccuracyTripwire,
     DataQualityGate,
@@ -63,5 +62,4 @@ __all__ = [
     "TierAnswer",
     "VersionInfo",
     "WindowVerdict",
-    "check_row",
 ]

@@ -8,6 +8,11 @@ half-open trial — so chaos tests replay exactly.
 It is **thread-safe**: every state transition happens under a
 per-instance lock, so concurrent callers of one
 :class:`~repro.serving.server.ModelServer` cannot corrupt breaker state.
+The two calls a healthy tier makes per query skip the lock while the
+breaker is closed and nothing would change: :meth:`~CircuitBreaker.allow`
+reads ``CLOSED`` and :meth:`~CircuitBreaker.record_success` reads no
+failures, then ``CLOSED``.  A transition racing such a read ends where
+the locked code would, had the reader taken the lock first.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May the guarded backend be attempted right now?"""
+        if self._state == CLOSED:
+            return True
         with self._lock:
             if self._state == CLOSED:
                 return True
@@ -88,6 +95,10 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
+        # Failures first: a trip zeroes them after leaving CLOSED, so a
+        # zero then CLOSED means no trip has started since either read.
+        if self._consecutive_failures == 0 and self._state == CLOSED:
+            return
         with self._lock:
             self._consecutive_failures = 0
             # Call out only on a real change: a call made while the lock

@@ -216,12 +216,10 @@ class FallbackChain:
                 kernel, variables, evidence,
             )
             if values is not None:
+                # Positional: keyword matching would cost this call more
+                # than the breaker checks do.
                 return TierAnswer(
-                    variables=variables,
-                    values=values,
-                    tier=tier,
-                    tier_errors=errors,
-                    approximate=tier == TIER_SAMPLING,
+                    variables, values, tier, errors, tier == TIER_SAMPLING
                 )
         return TierAnswer(
             variables=variables,

@@ -5,14 +5,17 @@ model.  Every entry point:
 
 - **validates** evidence through :mod:`repro.serving.guards` (unknown
   variables, NaN means, out-of-range bins → rejection with reasons,
-  never a crash);
+  never a crash); a single call checks and bins each evidence value in
+  one pass (:func:`~repro.serving.guards.bin_row`), against the
+  interior bin edges the served snapshot holds as float lists;
 - **bounds** latency with a per-query deadline — once overrun, the
   fallback chain stops trying expensive tiers and the cached prior
   answers;
 - **degrades** through the :class:`~repro.serving.fallback.FallbackChain`
   on engine failure, recording which tier answered;
 - **skips** a failing tier deterministically via its
-  :class:`~repro.serving.breaker.CircuitBreaker`.
+  :class:`~repro.serving.breaker.CircuitBreaker`; a closed breaker
+  answers its two per-call checks without taking its lock.
 
 It serves discrete models only.  A continuous KERT-BN answers its
 questions through its one cached ``KERTBN.assessor``
@@ -47,8 +50,8 @@ from repro.bn.network import DiscreteBayesianNetwork
 from repro.exceptions import ServingError
 from repro.obs.runtime import OBS as _OBS
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.fallback import CHAIN, FallbackChain, TierAnswer
-from repro.serving.guards import check_row
+from repro.serving.fallback import CHAIN, FallbackChain
+from repro.serving.guards import bin_row
 from repro.serving.registry import ModelRegistry
 from repro.utils.rng import ensure_rng
 
@@ -125,6 +128,8 @@ class _Served:
     chain: FallbackChain
     known: frozenset                # node names, as strings
     cards: dict                     # node -> cardinality
+    edges: "dict | None"            # node -> interior bin edges (floats);
+                                    # None: raw evidence is refused
 
 
 class ModelServer:
@@ -196,14 +201,21 @@ class ModelServer:
             n_samples=N_FALLBACK_SAMPLES,
             breakers=self.breakers,
         )
+        known = frozenset(map(str, network.nodes))
+        disc = model.discretizer
+        # Raw evidence is binned only when every node has bin edges.
+        edges = None
+        if disc is not None and known.issubset(disc.columns):
+            edges = {c: disc.edges(c)[1:-1].tolist() for c in known}
         # One reference assignment: a query in flight keeps the snapshot
         # it read, and the next one sees the whole new version.
         self._served = _Served(
             model=model,
             version=version,
             chain=chain,
-            known=frozenset(map(str, network.nodes)),
+            known=known,
             cards=network.cardinalities,
+            edges=edges,
         )
 
     @property
@@ -240,30 +252,28 @@ class ModelServer:
         """The guarded call behind :meth:`query`, :meth:`violation_prob`
         and :meth:`project`.
 
-        One read of the served snapshot first, then validation
-        (``reasons`` are the caller's own), then compute and
-        :meth:`_finish`.  The fallback chain answers ``variables`` (the
-        response when ``None``) and ``value(served, pmf)`` makes the
-        result's value.  Raw evidence needs the model's discretizer.
+        One read of the served snapshot first, then one
+        :func:`~repro.serving.guards.bin_row` pass that validates and
+        bins the evidence (``reasons`` are the caller's own), then
+        compute and :meth:`_finish`.  The fallback chain answers
+        ``variables`` (the response when ``None``) and ``value(served,
+        pmf)`` makes the result's value.  Raw evidence needs the model's
+        discretizer.
         """
         started = time.monotonic()
         served = self._served
-        evidence = {} if evidence is None else evidence
         if variables is None:
             variables = (served.model.response,)
         else:
             variables = tuple(map(str, variables))
-        known = served.known
-        if not reasons and not binned and served.model.discretizer is None:
+        if not reasons and not binned and served.edges is None:
             reasons = (f"{what} requires the model's discretizer for raw evidence",)
         if not reasons:
-            reasons = check_row(
-                evidence,
-                known=known,
-                cards=served.cards,
-                forbid=variables,
-                binned=binned,
-                require_nonempty=False,
+            known = served.known
+            states, reasons = bin_row(
+                {} if evidence is None else evidence,
+                known, variables, served.cards,
+                None if binned else served.edges,
             )
             if not known.issuperset(variables):
                 reasons += tuple(
@@ -276,18 +286,19 @@ class ModelServer:
         if reasons:
             result = QueryResult(status=STATUS_REJECTED, reasons=reasons)
         else:
-            # The call's one {str: int} state dict; the chain and the
-            # engine read it as is.
-            disc = served.model.discretizer
-            states = {
-                str(k): int(v) if binned else disc.state_of(str(k), float(v))
-                for k, v in evidence.items()
-            }
-            answer = served.chain.walk(variables, states, deadline=self._deadline())
+            answer = served.chain.walk(variables, states, self._deadline())
+            errors = answer.tier_errors
+            # Positional, in field order: keyword matching would cost
+            # about as much as the breaker checks of the call.
             result = QueryResult(
-                status=STATUS_OK,
-                value=answer.values if value is None else value(served, answer.values),
-                **_provenance(answer),
+                STATUS_OK,
+                answer.values if value is None else value(served, answer.values),
+                answer.tier,
+                (),
+                errors,
+                0.0,
+                bool(errors) and _deadline_missed(errors),
+                answer.approximate,
             )
         return self._finish(result, started)
 
@@ -365,7 +376,7 @@ class ModelServer:
             reasons.append(f"evidence columns have mismatched lengths {sizes}")
         if not reasons:
             # Vectorized per-row domain check — the columnar analogue of
-            # check_row's bin-range validation.
+            # bin_row's bin-range check.
             valid = np.ones(n_rows, dtype=bool)
             for v, col in cols.items():
                 valid &= (col >= 0) & (col < served.cards[v])
@@ -390,8 +401,11 @@ class ModelServer:
                 pmfs=answer.values,
                 valid=None if n_valid == n_rows else valid,
                 n_valid=n_valid,
+                tier=answer.tier,
+                tier_errors=answer.tier_errors,
+                deadline_exceeded=_deadline_missed(answer.tier_errors),
+                approximate=answer.approximate,
                 tier_rows=answer.tier_rows,
-                **_provenance(answer),
             ),
             started,
         )
@@ -479,13 +493,6 @@ def _count(result: "QueryResult | ColumnarBatchResult") -> None:
         m.histogram("serving.query.seconds").observe(result.elapsed_seconds)
 
 
-def _provenance(answer: TierAnswer) -> dict:
-    """How the chain answered, as result fields; the deadline counts as
-    missed when a tier gave up on it."""
-    return {
-        "tier": answer.tier,
-        "tier_errors": answer.tier_errors,
-        "deadline_exceeded": "deadline exceeded" in answer.tier_errors.values(),
-        "approximate": answer.approximate,
-    }
-
+def _deadline_missed(tier_errors: dict) -> bool:
+    """The deadline counts as missed when a tier gave up on it."""
+    return "deadline exceeded" in tier_errors.values()

@@ -440,6 +440,29 @@ def test_every_entry_point_rejects_raw_evidence_without_a_discretizer(
     assert srv.query([model.response], {svc: 1}, binned=True).ok
 
 
+def test_raw_evidence_needs_bin_edges_for_every_node(
+    fresh_discrete_model, ediamond_data
+):
+    """A discretizer that misses a node cannot bin every raw row, so
+    raw evidence is refused with a reason instead of raising on the
+    missing column; binned evidence still answers."""
+    import dataclasses
+
+    from repro.bn.discretize import Discretizer
+
+    train, _ = ediamond_data
+    full = fresh_discrete_model.discretizer
+    svc = _svc(fresh_discrete_model)
+    partial = Discretizer.from_edges({c: full.edges(c) for c in full.columns if c != svc})
+    model = dataclasses.replace(fresh_discrete_model, discretizer=partial)
+    srv = ModelServer(model, rng=0)
+    other = _svc(model, 1)
+    r = srv.query([model.response], {other: _mean(train, other)})
+    assert r.status == STATUS_REJECTED
+    assert r.reasons == ("query requires the model's discretizer for raw evidence",)
+    assert srv.query([model.response], {svc: 1}, binned=True).ok
+
+
 # --------------------------------------------------------------------- #
 # Registry-backed serving
 # --------------------------------------------------------------------- #
@@ -478,20 +501,22 @@ def test_refresh_during_a_query_answers_from_one_version(
     reg.publish(build_discrete_kertbn(ediamond_env.workflow, train, n_bins=6))
     svc = _svc(v1)
 
-    # The swap lands mid-query: after v1's checks, while v1's
-    # discretizer bins the evidence.
-    disc = v1.discretizer
-    state_of = disc.state_of
+    # The swap lands mid-query: after v1's evidence is checked and
+    # binned, while v1's engine answers.
+    state = v1.discretizer.state_of(svc, _mean(train, svc))
+    expected = v1.network.compiled().query([v1.response], {svc: state}).values
+    engine = v1.network.compiled()
+    pmf = engine.pmf
 
-    def refreshing_state_of(column, value):
+    def refreshing_pmf(variables, evidence):
         srv.refresh()
-        return state_of(column, value)
+        return pmf(variables, evidence)
 
-    disc.state_of = refreshing_state_of
-    r = srv.query([v1.response], {svc: _mean(train, svc)})
+    engine.pmf = refreshing_pmf
+    try:
+        r = srv.query([v1.response], {svc: _mean(train, svc)})
+    finally:
+        del engine.pmf
     assert srv.version == 2
     assert r.ok and r.value.shape == (4,)
-    expected = v1.network.compiled().query(
-        [v1.response], {svc: state_of(svc, _mean(train, svc))}
-    ).values
     np.testing.assert_allclose(r.value, expected)

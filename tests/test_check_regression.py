@@ -186,6 +186,25 @@ def test_guarded_over_kernel_gates_on_a_ceiling():
     assert failures == [] and len(report) == 2
 
 
+def test_guarded_over_pmf_gates_on_a_ceiling():
+    """The guarded call's cost over the ``pmf`` kernel it runs is
+    lower-is-better and gates only once the baseline records it."""
+    base = copy.deepcopy(BASELINE)
+    base["serving"] = {"guarded_over_pmf": 3.5}
+    ok = copy.deepcopy(base)
+    ok["serving"]["guarded_over_pmf"] = 4.2
+    failures, report = gate.compare(base, ok)
+    assert failures == [] and len(report) == 3
+    assert any("guarded_over_pmf" in line and "ceiling=4.55" in line for line in report)
+    slow = copy.deepcopy(base)
+    slow["serving"]["guarded_over_pmf"] = 5.0
+    failures, _ = gate.compare(base, slow)
+    assert len(failures) == 1
+    assert "serving.guarded_over_pmf" in failures[0]
+    failures, report = gate.compare(BASELINE, slow)
+    assert failures == [] and len(report) == 2
+
+
 def test_matrix_cells_gate_per_cell():
     base = copy.deepcopy(BASELINE)
     base["matrix"] = {
